@@ -28,22 +28,15 @@ from .core import (
 )
 from .graphs import (
     DegreeBoundExceeded,
-    FlowNetwork,
     OrderedMultigraph,
     added_edge_pairs,
-    brute_force_min_cut,
-    build_flow_network,
     complete_edges,
-    flow_completion,
-    infinite_capacity,
-    max_flow_integral,
-    min_split_cut,
+    greedy_completion,
 )
 from .harness import (
     ExperimentConfig,
     ExperimentRow,
     calibrate,
-    flow_selftest,
     measure_thickness,
     rows_to_csv,
     run_experiments,

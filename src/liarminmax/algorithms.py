@@ -80,12 +80,14 @@ def make_group_plan(n: int, k: int) -> GroupPlan:
     return GroupPlan(s, _blocks(list(range(n)), s))
 
 
-def find_min_k_lies(items, k: int, oracle) -> tuple[int, int]:
-    """Loss-counter elimination: k+1 lifetime 'larger' verdicts knock an
-    element out, and the survivor is the minimum.
+def _select_k_lies(items, k: int, oracle, eliminating: Answer) -> tuple[int, int]:
+    """Loss-counter elimination: the answer ``eliminating`` to
+    ``query(candidate, challenger)`` charges the challenger a loss, any other
+    answer charges the candidate; k+1 lifetime losses knock an element out,
+    and the survivor is the selected extremum.
 
     Correct whenever the oracle lies at most k times (eliminating the true
-    minimum would take k+1 lies), and never uses more than (k+1)n - 1
+    extremum would take k+1 lies), and never uses more than (k+1)n - 1
     comparisons, since every comparison hands out exactly one loss and the
     survivor ends with at most k.  Returns (winner, comparisons).
     """
@@ -100,7 +102,7 @@ def find_min_k_lies(items, k: int, oracle) -> tuple[int, int]:
         challenger_losses = 0
         while True:
             comparisons += 1
-            if oracle.query(candidate, challenger) is Answer.FIRST_SMALLER:
+            if oracle.query(candidate, challenger) is eliminating:
                 challenger_losses += 1
                 if challenger_losses == out:
                     break
@@ -110,31 +112,16 @@ def find_min_k_lies(items, k: int, oracle) -> tuple[int, int]:
                     candidate, candidate_losses = challenger, challenger_losses
                     break
     return candidate, comparisons
+
+
+def find_min_k_lies(items, k: int, oracle) -> tuple[int, int]:
+    """Loss-counter minimum: k+1 'larger' verdicts knock an element out."""
+    return _select_k_lies(items, k, oracle, Answer.FIRST_SMALLER)
 
 
 def find_max_k_lies(items, k: int, oracle) -> tuple[int, int]:
-    """Mirror of :func:`find_min_k_lies`: 'smaller' verdicts eliminate."""
-    items = list(items)
-    if not items:
-        raise ValueError("cannot select from an empty set")
-    out = k + 1
-    candidate = items[0]
-    candidate_losses = 0
-    comparisons = 0
-    for challenger in items[1:]:
-        challenger_losses = 0
-        while True:
-            comparisons += 1
-            if oracle.query(candidate, challenger) is Answer.FIRST_LARGER:
-                challenger_losses += 1
-                if challenger_losses == out:
-                    break
-            else:
-                candidate_losses += 1
-                if candidate_losses == out:
-                    candidate, candidate_losses = challenger, challenger_losses
-                    break
-    return candidate, comparisons
+    """Loss-counter maximum: k+1 'smaller' verdicts knock an element out."""
+    return _select_k_lies(items, k, oracle, Answer.FIRST_LARGER)
 
 
 def pohl_minmax(items, oracle) -> MinMaxResult:
@@ -296,21 +283,6 @@ def improved_minmax(
                         reason = "verification contradicted the claimed order"
                         break
                 stats.add("group-verify", added_done)
-            if reason is None:
-                minima.append(order[0])
-                maxima.append(order[-1])
-                if group_log is not None:
-                    group_log.append(
-                        GroupReport(
-                            group_index,
-                            m,
-                            outcome.comparisons,
-                            added_done,
-                            graph.thickness(),
-                            True,
-                        )
-                    )
-                break
             if group_log is not None:
                 group_log.append(
                     GroupReport(
@@ -319,10 +291,14 @@ def improved_minmax(
                         outcome.comparisons if outcome is not None else 0,
                         added_done,
                         graph.thickness() if graph is not None else None,
-                        False,
+                        reason is None,
                         reason,
                     )
                 )
+            if reason is None:
+                minima.append(order[0])
+                maxima.append(order[-1])
+                break
             restarts += 1
             if restarts > k:
                 raise BudgetViolation(

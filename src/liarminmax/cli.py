@@ -1,10 +1,9 @@
-"""Command-line interface: experiments, verification, and self-tests."""
+"""Command-line interface: experiments, verification, thickness and calibration."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import DEFAULT, dump_constants, load_constants
 from .harness import (
@@ -12,7 +11,6 @@ from .harness import (
     ORACLES,
     ExperimentConfig,
     calibrate,
-    flow_selftest,
     measure_thickness,
     rows_to_csv,
     run_experiments,
@@ -68,15 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     thickness.add_argument("--out", default=None)
     thickness.add_argument("--config", default=None)
 
-    selftest = sub.add_parser("flow-selftest", help="check the edge-completion guarantees")
-    selftest.add_argument("--max-s", type=int, default=8)
-    selftest.add_argument("--max-k", type=int, default=3)
-    selftest.add_argument("--random-instances", type=int, default=10_000)
-    selftest.add_argument("--seed", type=int, default=0)
-    selftest.add_argument(
-        "--dump-failures", default=None, help="write offending graphs (edge-list format) here"
-    )
-
     cal = sub.add_parser("calibrate", help="freeze sort-budget and thickness constants")
     cal.add_argument("--out", default="calibration.cfg")
     cal.add_argument("--trials", type=int, default=30)
@@ -130,29 +119,6 @@ def _cmd_thickness(args) -> int:
     return 0
 
 
-def _cmd_flow_selftest(args) -> int:
-    report = flow_selftest(
-        max_s=args.max_s,
-        max_k=args.max_k,
-        random_instances=args.random_instances,
-        seed=args.seed,
-    )
-    print(
-        f"checked {report.exhaustive_checked} exhaustive and "
-        f"{report.random_checked} random instances"
-    )
-    if report.passed:
-        print("pass")
-        return 0
-    print(f"{len(report.failures)} FAILURES")
-    for dump, k, problem in report.failures[:10]:
-        print(f"  k={k}: {problem}")
-    if args.dump_failures:
-        blocks = [f"# k={k} {problem}\n{dump}" for dump, k, problem in report.failures]
-        Path(args.dump_failures).write_text("\n".join(blocks))
-    return 1
-
-
 def _cmd_calibrate(args) -> int:
     kwargs = {"trials": args.trials, "seed": args.seed, "out_path": args.out}
     if args.sizes:
@@ -175,7 +141,6 @@ def main(argv=None) -> int:
         "run": _cmd_run,
         "verify": _cmd_verify,
         "thickness": _cmd_thickness,
-        "flow-selftest": _cmd_flow_selftest,
         "calibrate": _cmd_calibrate,
     }
     return handlers[args.command](args)

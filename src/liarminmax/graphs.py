@@ -1,32 +1,23 @@
-"""Ordered multigraphs over sorted positions and the flow-based edge completion.
+"""Ordered multigraphs over sorted positions and the greedy edge completion.
 
 A sort of ``s`` elements leaves behind a graph on positions ``1..s`` (one edge
 per compared pair, drawn in output order).  The verification step must extend
 that graph so every position other than the first has ``k+1`` neighbors to its
 left and every position other than the last has ``k+1`` neighbors to its
-right, adding as few edges as possible.  Picking those edges is a small
-max-flow problem; both the augmenting-path solver and an exhaustive min-cut
-oracle live here so each can check the other.
+right, adding as few edges as possible.  Picking those edges is a max-flow
+problem on a convex bipartite graph, which one greedy sweep solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "DegreeBoundExceeded",
-    "FlowNetwork",
     "OrderedMultigraph",
     "added_edge_pairs",
-    "brute_force_min_cut",
-    "build_flow_network",
     "complete_edges",
-    "flow_completion",
-    "infinite_capacity",
-    "max_flow_integral",
-    "min_split_cut",
+    "greedy_completion",
 ]
 
 
@@ -125,11 +116,8 @@ class OrderedMultigraph:
 
         Equals 2(k+1)(s-1) - 2 * edge_count(); requires all degrees <= k+1.
         """
-        left, right = self.degree_profile()
+        left, right = _checked_degrees(self, k)
         cap = k + 1
-        for j in range(1, self.s + 1):
-            if left[j] > cap or right[j] > cap:
-                raise DegreeBoundExceeded(f"degree of position {j} exceeds {cap}")
         return sum(cap - right[j] for j in range(1, self.s)) + sum(
             cap - left[j] for j in range(2, self.s + 1)
         )
@@ -151,241 +139,52 @@ class OrderedMultigraph:
         return graph
 
 
-def infinite_capacity(s: int, k: int) -> int:
-    """Stand-in for an unbounded arc: strictly above any cut using finite arcs only."""
-    return (k + 1) * s + 1
-
-
-class FlowNetwork:
-    """The completion network for a comparison graph.
-
-    Node layout: a single source feeds one *right-slot* node per position
-    (arc capacity = how many more right neighbors that position may take);
-    one *left-slot* node per position drains into the sink (capacity = how
-    many more left neighbors it may take); and every pair i < j is linked
-    right-slot(i) -> left-slot(j) with effectively unlimited capacity.
-    Augmenting flow therefore picks extra edges that use up right capacity
-    at the lower endpoint and left capacity at the upper one.
-
-    Internal node ids: source = 0, right-slot(j) = j, left-slot(j) = s + j,
-    sink = 2s + 1.
-    """
-
-    def __init__(self, s: int, k: int, right_slack: list[int], left_slack: list[int]) -> None:
-        self.s = s
-        self.k = k
-        self.infinite = infinite_capacity(s, k)
-        self.source = 0
-        self.sink = 2 * s + 1
-        self._right_slack = right_slack
-        self._left_slack = left_slack
-        arcs: list[tuple[int, int, int]] = []
-        for j in range(1, s + 1):
-            arcs.append((self.source, j, right_slack[j]))
-        for i in range(1, s + 1):
-            for j in range(i + 1, s + 1):
-                arcs.append((i, s + j, self.infinite))
-        for j in range(1, s + 1):
-            arcs.append((s + j, self.sink, left_slack[j]))
-        self.arcs = arcs
-
-    def node_count(self) -> int:
-        return 2 * self.s + 2
-
-    def source_capacity(self, j: int) -> int:
-        """Capacity of the source arc into right-slot(j)."""
-        return self._right_slack[j]
-
-    def sink_capacity(self, j: int) -> int:
-        """Capacity of the arc from left-slot(j) into the sink."""
-        return self._left_slack[j]
-
-    def pair_capacity(self, i: int, j: int) -> int:
-        if not 1 <= i < j <= self.s:
-            raise ValueError(f"({i}, {j}) is not an ordered pair of positions")
-        return self.infinite
-
-    def label(self, node: int):
-        if node == self.source:
-            return "source"
-        if node == self.sink:
-            return "sink"
-        if node <= self.s:
-            return ("right", node)
-        return ("left", node - self.s)
-
-
-def build_flow_network(graph: OrderedMultigraph, k: int) -> FlowNetwork:
-    """Network whose max flow selects the cheapest completion edges."""
+def _checked_degrees(graph: OrderedMultigraph, k: int) -> tuple[list[int], list[int]]:
+    """The degree profile, after checking that no degree exceeds k+1."""
     left, right = graph.degree_profile()
     cap = k + 1
     for j in range(1, graph.s + 1):
         if left[j] > cap or right[j] > cap:
             raise DegreeBoundExceeded(f"degree of position {j} exceeds {cap}")
-    right_slack = [0] + [cap - right[j] for j in range(1, graph.s + 1)]
-    left_slack = [0] + [cap - left[j] for j in range(1, graph.s + 1)]
-    return FlowNetwork(graph.s, k, right_slack, left_slack)
+    return left, right
 
 
-def max_flow_integral(net: FlowNetwork) -> tuple[int, dict[tuple, int]]:
-    """Integral maximum source-sink flow by shortest augmenting paths.
+def greedy_completion(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
+    """The graph plus the most edges that keep every degree within k+1.
 
-    Capacities are small integers and the value is at most (k+1)(s-1), so a
-    plain breadth-first augmenting search is plenty.  Returns the flow value
-    and a per-arc flow map keyed by node labels.
+    Position i can take ``k+1 - right_degree(i)`` more right neighbors and
+    position j ``k+1 - left_degree(j)`` more left neighbors; an added edge
+    (i, j) with i < j spends one of each.  Position i may pair with any
+    j in i+1..s, a suffix of the positions, so the pairing graph is convex
+    and greedy matching is optimal (Glover 1967): walk i upward and hand its
+    slack to the smallest j > i with slack left.  The j pointer never moves
+    back, so this is O(s + added edges).  The remaining defect is exactly
+    twice the thickness of the input graph.
     """
-    n = net.node_count()
-    to: list[int] = []
-    residual: list[int] = []
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-
-    def add_arc(u: int, v: int, capacity: int) -> None:
-        adjacency[u].append(len(to))
-        to.append(v)
-        residual.append(capacity)
-        adjacency[v].append(len(to))
-        to.append(u)
-        residual.append(0)
-
-    for u, v, capacity in net.arcs:
-        add_arc(u, v, capacity)
-
-    source, sink = net.source, net.sink
-    value = 0
-    while True:
-        parent_arc = [-1] * n
-        parent_arc[source] = -2
-        queue = [source]
-        head = 0
-        while head < len(queue) and parent_arc[sink] == -1:
-            u = queue[head]
-            head += 1
-            for arc in adjacency[u]:
-                v = to[arc]
-                if residual[arc] > 0 and parent_arc[v] == -1:
-                    parent_arc[v] = arc
-                    queue.append(v)
-        if parent_arc[sink] == -1:
-            break
-        bottleneck = None
-        v = sink
-        while v != source:
-            arc = parent_arc[v]
-            if bottleneck is None or residual[arc] < bottleneck:
-                bottleneck = residual[arc]
-            v = to[arc ^ 1]
-        v = sink
-        while v != source:
-            arc = parent_arc[v]
-            residual[arc] -= bottleneck
-            residual[arc ^ 1] += bottleneck
-            v = to[arc ^ 1]
-        value += bottleneck
-
-    flows: dict[tuple, int] = {}
-    for index, (u, v, capacity) in enumerate(net.arcs):
-        flows[(net.label(u), net.label(v))] = capacity - residual[2 * index]
-    return value, flows
-
-
-def min_split_cut(graph: OrderedMultigraph, k: int) -> int:
-    """Minimum cut capacity over the per-position split cuts, in closed form.
-
-    The cut that splits at position i keeps the source plus right-slots i..s
-    and left-slots (i+1)..s on the source side; its capacity is
-    (s-1)(k+1) - sum of right degrees below i - sum of left degrees above i.
-    """
-    left, right = graph.degree_profile()
+    left, right = _checked_degrees(graph, k)
     cap = k + 1
-    for j in range(1, graph.s + 1):
-        if left[j] > cap or right[j] > cap:
-            raise DegreeBoundExceeded(f"degree of position {j} exceeds {cap}")
-    base = (graph.s - 1) * cap
-    suffix_left = sum(left[j] for j in range(1, graph.s + 1))
-    prefix_right = 0
-    best = None
-    for i in range(1, graph.s + 1):
-        suffix_left -= left[i]
-        value = base - prefix_right - suffix_left
-        if best is None or value < best:
-            best = value
-        prefix_right += right[i]
-    return best
-
-
-# Per-size tables for the exhaustive cut enumeration: membership bits of the
-# right-slot and left-slot nodes for every subset mask, plus the number of
-# pair arcs each mask cuts (pair arcs do not depend on the instance).
-_BRUTE_FORCE_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _brute_force_tables(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    cached = _BRUTE_FORCE_TABLES.get(s)
-    if cached is None:
-        masks = np.arange(1 << (2 * s), dtype=np.int64)
-        right_in = np.empty((masks.size, s), dtype=np.int32)
-        left_in = np.empty((masks.size, s), dtype=np.int32)
-        for j in range(s):
-            right_in[:, j] = (masks >> j) & 1
-            left_in[:, j] = (masks >> (s + j)) & 1
-        # pairs_cut[mask] = #{(i, j): i < j, right-slot(i) in S, left-slot(j) not in S}
-        left_out_suffix = np.cumsum((1 - left_in)[:, ::-1], axis=1)[:, ::-1]
-        pairs_cut = np.zeros(masks.size, dtype=np.int32)
-        for i in range(s - 1):
-            pairs_cut += right_in[:, i] * left_out_suffix[:, i + 1]
-        cached = (right_in, left_in, pairs_cut)
-        _BRUTE_FORCE_TABLES[s] = cached
-    return cached
-
-
-def brute_force_min_cut(net: FlowNetwork) -> int:
-    """Independent min-cut oracle: enumerate every source-side node subset.
-
-    The source is always in, the sink always out; the remaining 2s nodes run
-    through all subsets.  A source arc is cut when its right-slot is outside
-    the subset, a sink arc when its left-slot is inside, and a pair arc when
-    its endpoints straddle the boundary.  The infinite-capacity stand-in
-    keeps any subset cutting a pair arc strictly above every finite cut, so
-    it never masks the true minimum.
-    """
-    s = net.s
-    right_in, left_in, pairs_cut = _brute_force_tables(s)
-    right_slack = np.array([net.source_capacity(j) for j in range(1, s + 1)], dtype=np.int64)
-    left_slack = np.array([net.sink_capacity(j) for j in range(1, s + 1)], dtype=np.int64)
-    total = (
-        int(right_slack.sum())
-        - right_in @ right_slack
-        + left_in @ left_slack
-        + net.infinite * pairs_cut.astype(np.int64)
-    )
-    return int(total.min())
-
-
-def flow_completion(
-    graph: OrderedMultigraph, k: int, flows: dict[tuple, int] | None = None
-) -> OrderedMultigraph:
-    """The graph plus the max-flow-selected edges.
-
-    Degrees stay within k+1 (the arc capacities guarantee it) and the
-    remaining defect is exactly twice the thickness of the input graph.
-    Flow edges are folded in ascending (i, j) order so the result is
-    reproducible.
-    """
-    if flows is None:
-        _, flows = max_flow_integral(build_flow_network(graph, k))
+    s = graph.s
+    left_slack = [cap - d for d in left]
     completed = graph.copy()
-    for i in range(1, graph.s + 1):
-        for j in range(i + 1, graph.s + 1):
-            flow = flows.get((("right", i), ("left", j)), 0)
-            if flow:
-                completed.add(i, j, flow)
+    j = 2
+    for i in range(1, s):
+        slack = cap - right[i]
+        j = max(j, i + 1)
+        while slack and j <= s:
+            take = min(slack, left_slack[j])
+            if take:
+                completed.add(i, j, take)
+                slack -= take
+                left_slack[j] -= take
+            if not left_slack[j]:
+                j += 1
     return completed
 
 
 def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     """Extend the graph so every position has k+1 certified neighbors per side.
 
-    Two steps: fold in the max-flow edges (which never overshoot any degree),
+    Two steps: fold in the greedy edges (which never overshoot any degree),
     then patch what is still deficient with edges to the extreme positions --
     left shortfalls connect to position 1, right shortfalls to position s,
     each pass in ascending position order.  The result contains the input as
@@ -394,7 +193,7 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     """
     if graph.s < 2:
         raise ValueError("completion needs at least two positions")
-    completed = flow_completion(graph, k)
+    completed = greedy_completion(graph, k)
     cap = k + 1
     left, _ = completed.degree_profile()
     for j in range(2, graph.s + 1):

@@ -1,4 +1,4 @@
-"""Experiment runner, exhaustive adversary verification, and self-tests.
+"""Experiment runner, exhaustive adversary verification, thickness measurement, calibration.
 
 Everything here is deterministic given a root seed: each trial derives its
 own child seed, builds its own oracle and hidden order, and rows come out in
@@ -11,21 +11,12 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import permutations
 from pathlib import Path
 from typing import Callable
 
 from .config import DEFAULT, CalibratedConstants
 from .core import Answer, TotalOrder, assert_lie_budget
-from .graphs import (
-    OrderedMultigraph,
-    brute_force_min_cut,
-    build_flow_network,
-    complete_edges,
-    flow_completion,
-    max_flow_integral,
-    min_split_cut,
-)
 from .oracles import (
     AnswersExhausted,
     RandomLiarOracle,
@@ -50,11 +41,9 @@ __all__ = [
     "Counterexample",
     "ExperimentConfig",
     "ExperimentRow",
-    "FlowSelftestReport",
     "ThicknessRow",
     "VerifyReport",
     "calibrate",
-    "flow_selftest",
     "measure_thickness",
     "mergesort_comparison_cap",
     "rows_to_csv",
@@ -214,8 +203,8 @@ def run_experiments(
             restarts = result.stats.restarts
         if oracle.transcript is not None:
             assert_lie_budget(oracle.transcript, order, cfg.k)
-            if restarts > oracle.lies_told:
-                raise RuntimeError("more restarts than lies told; restart logic is broken")
+        if restarts > oracle.lies_told:
+            raise RuntimeError("more restarts than lies told; restart logic is broken")
         bound = _bound_for(cfg, restarts)
         rows.append(
             ExperimentRow(
@@ -418,123 +407,6 @@ def thickness_rows_to_csv(rows: list[ThicknessRow]) -> str:
             f"{r.mean_thickness:.3f},{r.max_thickness}"
         )
     return "\n".join(lines) + "\n"
-
-
-# --- flow completion self-test ----------------------------------------------
-
-
-@dataclass
-class FlowSelftestReport:
-    exhaustive_checked: int = 0
-    random_checked: int = 0
-    failures: list[tuple[str, int, str]] = field(default_factory=list)  # (dump, k, problem)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def _check_completion_instance(graph: OrderedMultigraph, k: int) -> str | None:
-    """All completion guarantees for one (graph, k) instance, cross-checked
-    against the exhaustive min-cut; returns a description of the first
-    violation, or None."""
-    s = graph.s
-    e = graph.edge_count()
-    t = graph.thickness()
-    target = (k + 1) * (s - 1) - e - t
-    net = build_flow_network(graph, k)
-    value, flows = max_flow_integral(net)
-    if value != target:
-        return f"flow value {value} != (k+1)(s-1)-e-t = {target}"
-    split = min_split_cut(graph, k)
-    if split != target:
-        return f"split-cut minimum {split} != {target}"
-    brute = brute_force_min_cut(net)
-    if brute != target:
-        return f"brute-force min cut {brute} != {target}"
-    star = flow_completion(graph, k, flows)
-    left, right = star.degree_profile()
-    cap = k + 1
-    if any(left[j] > cap or right[j] > cap for j in range(1, s + 1)):
-        return "flow completion overshot a degree bound"
-    if star.defect(k) != 2 * t:
-        return f"flow completion defect {star.defect(k)} != 2t = {2 * t}"
-    full = complete_edges(graph, k)
-    for pair, mult in graph.edges.items():
-        if full.multiplicity(*pair) < mult:
-            return f"completed graph dropped edge {pair}"
-    left, right = full.degree_profile()
-    if any(left[j] < cap for j in range(2, s + 1)):
-        return "a non-first position is short of left neighbors"
-    if any(right[j] < cap for j in range(1, s)):
-        return "a non-last position is short of right neighbors"
-    limit = (k + 1) * (s - 1) + t
-    if full.edge_count() > limit:
-        return f"completed graph has {full.edge_count()} edges, limit {limit}"
-    return None
-
-
-def _exhaustive_graphs(s: int, max_multiplicity: int):
-    pairs = [(a, b) for a in range(1, s + 1) for b in range(a + 1, s + 1)]
-    for mults in product(range(max_multiplicity + 1), repeat=len(pairs)):
-        edges = {pair: m for pair, m in zip(pairs, mults) if m}
-        yield OrderedMultigraph(s, edges)
-
-
-def _max_degree(graph: OrderedMultigraph) -> int:
-    left, right = graph.degree_profile()
-    return max(max(left), max(right))
-
-
-def _random_feasible_graph(rng: random.Random, s: int, k: int) -> OrderedMultigraph:
-    graph = OrderedMultigraph.empty(s)
-    left = [0] * (s + 1)
-    right = [0] * (s + 1)
-    cap = k + 1
-    for _ in range(rng.randint(0, cap * (s - 1))):
-        a = rng.randint(1, s - 1)
-        b = rng.randint(a + 1, s)
-        if right[a] < cap and left[b] < cap:
-            graph.add(a, b)
-            right[a] += 1
-            left[b] += 1
-    return graph
-
-
-def flow_selftest(
-    max_s: int = 8,
-    max_k: int = 3,
-    random_instances: int = 10_000,
-    seed: int = 0,
-    exhaustive_s: int = 5,
-    exhaustive_k: int = 2,
-    exhaustive_multiplicity: int = 2,
-) -> FlowSelftestReport:
-    """Exhaustive small instances plus seeded random ones, all cross-checked
-    against the brute-force min-cut."""
-    if exhaustive_s > 5 or max_s > 8:
-        raise ValueError("brute-force min-cut enumeration is capped at s=5 exhaustive, s=8 random")
-    report = FlowSelftestReport()
-    for s in range(2, exhaustive_s + 1):
-        for graph in _exhaustive_graphs(s, exhaustive_multiplicity):
-            worst = _max_degree(graph)
-            for k in range(exhaustive_k + 1):
-                if worst > k + 1:
-                    continue
-                problem = _check_completion_instance(graph, k)
-                report.exhaustive_checked += 1
-                if problem is not None:
-                    report.failures.append((graph.to_text(), k, problem))
-    rng = random.Random(seed)
-    for _ in range(random_instances):
-        s = rng.randint(2, max_s)
-        k = rng.randint(0, max_k)
-        graph = _random_feasible_graph(rng, s, k)
-        problem = _check_completion_instance(graph, k)
-        report.random_checked += 1
-        if problem is not None:
-            report.failures.append((graph.to_text(), k, problem))
-    return report
 
 
 # --- calibration --------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A sorter never queries the same unordered pair twice within one attempt, so
 the comparison graph is simple and every degree is at most s-1; that is what
-makes the flow completion feasible whenever the group size is at most k+2.
+makes the edge completion feasible whenever the group size is at most k+2.
 Lies are not hunted down here beyond the partition-size and budget checks --
 callers decide what an inconsistent attempt means.
 """

@@ -8,6 +8,7 @@ not computed from the run being checked.
 import math
 import random
 
+from flow_reference import flow_selftest
 from liarminmax.algorithms import (
     find_min_k_lies,
     improved_minmax,
@@ -18,7 +19,6 @@ from liarminmax.config import DEFAULT
 from liarminmax.core import TotalOrder, assert_lie_budget
 from liarminmax.harness import (
     ExperimentConfig,
-    flow_selftest,
     measure_thickness,
     run_experiments,
     verify_exhaustive,

@@ -4,17 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_reference import (
+    brute_force_min_cut,
+    build_flow_network,
+    flow_selftest,
+    infinite_capacity,
+    max_flow_integral,
+    min_split_cut,
+)
 from liarminmax.graphs import (
     DegreeBoundExceeded,
     OrderedMultigraph,
     added_edge_pairs,
-    brute_force_min_cut,
-    build_flow_network,
     complete_edges,
-    flow_completion,
-    infinite_capacity,
-    max_flow_integral,
-    min_split_cut,
+    greedy_completion,
 )
 
 
@@ -221,6 +224,10 @@ class TestCompleteEdges:
         with pytest.raises(ValueError):
             complete_edges(OrderedMultigraph.empty(1), 0)
 
+    def test_degree_precondition(self):
+        with pytest.raises(DegreeBoundExceeded):
+            complete_edges(OrderedMultigraph(3, {(1, 2): 2}), 0)
+
     def test_added_pairs_listing(self):
         base = OrderedMultigraph(3, {(1, 3): 1})
         full = complete_edges(base, 0)
@@ -234,7 +241,7 @@ def test_completion_guarantees(instance):
     cap = k + 1
     t = g.thickness()
 
-    star = flow_completion(g, k)
+    star = greedy_completion(g, k)
     left, right = star.degree_profile()
     assert all(left[j] <= cap and right[j] <= cap for j in range(1, g.s + 1))
     assert star.defect(k) == 2 * t
@@ -247,6 +254,13 @@ def test_completion_guarantees(instance):
     assert all(right[j] >= cap for j in range(1, g.s))
     assert full.edge_count() <= cap * (g.s - 1) + t
     assert full.edge_count() == g.edge_count() + len(added_edge_pairs(g, full))
+
+
+def test_flow_selftest_small_grid():
+    report = flow_selftest(max_s=5, max_k=2, random_instances=300, seed=2, exhaustive_s=4)
+    assert report.passed
+    assert report.exhaustive_checked > 100
+    assert report.random_checked == 300
 
 
 def test_text_roundtrip():

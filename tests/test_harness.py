@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from liarminmax import harness
 from liarminmax.cli import main
 from liarminmax.config import CalibratedConstants, dump_constants, load_constants
 from liarminmax.core import TotalOrder
@@ -9,7 +10,6 @@ from liarminmax.harness import (
     CSV_HEADER,
     ExperimentConfig,
     calibrate,
-    flow_selftest,
     measure_thickness,
     mergesort_comparison_cap,
     rows_to_csv,
@@ -19,7 +19,7 @@ from liarminmax.harness import (
     verify_exhaustive,
 )
 from liarminmax.oracles import TruthfulOracle
-from liarminmax.algorithms import simple_minmax
+from liarminmax.algorithms import improved_minmax, simple_minmax
 
 
 class TestRunExperiments:
@@ -73,6 +73,19 @@ class TestRunExperiments:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             run_experiments(ExperimentConfig("quickselect", n=4, k=0))
+
+    def test_restarts_audited_without_transcripts(self, monkeypatch):
+        # A truthful run proves no lie, so any reported restart is a bug,
+        # whether or not the oracle keeps a transcript.
+        def phantom_restart(items, k, oracle, **_):
+            result = improved_minmax(items, k, oracle)
+            result.stats.restarts = 1
+            return result
+
+        monkeypatch.setattr(harness, "improved_minmax", phantom_restart)
+        cfg = ExperimentConfig("improved", n=16, k=4, record_transcripts=False)
+        with pytest.raises(RuntimeError, match="more restarts than lies told"):
+            run_experiments(cfg)
 
     def test_explicit_triggers_respected(self):
         cfg = ExperimentConfig(
@@ -150,13 +163,6 @@ class TestMeasureThickness:
             measure_thickness("bogosort", [4], trials=1, seed=0)
 
 
-def test_flow_selftest_small_grid():
-    report = flow_selftest(max_s=5, max_k=2, random_instances=300, seed=2, exhaustive_s=4)
-    assert report.passed
-    assert report.exhaustive_checked > 100
-    assert report.random_checked == 300
-
-
 def test_calibrate_writes_loadable_config(tmp_path):
     out = tmp_path / "calibration.cfg"
     result = calibrate(sizes=(16,), trials=3, seed=0, exhaustive_limit=5, out_path=out)
@@ -220,13 +226,6 @@ class TestCli:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("sorter,")
-
-    def test_flow_selftest(self, capsys):
-        code = main(
-            ["flow-selftest", "--max-s", "4", "--max-k", "1", "--random-instances", "50"]
-        )
-        assert code == 0
-        assert "pass" in capsys.readouterr().out
 
     def test_calibrate(self, tmp_path, capsys):
         out = tmp_path / "cal.cfg"
