@@ -3,12 +3,14 @@
 
 Each row records the comparison count against the algorithm's bound; the
 script fails loudly if any run lands outside its bound, so it doubles as a
-slow regression check.
+slow regression check.  Only the CSV goes to stdout; the summary and any
+out-of-bound rows go to stderr.
 
 Usage: python3 scripts/run_bounds_sweep.py [--out sweep.csv] [--seed 0]
 """
 
 import argparse
+import sys
 
 from liarminmax.harness import (
     CSV_HEADER,
@@ -50,11 +52,11 @@ def main() -> int:
     out_of_bound = [row for row in rows if not row.within_bound]
     write_text(rows_to_csv(rows), args.out)
     if out_of_bound:
-        print(f"{len(out_of_bound)} rows exceeded their bound:")
+        print(f"{len(out_of_bound)} rows exceeded their bound:", file=sys.stderr)
         for row in out_of_bound[:10]:
-            print(" ", row.as_csv())
+            print(" ", row.as_csv(), file=sys.stderr)
         return 1
-    print(f"# {len(rows)} rows, all within bounds ({CSV_HEADER})")
+    print(f"# {len(rows)} rows, all within bounds ({CSV_HEADER})", file=sys.stderr)
     return 0
 
 

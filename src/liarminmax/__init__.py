@@ -13,7 +13,6 @@ from .algorithms import (
     pohl_minmax,
     simple_minmax,
 )
-from .config import DEFAULT, CalibratedConstants, dump_constants, load_constants
 from .core import (
     Answer,
     InvalidQuery,
@@ -36,7 +35,6 @@ from .graphs import (
 from .harness import (
     ExperimentConfig,
     ExperimentRow,
-    calibrate,
     measure_thickness,
     rows_to_csv,
     run_experiments,
@@ -53,7 +51,6 @@ from .oracles import (
     adversary_consistent_orders,
 )
 from .sorters import (
-    SortBudget,
     SortInconsistency,
     SortOutcome,
     balanced_quicksort,

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import CalibratedConstants
 from .core import Answer, RunStats
 from .graphs import added_edge_pairs, complete_edges
-from .sorters import SortBudget, SortInconsistency, balanced_quicksort, mergesort
+from .sorters import SortInconsistency, balanced_quicksort, mergesort
 
 __all__ = [
     "BudgetViolation",
@@ -222,7 +221,6 @@ def improved_minmax(
     *,
     s: int | None = None,
     group_log: list[GroupReport] | None = None,
-    constants: CalibratedConstants | None = None,
 ) -> MinMaxResult:
     """Group-based min+max where sort comparisons double as verification.
 
@@ -259,12 +257,11 @@ def improved_minmax(
             minima.append(group[0])
             maxima.append(group[0])
             continue
-        budget = SortBudget.default_for(m, constants)
         while True:
             reason = None
             outcome = None
             try:
-                outcome = balanced_quicksort(group, oracle, budget)
+                outcome = balanced_quicksort(group, oracle)
                 stats.add("group-sort", outcome.comparisons)
             except SortInconsistency as exc:
                 stats.add("group-sort", exc.comparisons)

@@ -1,16 +1,18 @@
-"""Command-line interface: experiments, verification, thickness and calibration."""
+"""Command-line interface: experiments, verification and thickness measurement.
+
+Invalid arguments, including the ones only the library rejects, end in an
+argparse usage error (exit status 2), not a traceback.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .config import DEFAULT, dump_constants, load_constants
 from .harness import (
     ALGORITHMS,
     ORACLES,
     ExperimentConfig,
-    calibrate,
     measure_thickness,
     rows_to_csv,
     run_experiments,
@@ -45,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     run.add_argument("--s-override", type=int, default=None, help="force the group size")
-    run.add_argument("--config", default=None, help="calibrated-constants file (key=value)")
     run.add_argument(
         "--no-transcripts",
         action="store_true",
@@ -64,20 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     thickness.add_argument("--trials", type=int, default=100)
     thickness.add_argument("--seed", type=int, default=0)
     thickness.add_argument("--out", default=None)
-    thickness.add_argument("--config", default=None)
-
-    cal = sub.add_parser("calibrate", help="freeze sort-budget and thickness constants")
-    cal.add_argument("--out", default="calibration.cfg")
-    cal.add_argument("--trials", type=int, default=30)
-    cal.add_argument("--seed", type=int, default=0)
-    cal.add_argument(
-        "--sizes", type=int, action="append", default=None, help="repeatable size list"
-    )
     return parser
 
 
 def _cmd_run(args) -> int:
-    constants = load_constants(args.config) if args.config else DEFAULT
     cfg = ExperimentConfig(
         algorithm=args.algorithm,
         n=args.n,
@@ -90,7 +81,7 @@ def _cmd_run(args) -> int:
         s_override=args.s_override,
         record_transcripts=not args.no_transcripts,
     )
-    rows = run_experiments(cfg, constants)
+    rows = run_experiments(cfg)
     write_text(rows_to_csv(rows), args.out)
     return 0
 
@@ -113,37 +104,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_thickness(args) -> int:
-    constants = load_constants(args.config) if args.config else DEFAULT
-    rows = measure_thickness(args.sorter, args.s, args.trials, args.seed, constants)
+    rows = measure_thickness(args.sorter, args.s, args.trials, args.seed)
     write_text(thickness_rows_to_csv(rows), args.out)
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    kwargs = {"trials": args.trials, "seed": args.seed, "out_path": args.out}
-    if args.sizes:
-        kwargs["sizes"] = tuple(args.sizes)
-    result = calibrate(**kwargs)
-    print(f"wrote {args.out}")
-    print(f"sort_budget_linear={result.constants.sort_budget_linear}")
-    print(f"sort_budget_log={result.constants.sort_budget_log}")
-    print(f"thickness_ct={result.constants.thickness_ct}")
-    print(
-        f"observed: max sort ratio {result.max_sort_ratio:.3f} of budget, "
-        f"max thickness ratio {result.max_thickness_ratio:.3f} of s"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "verify": _cmd_verify,
-        "thickness": _cmd_thickness,
-        "calibrate": _cmd_calibrate,
-    }
-    return handlers[args.command](args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    handlers = {"run": _cmd_run, "verify": _cmd_verify, "thickness": _cmd_thickness}
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Experiment runner, exhaustive adversary verification, thickness measurement, calibration.
+"""Experiment runner, exhaustive adversary verification and thickness measurement.
 
 Everything here is deterministic given a root seed: each trial derives its
 own child seed, builds its own oracle and hidden order, and rows come out in
@@ -7,15 +7,13 @@ trial order, so CSV output is byte-stable for a fixed configuration.
 
 from __future__ import annotations
 
-import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 from typing import Callable
 
-from .config import DEFAULT, CalibratedConstants
 from .core import Answer, TotalOrder, assert_lie_budget
 from .oracles import (
     AnswersExhausted,
@@ -33,17 +31,15 @@ from .algorithms import (
     pohl_minmax,
     simple_minmax,
 )
-from .sorters import SortBudget, balanced_quicksort, mergesort
+from .sorters import balanced_quicksort, mergesort
 
 __all__ = [
     "CSV_HEADER",
-    "CalibrationResult",
     "Counterexample",
     "ExperimentConfig",
     "ExperimentRow",
     "ThicknessRow",
     "VerifyReport",
-    "calibrate",
     "measure_thickness",
     "mergesort_comparison_cap",
     "rows_to_csv",
@@ -58,6 +54,9 @@ ALGORITHMS = ("pohl", "simple", "improved", "find-min", "find-max")
 ORACLES = ("truthful", "random-liar", "triggered-liar")
 
 CSV_HEADER = "algorithm,n,k,oracle,seed,comparisons,restarts,bound,within_bound"
+
+# Game-tree verification enumerates all n! orders, so it only runs for small n.
+MAX_EXHAUSTIVE_N = 5
 
 
 def _child_seed(root: int, index: int) -> int:
@@ -167,9 +166,7 @@ def _build_oracle(cfg: ExperimentConfig, order: TotalOrder, rng: random.Random):
     return TriggeredLiarOracle(order, cfg.k, triggers), triggers
 
 
-def run_experiments(
-    cfg: ExperimentConfig, constants: CalibratedConstants | None = None
-) -> list[ExperimentRow]:
+def run_experiments(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """One row per trial; verifies correctness and lie accounting as it goes."""
     cfg.validate()
     rows: list[ExperimentRow] = []
@@ -194,9 +191,7 @@ def run_experiments(
             elif cfg.algorithm == "simple":
                 result = simple_minmax(items, cfg.k, oracle)
             else:
-                result = improved_minmax(
-                    items, cfg.k, oracle, s=cfg.s_override, constants=constants
-                )
+                result = improved_minmax(items, cfg.k, oracle, s=cfg.s_override)
             if result.min != order.min_element() or result.max != order.max_element():
                 raise RuntimeError(f"{cfg.algorithm} returned wrong extrema (seed {trial_seed})")
             comparisons = result.stats.comparisons
@@ -296,7 +291,7 @@ def _algorithm_runner(algorithm, items: list[int], k: int, s_override: int | Non
 
 
 def verify_exhaustive(
-    n: int, k: int, algorithm, *, s_override: int | None = None, cap: int = 5
+    n: int, k: int, algorithm, *, s_override: int | None = None
 ) -> VerifyReport:
     """Walk the complete adversary answer tree for an algorithm.
 
@@ -306,8 +301,10 @@ def verify_exhaustive(
     of every surviving order.  The first violation is returned as a
     counterexample.
     """
-    if n > cap:
-        raise ValueError(f"game-tree verification enumerates all orders; n must be <= {cap}")
+    if n > MAX_EXHAUSTIVE_N:
+        raise ValueError(
+            f"game-tree verification enumerates all orders; n must be <= {MAX_EXHAUSTIVE_N}"
+        )
     items = list(range(n))
     runner = _algorithm_runner(algorithm, items, k, s_override)
     name = algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "custom")
@@ -364,23 +361,15 @@ class ThicknessRow:
     max_thickness: int
 
 
-def _run_sorter(
-    name: str, items: list[int], oracle, constants: CalibratedConstants | None
-):
+def _run_sorter(name: str, items: list[int], oracle):
     if name == "mergesort":
         return mergesort(items, oracle)
     if name == "balanced-quicksort":
-        return balanced_quicksort(items, oracle, SortBudget.default_for(len(items), constants))
+        return balanced_quicksort(items, oracle)
     raise ValueError(f"unknown sorter {name!r}")
 
 
-def measure_thickness(
-    sorter: str,
-    s_values,
-    trials: int,
-    seed: int,
-    constants: CalibratedConstants | None = None,
-) -> list[ThicknessRow]:
+def measure_thickness(sorter: str, s_values, trials: int, seed: int) -> list[ThicknessRow]:
     """Thickness statistics over seeded random inputs, one row per size."""
     rows = []
     for s in s_values:
@@ -389,7 +378,7 @@ def measure_thickness(
             rng = random.Random(_child_seed(seed, s * 100_000 + trial))
             order = TotalOrder.shuffled(s, rng)
             oracle = TruthfulOracle(order, record=False)
-            outcome = _run_sorter(sorter, list(range(s)), oracle, constants)
+            outcome = _run_sorter(sorter, list(range(s)), oracle)
             observed.append(outcome.graph.thickness())
         rows.append(
             ThicknessRow(
@@ -407,78 +396,3 @@ def thickness_rows_to_csv(rows: list[ThicknessRow]) -> str:
             f"{r.mean_thickness:.3f},{r.max_thickness}"
         )
     return "\n".join(lines) + "\n"
-
-
-# --- calibration --------------------------------------------------------------
-
-
-@dataclass
-class CalibrationResult:
-    constants: CalibratedConstants
-    max_sort_ratio: float  # observed quicksort comparisons / budget formula
-    max_thickness_ratio: float  # observed quicksort thickness / s
-    details: list[tuple[int, int, int]] = field(default_factory=list)  # (s, max comps, max t)
-
-
-def calibrate(
-    *,
-    sizes=(16, 64, 256, 1024, 4096),
-    trials: int = 30,
-    seed: int = 0,
-    exhaustive_limit: int = 8,
-    out_path: str | Path | None = None,
-) -> CalibrationResult:
-    """Measure truthful worst cases and freeze the budget/thickness constants.
-
-    Small sizes are swept over every permutation; larger sizes over seeded
-    random permutations.  The emitted budget constants are the defaults when
-    those already cover everything observed, otherwise the log coefficient is
-    raised until they do.
-    """
-    max_comps: dict[int, int] = {}
-    max_thick: dict[int, int] = {}
-
-    def observe(s: int, items: list[int], order: TotalOrder) -> None:
-        oracle = TruthfulOracle(order, record=False)
-        outcome = balanced_quicksort(items, oracle, SortBudget(10**9))
-        max_comps[s] = max(max_comps.get(s, 0), outcome.comparisons)
-        max_thick[s] = max(max_thick.get(s, 0), outcome.graph.thickness())
-
-    for s in range(2, exhaustive_limit + 1):
-        items = list(range(s))
-        for ranks in permutations(range(s)):
-            observe(s, items, TotalOrder(ranks))
-    for s in sizes:
-        items = list(range(s))
-        for trial in range(trials):
-            rng = random.Random(_child_seed(seed, s * 1_000_000 + trial))
-            observe(s, items, TotalOrder.shuffled(s, rng))
-
-    log_coefficient = DEFAULT.sort_budget_log
-    linear = DEFAULT.sort_budget_linear
-    while True:
-        candidate = CalibratedConstants(linear, log_coefficient, DEFAULT.thickness_ct)
-        if all(
-            max_comps[s] <= SortBudget.default_for(s, candidate).max_comparisons
-            for s in max_comps
-        ):
-            break
-        log_coefficient += 1
-
-    sort_ratios = [
-        max_comps[s] / SortBudget.default_for(s).max_comparisons for s in max_comps
-    ]
-    thickness_ratios = [max_thick[s] / s for s in max_thick if s > 2]
-    ct = max(2, math.ceil(max(thickness_ratios)) + 1)
-    constants = CalibratedConstants(linear, log_coefficient, ct)
-    result = CalibrationResult(
-        constants,
-        max(sort_ratios),
-        max(thickness_ratios),
-        [(s, max_comps[s], max_thick[s]) for s in sorted(max_comps)],
-    )
-    if out_path is not None:
-        from .config import dump_constants
-
-        dump_constants(constants, out_path)
-    return result

@@ -3,8 +3,9 @@
 A sorter never queries the same unordered pair twice within one attempt, so
 the comparison graph is simple and every degree is at most s-1; that is what
 makes the edge completion feasible whenever the group size is at most k+2.
-Lies are not hunted down here beyond the partition-size and budget checks --
-callers decide what an inconsistent attempt means.
+Memoization also bounds an attempt at s(s-1)/2 queries whatever the answers,
+so no comparison cap is needed.  Lies are not hunted down here beyond the
+partition-size check -- callers decide what an inconsistent attempt means.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .config import DEFAULT, CalibratedConstants
 from .core import Answer
 from .graphs import OrderedMultigraph
 
 __all__ = [
-    "SortBudget",
     "SortInconsistency",
     "SortOutcome",
     "balanced_quicksort",
@@ -36,29 +35,14 @@ class SortInconsistency(Exception):
         self.comparisons = comparisons
 
 
-@dataclass(frozen=True)
-class SortBudget:
-    """Per-attempt comparison cap; an overrun proves the oracle lied,
-    provided the cap is at least the truthful worst case for that size."""
-
-    max_comparisons: int
-
-    @classmethod
-    def default_for(cls, s: int, constants: CalibratedConstants | None = None) -> "SortBudget":
-        c = constants or DEFAULT
-        log_ceil = (s - 1).bit_length() if s > 1 else 0
-        return cls(c.sort_budget_linear * s + c.sort_budget_log * s * log_ceil)
-
-
 class _Session:
     """Memoized comparison channel for one sort attempt."""
 
-    __slots__ = ("oracle", "memo", "cap")
+    __slots__ = ("oracle", "memo")
 
-    def __init__(self, oracle, cap: int | None = None) -> None:
+    def __init__(self, oracle) -> None:
         self.oracle = oracle
         self.memo: dict[tuple[int, int], bool] = {}
-        self.cap = cap
 
     def less(self, a: int, b: int) -> bool:
         """Whether the (memoized) answer puts ``a`` before ``b``."""
@@ -68,8 +52,6 @@ class _Session:
             key, flip = (b, a), True
         lo_smaller = self.memo.get(key)
         if lo_smaller is None:
-            if self.cap is not None and len(self.memo) >= self.cap:
-                raise SortInconsistency("comparison budget exhausted", len(self.memo))
             lo_smaller = self.oracle.query(key[0], key[1]) is Answer.FIRST_SMALLER
             self.memo[key] = lo_smaller
         return lo_smaller != flip
@@ -196,29 +178,31 @@ def _median_partition(seq, session: _Session):
     return median, smaller, larger
 
 
-def median_select(items, oracle, budget: SortBudget):
+def median_select(items, oracle):
     """Median plus the strictly-smaller and strictly-larger sides.
 
     On truthful answers the median has rank ceil(m/2) and the sides have
-    exactly ceil(m/2)-1 and m-ceil(m/2) elements; wrong sizes or a blown
-    budget raise :class:`SortInconsistency`.
+    exactly ceil(m/2)-1 and m-ceil(m/2) elements; wrong sizes raise
+    :class:`SortInconsistency`.  Never asks a pair twice, so it spends at
+    most m(m-1)/2 queries on any answers.
     """
     items = list(items)
     if not items:
         raise ValueError("median of an empty set")
-    session = _Session(oracle, cap=budget.max_comparisons)
+    session = _Session(oracle)
     return _median_partition(items, session)
 
 
-def balanced_quicksort(items, oracle, budget: SortBudget) -> SortOutcome:
+def balanced_quicksort(items, oracle) -> SortOutcome:
     """Quicksort splitting at the exact median on every level.
 
     The even split keeps the comparison graph shallow over every position
     (each level's comparisons mostly stay inside one half).  Raises
-    :class:`SortInconsistency` on a wrong partition size at any level or on
-    budget overrun; with a truthful oracle neither can happen.
+    :class:`SortInconsistency` on a wrong partition size at any level, which
+    a truthful oracle never causes.  Never asks a pair twice, so it spends
+    at most s(s-1)/2 queries on any answers.
     """
-    session = _Session(oracle, cap=budget.max_comparisons)
+    session = _Session(oracle)
     output = _bqsort(list(items), session)
     return _make_outcome(output, session)
 

@@ -15,7 +15,6 @@ from liarminmax.algorithms import (
     pohl_minmax,
     simple_minmax,
 )
-from liarminmax.config import DEFAULT
 from liarminmax.core import TotalOrder, assert_lie_budget
 from liarminmax.harness import (
     ExperimentConfig,
@@ -25,6 +24,10 @@ from liarminmax.harness import (
 )
 from liarminmax.oracles import RandomLiarOracle, TriggeredLiarOracle, TruthfulOracle
 from liarminmax.sorters import mergesort
+
+# Criterion 7's ceiling on balanced-quicksort thickness, as a multiple of s.
+# Observed ratios peak near 3.6 for s in 64..4096; 5 leaves headroom.
+THICKNESS_CT = 5
 
 
 def test_criterion_1_pairing_exactness():
@@ -129,14 +132,13 @@ def test_criterion_6_per_group_bound():
 
 
 def test_criterion_7_thickness_properties():
-    ct = DEFAULT.thickness_ct
     sizes = [64, 128, 256, 512, 1024, 2048, 4096]
     for row in measure_thickness("balanced-quicksort", sizes, trials=100, seed=7):
-        assert row.max_thickness <= ct * row.s, row
+        assert row.max_thickness <= THICKNESS_CT * row.s, row
     for row in measure_thickness("mergesort", [64, 256, 1024], trials=100, seed=7):
         assert row.min_thickness >= row.s // 8, row
     print(
-        f"PASS criterion 7: quicksort thickness <= {ct}*s for s in 64..4096; "
+        f"PASS criterion 7: quicksort thickness <= {THICKNESS_CT}*s for s in 64..4096; "
         "mergesort thickness >= s/8 on 100/100 inputs"
     )
 

@@ -1,15 +1,16 @@
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from liarminmax import harness
 from liarminmax.cli import main
-from liarminmax.config import CalibratedConstants, dump_constants, load_constants
 from liarminmax.core import TotalOrder
 from liarminmax.harness import (
     CSV_HEADER,
     ExperimentConfig,
-    calibrate,
     measure_thickness,
     mergesort_comparison_cap,
     rows_to_csv,
@@ -163,24 +164,6 @@ class TestMeasureThickness:
             measure_thickness("bogosort", [4], trials=1, seed=0)
 
 
-def test_calibrate_writes_loadable_config(tmp_path):
-    out = tmp_path / "calibration.cfg"
-    result = calibrate(sizes=(16,), trials=3, seed=0, exhaustive_limit=5, out_path=out)
-    loaded = load_constants(out)
-    assert loaded == result.constants
-    assert result.max_sort_ratio <= 1.0
-
-
-def test_config_roundtrip(tmp_path):
-    path = tmp_path / "c.cfg"
-    constants = CalibratedConstants(30, 5, 7)
-    dump_constants(constants, path)
-    assert load_constants(path) == constants
-    path.write_text("bogus_key=3\n")
-    with pytest.raises(ValueError):
-        load_constants(path)
-
-
 class TestCli:
     def test_run_to_stdout(self, capsys):
         code = main(
@@ -227,32 +210,6 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith("sorter,")
 
-    def test_calibrate(self, tmp_path, capsys):
-        out = tmp_path / "cal.cfg"
-        code = main(["calibrate", "--out", str(out), "--trials", "2", "--sizes", "16"])
-        assert code == 0
-        assert out.exists()
-        assert "thickness_ct" in capsys.readouterr().out
-
-    def test_run_with_config_file(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cal.cfg"
-        dump_constants(CalibratedConstants(40, 6, 8), cfg_path)
-        code = main(
-            [
-                "run",
-                "--algorithm",
-                "improved",
-                "--n",
-                "8",
-                "--k",
-                "2",
-                "--config",
-                str(cfg_path),
-            ]
-        )
-        assert code == 0
-        assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
-
     def test_s_override_flows_through(self, capsys):
         code = main(
             [
@@ -271,3 +228,42 @@ class TestCli:
         )
         assert code == 0
         assert "improved,6,2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--algorithm", "improved", "--n", "1"], "improved needs at least two elements"),
+            (
+                ["verify", "--algorithm", "pohl", "--n", "3", "--k", "1"],
+                "the pairing algorithm is a k=0 algorithm",
+            ),
+            (
+                ["verify", "--algorithm", "find-min", "--n", "6"],
+                "game-tree verification enumerates all orders; n must be <= 5",
+            ),
+            (["calibrate"], None),
+        ],
+        ids=["run-n-1", "verify-pohl-k-1", "verify-n-6", "calibrate"],
+    )
+    def test_invalid_arguments_are_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if message is not None:
+            assert err.splitlines()[-1] == f"liarminmax: error: {message}"
+
+
+def test_bounds_sweep_writes_only_csv_to_stdout(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_bounds_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rows = run_experiments(ExperimentConfig("pohl", n=6, k=0, trials=3, seed=2))
+    monkeypatch.setattr(script, "sweep", lambda seed: rows)
+    monkeypatch.setattr(sys, "argv", ["run_bounds_sweep.py"])
+    assert script.main() == 0
+    captured = capsys.readouterr()
+    assert captured.out == rows_to_csv(rows)
+    assert "all within bounds" in captured.err

@@ -1,11 +1,11 @@
 import random
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liarminmax.core import TotalOrder
+from liarminmax.core import Answer, TotalOrder
 from liarminmax.oracles import (
     RandomLiarOracle,
     ScriptedOracle,
@@ -13,13 +13,13 @@ from liarminmax.oracles import (
     TruthfulOracle,
 )
 from liarminmax.sorters import (
-    SortBudget,
     SortInconsistency,
     balanced_quicksort,
     median_select,
     mergesort,
     thickness_of_run,
 )
+from test_acceptance import THICKNESS_CT
 
 
 def mergesort_cap(s):
@@ -85,14 +85,14 @@ class TestMergesort:
 class TestMedianSelect:
     def test_single_item(self):
         oracle = TruthfulOracle(TotalOrder.identity(1))
-        median, smaller, larger = median_select([0], oracle, SortBudget(100))
+        median, smaller, larger = median_select([0], oracle)
         assert (median, smaller, larger) == (0, [], [])
         assert oracle.queries == 0
 
     def test_five_items_truthful(self):
         order = TotalOrder((3, 1, 4, 0, 2))
         oracle = TruthfulOracle(order)
-        median, smaller, larger = median_select([0, 1, 2, 3, 4], oracle, SortBudget(100))
+        median, smaller, larger = median_select([0, 1, 2, 3, 4], oracle)
         assert order.rank[median] == 2
         assert sorted(order.rank[x] for x in smaller) == [0, 1]
         assert sorted(order.rank[x] for x in larger) == [3, 4]
@@ -102,28 +102,22 @@ class TestMedianSelect:
         order = TotalOrder.identity(4)
         items = [2, 0, 3, 1]
         truthful = TruthfulOracle(order)
-        median_select(items, truthful, SortBudget(100))
+        median_select(items, truthful)
         total = truthful.queries
         failures = []
         for trigger in range(total):
             oracle = TriggeredLiarOracle(order, k=1, triggers={trigger})
             try:
-                median_select(items, oracle, SortBudget(100))
+                median_select(items, oracle)
             except SortInconsistency as exc:
                 failures.append((trigger, exc.reason))
         assert failures, "no single lie produced an inconsistent partition"
         assert any("partition" in reason for _, reason in failures)
 
-    def test_budget_overrun_flagged(self):
-        order = TotalOrder.identity(10)
-        with pytest.raises(SortInconsistency) as exc:
-            median_select(list(range(10)), TruthfulOracle(order), SortBudget(3))
-        assert "budget" in exc.value.reason
-
 
 class TestBalancedQuicksort:
     def test_single_item(self):
-        out = balanced_quicksort([5], TruthfulOracle(TotalOrder.identity(6)), SortBudget(10))
+        out = balanced_quicksort([5], TruthfulOracle(TotalOrder.identity(6)))
         assert out.output == [5]
         assert out.comparisons == 0
         assert thickness_of_run(out) == 0
@@ -135,31 +129,29 @@ class TestBalancedQuicksort:
         order = TotalOrder.shuffled(s, rng)
         items = list(range(s))
         rng.shuffle(items)
-        out = balanced_quicksort(items, TruthfulOracle(order), SortBudget.default_for(s))
+        out = balanced_quicksort(items, TruthfulOracle(order))
         assert out.output == order.ascending()
         assert out.is_order_consistent()
-        assert out.comparisons <= SortBudget.default_for(s).max_comparisons
+        assert out.comparisons <= s * (s - 1) // 2
 
     def test_eight_items_thickness_within_threshold(self):
-        from liarminmax.config import DEFAULT
-
         order = TotalOrder.shuffled(8, random.Random(3))
-        out = balanced_quicksort(list(range(8)), TruthfulOracle(order), SortBudget.default_for(8))
+        out = balanced_quicksort(list(range(8)), TruthfulOracle(order))
         assert out.output == order.ascending()
-        assert thickness_of_run(out) <= DEFAULT.thickness_ct * 8
+        assert thickness_of_run(out) <= THICKNESS_CT * 8
 
     def test_single_lie_can_force_inconsistency(self):
         order = TotalOrder.identity(16)
         items = list(range(16))
         random.Random(0).shuffle(items)
         truthful = TruthfulOracle(order)
-        balanced_quicksort(items, truthful, SortBudget.default_for(16))
+        balanced_quicksort(items, truthful)
         total = truthful.queries
         seen_inconsistency = False
         for trigger in range(total):
             oracle = TriggeredLiarOracle(order, k=1, triggers={trigger})
             try:
-                balanced_quicksort(items, oracle, SortBudget.default_for(16))
+                balanced_quicksort(items, oracle)
             except SortInconsistency:
                 seen_inconsistency = True
                 break
@@ -169,7 +161,7 @@ class TestBalancedQuicksort:
         order = TotalOrder.shuffled(20, random.Random(7))
         oracle = RandomLiarOracle(order, k=2, p=0.3, seed=9)
         try:
-            out = balanced_quicksort(list(range(20)), oracle, SortBudget.default_for(20))
+            out = balanced_quicksort(list(range(20)), oracle)
         except SortInconsistency:
             return
         pairs = [(min(r.a, r.b), max(r.a, r.b)) for r in oracle.transcript]
@@ -181,11 +173,11 @@ class TestBalancedQuicksort:
         oracle = RandomLiarOracle(order, k=3, p=0.4, seed=4)
         items = list(range(15))
         try:
-            original = balanced_quicksort(items, oracle, SortBudget.default_for(15))
+            original = balanced_quicksort(items, oracle)
         except SortInconsistency:
             pytest.skip("this seed trips the size checks before finishing")
         replay = ScriptedOracle([r.answer for r in oracle.transcript])
-        repeated = balanced_quicksort(items, replay, SortBudget.default_for(15))
+        repeated = balanced_quicksort(items, replay)
         assert repeated.output == original.output
         assert repeated.comparisons == original.comparisons
         assert repeated.graph.edges == original.graph.edges
@@ -215,11 +207,52 @@ def test_graph_covers_every_compared_pair_in_output_coordinates():
     assert set(out.graph.edges) == expected
 
 
-def test_sort_budget_formula():
-    assert SortBudget.default_for(1).max_comparisons == 32
-    assert SortBudget.default_for(2).max_comparisons == 32 * 2 + 4 * 2 * 1
-    assert SortBudget.default_for(8).max_comparisons == 32 * 8 + 4 * 8 * 3
-    # budgets always cover the all-pairs count for small s, so a truthful
-    # attempt can never trip them
-    for s in range(1, 12):
-        assert SortBudget.default_for(s).max_comparisons >= len(list(combinations(range(s), 2)))
+class ConstantOracle:
+    """Gives the same answer to every query, whatever the pair."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def query(self, a, b):
+        return self.answer
+
+
+class PairLog:
+    """Passes queries through and keeps every unordered pair asked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.pairs = []
+
+    def query(self, a, b):
+        self.pairs.append((min(a, b), max(a, b)))
+        return self.inner.query(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.sampled_from(["random-liar", "first-smaller", "first-larger"]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**31),
+    st.sampled_from([balanced_quicksort, median_select]),
+)
+def test_any_answers_stay_within_all_pairs(s, kind, p, seed, sorter):
+    """On any answers a sort attempt returns or raises SortInconsistency,
+    never asks a pair twice, and so spends at most s(s-1)/2 queries."""
+    rng = random.Random(seed)
+    if kind == "random-liar":
+        inner = RandomLiarOracle(TotalOrder.shuffled(s, rng), s * s, p, seed=seed)
+    elif kind == "first-smaller":
+        inner = ConstantOracle(Answer.FIRST_SMALLER)
+    else:
+        inner = ConstantOracle(Answer.FIRST_LARGER)
+    oracle = PairLog(inner)
+    items = list(range(s))
+    rng.shuffle(items)
+    try:
+        sorter(items, oracle)
+    except SortInconsistency as exc:
+        assert exc.comparisons == len(oracle.pairs)
+    assert len(oracle.pairs) == len(set(oracle.pairs))
+    assert len(oracle.pairs) <= s * (s - 1) // 2
