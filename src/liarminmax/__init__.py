@@ -3,13 +3,11 @@ at most k times, with instrumentation to check the comparison-count bounds."""
 
 from .algorithms import (
     BudgetViolation,
-    GroupPlan,
     GroupReport,
     MinMaxResult,
     find_max_k_lies,
     find_min_k_lies,
     improved_minmax,
-    make_group_plan,
     pohl_minmax,
     simple_minmax,
 )

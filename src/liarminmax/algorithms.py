@@ -1,10 +1,12 @@
 """Min/max selection against a bounded-lie comparison oracle.
 
-Four routines: the classic pairing scheme for a reliable oracle, loss-counter
-minimum/maximum finding, and two group-based min+max algorithms that sort and
-verify each group before selecting among the group extrema.  Restarts stay
-local to one group, and every restart is evidence of at least one lie, so a
-contract-honoring oracle can force at most k of them in a whole run.
+Loss-counter minimum/maximum finding, and one group driver behind the three
+min+max algorithms, which differ only in how they certify a group: one
+comparison per pair for a reliable oracle (the classic pairing scheme),
+mergesort plus k+1 re-asks per adjacent pair (the simple algorithm), or
+balanced quicksort plus edge completion (the improved algorithm).  Restarts
+stay local to one group, and every restart is evidence of at least one lie,
+so a contract-honoring oracle can force at most k of them in a whole run.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ from .sorters import SortInconsistency, balanced_quicksort, mergesort
 
 __all__ = [
     "BudgetViolation",
-    "GroupPlan",
     "GroupReport",
     "MinMaxResult",
     "find_max_k_lies",
     "find_min_k_lies",
     "improved_minmax",
-    "make_group_plan",
     "pohl_minmax",
     "simple_minmax",
 ]
@@ -38,12 +38,6 @@ class MinMaxResult:
     min: int
     max: int
     stats: RunStats
-
-
-@dataclass
-class GroupPlan:
-    s: int
-    groups: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -67,16 +61,6 @@ def _group_size(k: int) -> int:
     # s = k once groups are big enough to amortize; pairs for tiny budgets,
     # which also keeps sort degrees (<= s-1) within the completion bound k+1.
     return k if k >= 4 else 2
-
-
-def make_group_plan(n: int, k: int) -> GroupPlan:
-    """Consecutive blocks of size s(k); the remainder forms a last short group."""
-    if n < 1:
-        raise ValueError("need at least one element")
-    if k < 0:
-        raise ValueError("lie budget must be non-negative")
-    s = _group_size(k)
-    return GroupPlan(s, _blocks(list(range(n)), s))
 
 
 def _select_k_lies(items, k: int, oracle, eliminating: Answer) -> tuple[int, int]:
@@ -123,6 +107,93 @@ def find_max_k_lies(items, k: int, oracle) -> tuple[int, int]:
     return _select_k_lies(items, k, oracle, Answer.FIRST_LARGER)
 
 
+# A certifier sorts a group: certify(group, k, oracle, stats) charges its sort
+# queries to ``stats`` and returns (order, reason, sort_comparisons, checks,
+# graph).  ``order`` is the claimed ascending order and ``checks`` the
+# position pairs (i, j), i < j and 1-based in ``order``, whose answers
+# certify it; ``reason`` names a lie the sort already proved, or is None.
+# ``graph`` is the sort's comparison graph where there is one, for the
+# thickness in a group report.
+
+
+def _certify_pair(group, k: int, oracle, stats: RunStats):
+    # One comparison orders a pair; only a reliable oracle (k = 0) may use this.
+    a, b = group
+    stats.add("group-sort", 1)
+    order = [a, b] if oracle.query(a, b) is Answer.FIRST_SMALLER else [b, a]
+    return order, None, 1, (), None
+
+
+def _certify_by_reasking(group, k: int, oracle, stats: RunStats):
+    """Mergesort, then re-ask every adjacent pair k+1 times."""
+    outcome = mergesort(group, oracle)
+    stats.add("group-sort", outcome.comparisons)
+    order = outcome.output
+    m = len(order)
+    checks = [pair for pair in zip(range(1, m), range(2, m + 1)) for _ in range(k + 1)]
+    return order, None, outcome.comparisons, checks, None
+
+
+def _certify_by_completion(group, k: int, oracle, stats: RunStats):
+    """Balanced quicksort, then only the comparisons that complete the sort's
+    graph to k+1 certified neighbors per side.  A sort inconsistency, or sort
+    answers against the claimed order, prove a lie before any check."""
+    try:
+        outcome = balanced_quicksort(group, oracle)
+    except SortInconsistency as exc:
+        stats.add("group-sort", exc.comparisons)
+        return None, exc.reason, 0, (), None
+    stats.add("group-sort", outcome.comparisons)
+    order = outcome.output
+    if not outcome.is_order_consistent():
+        return order, "sort answers contradict the claimed order", outcome.comparisons, (), None
+    graph = outcome.graph
+    checks = added_edge_pairs(graph, complete_edges(graph, k))
+    return order, None, outcome.comparisons, checks, graph
+
+
+def _extrema(
+    certify, items: list, k: int, oracle, size: int, group_log: list | None = None
+) -> MinMaxResult:
+    """Split ``items`` into blocks of ``size``; sort each block of two or
+    more with ``certify`` and ask its checks, restarting the block whenever
+    a lie is proven; then select the minimum among the group minima and the
+    maximum among the group maxima, each with budget k."""
+    stats = RunStats()
+    minima: list[int] = []
+    maxima: list[int] = []
+    for group_index, group in enumerate(_blocks(items, size)):
+        order = group
+        while len(group) > 1:
+            order, reason, sort_comparisons, checks, graph = certify(group, k, oracle, stats)
+            asked = 0
+            if reason is None:
+                for i, j in checks:
+                    asked += 1
+                    if oracle.query(order[i - 1], order[j - 1]) is Answer.FIRST_LARGER:
+                        reason = "verification contradicted the claimed order"
+                        break
+                stats.add("group-verify", asked)
+            if group_log is not None:
+                thickness = None if graph is None else graph.thickness()
+                report = (sort_comparisons, asked, thickness, reason is None, reason)
+                group_log.append(GroupReport(group_index, len(group), *report))
+            if reason is None:
+                break
+            stats.restarts += 1
+            if stats.restarts > k:
+                raise BudgetViolation(
+                    f"{stats.restarts} group restarts already exceed the lie budget {k}"
+                )
+        minima.append(order[0])
+        maxima.append(order[-1])
+    low, c = find_min_k_lies(minima, k, oracle)
+    stats.add("final-min", c)
+    high, c = find_max_k_lies(maxima, k, oracle)
+    stats.add("final-max", c)
+    return MinMaxResult(low, high, stats)
+
+
 def pohl_minmax(items, oracle) -> MinMaxResult:
     """Pair up the elements, then find the minimum among the pair losers and
     the maximum among the pair winners.
@@ -131,31 +202,9 @@ def pohl_minmax(items, oracle) -> MinMaxResult:
     an odd leftover element joins both candidate pools for free.
     """
     items = list(items)
-    n = len(items)
-    if n < 2:
+    if len(items) < 2:
         raise ValueError("need at least two elements")
-    stats = RunStats()
-    losers: list[int] = []
-    winners: list[int] = []
-    pair_comparisons = 0
-    for i in range(0, n - 1, 2):
-        a, b = items[i], items[i + 1]
-        pair_comparisons += 1
-        if oracle.query(a, b) is Answer.FIRST_SMALLER:
-            losers.append(a)
-            winners.append(b)
-        else:
-            losers.append(b)
-            winners.append(a)
-    if n % 2:
-        losers.append(items[-1])
-        winners.append(items[-1])
-    stats.add("group-sort", pair_comparisons)
-    low, c = find_min_k_lies(losers, 0, oracle)
-    stats.add("final-min", c)
-    high, c = find_max_k_lies(winners, 0, oracle)
-    stats.add("final-max", c)
-    return MinMaxResult(low, high, stats)
+    return _extrema(_certify_pair, items, 0, oracle, 2)
 
 
 def simple_minmax(items, k: int, oracle) -> MinMaxResult:
@@ -168,50 +217,9 @@ def simple_minmax(items, k: int, oracle) -> MinMaxResult:
     an extremum unless the oracle exceeded its budget.
     """
     items = list(items)
-    n = len(items)
-    if n < 2:
+    if len(items) < 2:
         raise ValueError("need at least two elements")
-    s = _group_size(k)
-    stats = RunStats()
-    restarts = 0
-    minima: list[int] = []
-    maxima: list[int] = []
-    for group in _blocks(items, s):
-        if len(group) == 1:
-            minima.append(group[0])
-            maxima.append(group[0])
-            continue
-        while True:
-            outcome = mergesort(group, oracle)
-            stats.add("group-sort", outcome.comparisons)
-            order = outcome.output
-            contradicted = False
-            verify = 0
-            for j in range(1, len(order)):
-                lo, hi = order[j - 1], order[j]
-                for _ in range(k + 1):
-                    verify += 1
-                    if oracle.query(lo, hi) is Answer.FIRST_LARGER:
-                        contradicted = True
-                        break
-                if contradicted:
-                    break
-            stats.add("group-verify", verify)
-            if not contradicted:
-                minima.append(order[0])
-                maxima.append(order[-1])
-                break
-            restarts += 1
-            if restarts > k:
-                raise BudgetViolation(
-                    f"{restarts} group restarts already exceed the lie budget {k}"
-                )
-    stats.restarts = restarts
-    low, c = find_min_k_lies(minima, k, oracle)
-    stats.add("final-min", c)
-    high, c = find_max_k_lies(maxima, k, oracle)
-    stats.add("final-max", c)
-    return MinMaxResult(low, high, stats)
+    return _extrema(_certify_by_reasking, items, k, oracle, _group_size(k))
 
 
 def improved_minmax(
@@ -236,8 +244,7 @@ def improved_minmax(
     scheme with groups of two.
     """
     items = list(items)
-    n = len(items)
-    if n < 2:
+    if len(items) < 2:
         raise ValueError("need at least two elements")
     if k == 0:
         return pohl_minmax(items, oracle)
@@ -247,63 +254,4 @@ def improved_minmax(
     if size > k + 2:
         # Sort degrees can reach size-1; beyond k+1 the completion has no room.
         raise ValueError(f"group size {size} exceeds k+2={k + 2}; completion would be infeasible")
-    stats = RunStats()
-    restarts = 0
-    minima: list[int] = []
-    maxima: list[int] = []
-    for group_index, group in enumerate(_blocks(items, size)):
-        m = len(group)
-        if m == 1:
-            minima.append(group[0])
-            maxima.append(group[0])
-            continue
-        while True:
-            reason = None
-            outcome = None
-            try:
-                outcome = balanced_quicksort(group, oracle)
-                stats.add("group-sort", outcome.comparisons)
-            except SortInconsistency as exc:
-                stats.add("group-sort", exc.comparisons)
-                reason = exc.reason
-            if outcome is not None and not outcome.is_order_consistent():
-                reason = "sort answers contradict the claimed order"
-            added_done = 0
-            graph = None
-            if reason is None:
-                graph = outcome.graph
-                completed = complete_edges(graph, k)
-                order = outcome.output
-                for i, j in added_edge_pairs(graph, completed):
-                    added_done += 1
-                    if oracle.query(order[i - 1], order[j - 1]) is Answer.FIRST_LARGER:
-                        reason = "verification contradicted the claimed order"
-                        break
-                stats.add("group-verify", added_done)
-            if group_log is not None:
-                group_log.append(
-                    GroupReport(
-                        group_index,
-                        m,
-                        outcome.comparisons if outcome is not None else 0,
-                        added_done,
-                        graph.thickness() if graph is not None else None,
-                        reason is None,
-                        reason,
-                    )
-                )
-            if reason is None:
-                minima.append(order[0])
-                maxima.append(order[-1])
-                break
-            restarts += 1
-            if restarts > k:
-                raise BudgetViolation(
-                    f"{restarts} group restarts already exceed the lie budget {k}"
-                )
-    stats.restarts = restarts
-    low, c = find_min_k_lies(minima, k, oracle)
-    stats.add("final-min", c)
-    high, c = find_max_k_lies(maxima, k, oracle)
-    stats.add("final-max", c)
-    return MinMaxResult(low, high, stats)
+    return _extrema(_certify_by_completion, items, k, oracle, size, group_log)

@@ -12,6 +12,7 @@ import sys
 from .harness import (
     ALGORITHMS,
     ORACLES,
+    SORTERS,
     ExperimentConfig,
     measure_thickness,
     rows_to_csv,
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--s-override", type=int, default=None)
 
     thickness = sub.add_parser("thickness", help="measure sorter thickness over seeded inputs")
-    thickness.add_argument("--sorter", choices=("mergesort", "balanced-quicksort"), required=True)
+    thickness.add_argument("--sorter", choices=SORTERS, required=True)
     thickness.add_argument("--s", type=int, action="append", required=True, help="repeatable")
     thickness.add_argument("--trials", type=int, default=100)
     thickness.add_argument("--seed", type=int, default=0)

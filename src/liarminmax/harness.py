@@ -12,7 +12,7 @@ import statistics
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import Answer, TotalOrder, assert_lie_budget
 from .oracles import (
@@ -50,7 +50,6 @@ __all__ = [
     "write_text",
 ]
 
-ALGORITHMS = ("pohl", "simple", "improved", "find-min", "find-max")
 ORACLES = ("truthful", "random-liar", "triggered-liar")
 
 CSV_HEADER = "algorithm,n,k,oracle,seed,comparisons,restarts,bound,within_bound"
@@ -92,8 +91,9 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.algorithm == "pohl" and self.oracle != "truthful":
             raise ValueError("the pairing algorithm assumes a reliable oracle")
-        if self.algorithm in ("pohl", "simple", "improved") and self.n < 2:
+        if self.n < REGISTRY[self.algorithm].min_n:  # n >= 1 holds, so min_n is 2 here
             raise ValueError(f"{self.algorithm} needs at least two elements")
+        _check_s_override(self.algorithm, self.s_override)
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,57 @@ def simple_comparison_bound(n: int, k: int, restarts: int) -> int:
     return sum(per_group) + restarts * max(per_group) + final
 
 
-def _bound_for(cfg: ExperimentConfig, restarts: int) -> int:
-    if cfg.algorithm == "pohl":
-        return (3 * cfg.n + 1) // 2 - 2
-    if cfg.algorithm in ("find-min", "find-max"):
-        return (cfg.k + 1) * cfg.n - 1
-    if cfg.algorithm == "improved":
+class Algorithm(NamedTuple):
+    """A registry entry.  ``run(items, k, oracle, s)`` returns (min or None,
+    max or None, comparisons, restarts), where only a ``sized`` algorithm
+    takes a group size ``s``; ``bound(n, k, restarts)`` caps the comparisons
+    of one run; ``min_n`` is the fewest elements it accepts.  Runners name
+    the drivers at call time, so a caller may swap a driver out."""
+
+    run: Callable
+    bound: Callable[[int, int, int], int]
+    min_n: int = 2
+    sized: bool = False
+
+
+def _minmax(result) -> tuple[int, int, int, int]:
+    return result.min, result.max, result.stats.comparisons, result.stats.restarts
+
+
+def _run_find_min(items, k, oracle, s):
+    low, comparisons = find_min_k_lies(items, k, oracle)
+    return low, None, comparisons, 0
+
+
+def _run_find_max(items, k, oracle, s):
+    high, comparisons = find_max_k_lies(items, k, oracle)
+    return None, high, comparisons, 0
+
+
+REGISTRY = {
+    "pohl": Algorithm(
+        lambda items, k, oracle, s: _minmax(pohl_minmax(items, oracle)),
+        lambda n, k, restarts: (3 * n + 1) // 2 - 2,
+    ),
+    "simple": Algorithm(
+        lambda items, k, oracle, s: _minmax(simple_minmax(items, k, oracle)),
+        simple_comparison_bound,
+    ),
+    "improved": Algorithm(
+        lambda items, k, oracle, s: _minmax(improved_minmax(items, k, oracle, s=s)),
         # Regression thresholds: constant 10 on n, cubic slack on k.
-        return (cfg.k + 1 + 10) * cfg.n + 1000 * cfg.k**3
-    return simple_comparison_bound(cfg.n, cfg.k, restarts)
+        lambda n, k, restarts: (k + 1 + 10) * n + 1000 * k**3,
+        sized=True,
+    ),
+    "find-min": Algorithm(_run_find_min, lambda n, k, restarts: (k + 1) * n - 1, min_n=1),
+    "find-max": Algorithm(_run_find_max, lambda n, k, restarts: (k + 1) * n - 1, min_n=1),
+}
+ALGORITHMS = tuple(REGISTRY)
+
+
+def _check_s_override(algorithm: str, s_override: int | None) -> None:
+    if s_override is not None and not REGISTRY[algorithm].sized:
+        raise ValueError(f"{algorithm} has no group size to override")
 
 
 def _oracle_label(cfg: ExperimentConfig, triggers: tuple[int, ...]) -> str:
@@ -169,6 +211,7 @@ def _build_oracle(cfg: ExperimentConfig, order: TotalOrder, rng: random.Random):
 def run_experiments(cfg: ExperimentConfig) -> list[ExperimentRow]:
     """One row per trial; verifies correctness and lie accounting as it goes."""
     cfg.validate()
+    algorithm = REGISTRY[cfg.algorithm]
     rows: list[ExperimentRow] = []
     items = list(range(cfg.n))
     for trial in range(cfg.trials):
@@ -176,31 +219,17 @@ def run_experiments(cfg: ExperimentConfig) -> list[ExperimentRow]:
         rng = random.Random(trial_seed)
         order = TotalOrder.shuffled(cfg.n, rng)
         oracle, triggers = _build_oracle(cfg, order, rng)
-        restarts = 0
-        if cfg.algorithm == "find-min":
-            reported, comparisons = find_min_k_lies(items, cfg.k, oracle)
-            if reported != order.min_element():
-                raise RuntimeError(f"find-min returned a wrong element (seed {trial_seed})")
-        elif cfg.algorithm == "find-max":
-            reported, comparisons = find_max_k_lies(items, cfg.k, oracle)
-            if reported != order.max_element():
-                raise RuntimeError(f"find-max returned a wrong element (seed {trial_seed})")
-        else:
-            if cfg.algorithm == "pohl":
-                result = pohl_minmax(items, oracle)
-            elif cfg.algorithm == "simple":
-                result = simple_minmax(items, cfg.k, oracle)
-            else:
-                result = improved_minmax(items, cfg.k, oracle, s=cfg.s_override)
-            if result.min != order.min_element() or result.max != order.max_element():
-                raise RuntimeError(f"{cfg.algorithm} returned wrong extrema (seed {trial_seed})")
-            comparisons = result.stats.comparisons
-            restarts = result.stats.restarts
+        low, high, comparisons, restarts = algorithm.run(items, cfg.k, oracle, cfg.s_override)
+        if (low is not None and low != order.min_element()) or (
+            high is not None and high != order.max_element()
+        ):
+            wrong = "wrong extrema" if None not in (low, high) else "a wrong element"
+            raise RuntimeError(f"{cfg.algorithm} returned {wrong} (seed {trial_seed})")
         if oracle.transcript is not None:
             assert_lie_budget(oracle.transcript, order, cfg.k)
         if restarts > oracle.lies_told:
             raise RuntimeError("more restarts than lies told; restart logic is broken")
-        bound = _bound_for(cfg, restarts)
+        bound = algorithm.bound(cfg.n, cfg.k, restarts)
         rows.append(
             ExperimentRow(
                 cfg.algorithm,
@@ -259,35 +288,16 @@ Runner = Callable[[object], tuple[int | None, int | None]]
 
 def _algorithm_runner(algorithm, items: list[int], k: int, s_override: int | None) -> Runner:
     if callable(algorithm):
+        if s_override is not None:
+            raise ValueError("a custom algorithm has no group size to override")
         return lambda oracle: algorithm(items, k, oracle)
-    if algorithm == "find-min":
-        return lambda oracle: (find_min_k_lies(items, k, oracle)[0], None)
-    if algorithm == "find-max":
-        return lambda oracle: (None, find_max_k_lies(items, k, oracle)[0])
-    if algorithm == "pohl":
-        if k != 0:
-            raise ValueError("the pairing algorithm is a k=0 algorithm")
-
-        def run_pohl(oracle):
-            result = pohl_minmax(items, oracle)
-            return result.min, result.max
-
-        return run_pohl
-    if algorithm == "simple":
-
-        def run_simple(oracle):
-            result = simple_minmax(items, k, oracle)
-            return result.min, result.max
-
-        return run_simple
-    if algorithm == "improved":
-
-        def run_improved(oracle):
-            result = improved_minmax(items, k, oracle, s=s_override)
-            return result.min, result.max
-
-        return run_improved
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm not in REGISTRY:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if algorithm == "pohl" and k != 0:
+        raise ValueError("the pairing algorithm is a k=0 algorithm")
+    _check_s_override(algorithm, s_override)
+    run = REGISTRY[algorithm].run
+    return lambda oracle: run(items, k, oracle, s_override)[:2]
 
 
 def verify_exhaustive(
@@ -361,24 +371,25 @@ class ThicknessRow:
     max_thickness: int
 
 
-def _run_sorter(name: str, items: list[int], oracle):
-    if name == "mergesort":
-        return mergesort(items, oracle)
-    if name == "balanced-quicksort":
-        return balanced_quicksort(items, oracle)
-    raise ValueError(f"unknown sorter {name!r}")
+SORTERS = {"mergesort": mergesort, "balanced-quicksort": balanced_quicksort}
 
 
 def measure_thickness(sorter: str, s_values, trials: int, seed: int) -> list[ThicknessRow]:
     """Thickness statistics over seeded random inputs, one row per size."""
+    if sorter not in SORTERS:
+        raise ValueError(f"unknown sorter {sorter!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rows = []
     for s in s_values:
+        if s < 1:
+            raise ValueError("s must be at least 1")
         observed = []
         for trial in range(trials):
             rng = random.Random(_child_seed(seed, s * 100_000 + trial))
             order = TotalOrder.shuffled(s, rng)
             oracle = TruthfulOracle(order, record=False)
-            outcome = _run_sorter(sorter, list(range(s)), oracle)
+            outcome = SORTERS[sorter](list(range(s)), oracle)
             observed.append(outcome.graph.thickness())
         rows.append(
             ThicknessRow(

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from liarminmax.algorithms import (
     BudgetViolation,
+    _blocks,
+    _group_size,
     find_max_k_lies,
     find_min_k_lies,
     improved_minmax,
-    make_group_plan,
     pohl_minmax,
     simple_minmax,
 )
@@ -161,24 +162,25 @@ class TestPohl:
             pohl_minmax([0], TruthfulOracle(TotalOrder.identity(1)))
 
 
+def group_plan(n, k):
+    """The groups the drivers certify for n elements at lie budget k."""
+    return _blocks(list(range(n)), _group_size(k))
+
+
 class TestGroupPlan:
     def test_even_split(self):
-        plan = make_group_plan(10, 5)
-        assert plan.s == 5
-        assert [len(g) for g in plan.groups] == [5, 5]
+        assert _group_size(5) == 5
+        assert [len(g) for g in group_plan(10, 5)] == [5, 5]
 
     def test_remainder_group(self):
-        plan = make_group_plan(11, 5)
-        assert [len(g) for g in plan.groups] == [5, 5, 1]
+        assert [len(g) for g in group_plan(11, 5)] == [5, 5, 1]
 
     def test_small_k_uses_pairs(self):
-        plan = make_group_plan(7, 2)
-        assert plan.s == 2
-        assert [len(g) for g in plan.groups] == [2, 2, 2, 1]
+        assert _group_size(2) == 2
+        assert [len(g) for g in group_plan(7, 2)] == [2, 2, 2, 1]
 
     def test_groups_partition_everything(self):
-        plan = make_group_plan(23, 6)
-        flat = [e for g in plan.groups for e in g]
+        flat = [e for g in group_plan(23, 6) for e in g]
         assert sorted(flat) == list(range(23))
 
 
@@ -274,7 +276,7 @@ class TestImproved:
             assert result.min == order.min_element()
             assert result.max == order.max_element()
             completed = [g for g in log if g.completed]
-            assert len(completed) == len([g for g in make_group_plan(n, k).groups if len(g) > 1])
+            assert len(completed) == len([g for g in group_plan(n, k) if len(g) > 1])
             for report in completed:
                 bound = (k + 1) * (report.size - 1) + report.thickness
                 assert report.sort_comparisons + report.added_comparisons <= bound
@@ -316,9 +318,8 @@ class TestImproved:
         log = []
         result = improved_minmax(list(range(n)), k, TruthfulOracle(order), group_log=log)
         assert result.stats.restarts == 0
-        plan = make_group_plan(n, k)
         group_cap = sum(
             (k + 1) * (g.size - 1) + g.thickness for g in log
         )
-        final_cap = 2 * ((k + 1) * len(plan.groups) - 1)
+        final_cap = 2 * ((k + 1) * len(group_plan(n, k)) - 1)
         assert result.stats.comparisons <= group_cap + final_cap

@@ -10,6 +10,7 @@ from liarminmax.cli import main
 from liarminmax.core import TotalOrder
 from liarminmax.harness import (
     CSV_HEADER,
+    REGISTRY,
     ExperimentConfig,
     measure_thickness,
     mergesort_comparison_cap,
@@ -137,6 +138,27 @@ class TestVerifyExhaustive:
         with pytest.raises(ValueError):
             verify_exhaustive(6, 0, "find-min")
 
+    def test_custom_algorithm_takes_no_group_size(self):
+        def first_element_is_min(items, k, oracle):
+            return items[0], None
+
+        with pytest.raises(ValueError, match="no group size to override"):
+            verify_exhaustive(2, 0, first_element_is_min, s_override=2)
+
+    @pytest.mark.parametrize(
+        "algorithm, n, k",
+        [
+            (name, n, k)
+            for name, entry in REGISTRY.items()
+            for k in ((0,) if name == "pohl" else (0, 1))
+            for n in range(entry.min_n, 5)
+        ]
+        + [("simple", 5, 1)],
+    )
+    def test_every_registered_algorithm_passes(self, algorithm, n, k):
+        report = verify_exhaustive(n, k, algorithm)
+        assert report.passed, report.counterexample
+
 
 class TestMeasureThickness:
     def test_pairs_are_flat(self):
@@ -242,8 +264,35 @@ class TestCli:
                 "game-tree verification enumerates all orders; n must be <= 5",
             ),
             (["calibrate"], None),
+            (
+                ["thickness", "--sorter", "mergesort", "--s", "4", "--trials", "0"],
+                "trials must be at least 1",
+            ),
+            (["thickness", "--sorter", "mergesort", "--s", "0"], "s must be at least 1"),
+            (
+                ["run", "--algorithm", "simple", "--n", "10", "--k", "2", "--s-override", "5"],
+                "simple has no group size to override",
+            ),
+            (
+                ["run", "--algorithm", "pohl", "--n", "10", "--s-override", "9"],
+                "pohl has no group size to override",
+            ),
+            (
+                ["verify", "--algorithm", "find-min", "--n", "3", "--s-override", "2"],
+                "find-min has no group size to override",
+            ),
         ],
-        ids=["run-n-1", "verify-pohl-k-1", "verify-n-6", "calibrate"],
+        ids=[
+            "run-n-1",
+            "verify-pohl-k-1",
+            "verify-n-6",
+            "calibrate",
+            "thickness-trials-0",
+            "thickness-s-0",
+            "run-simple-s-override",
+            "run-pohl-s-override",
+            "verify-find-min-s-override",
+        ],
     )
     def test_invalid_arguments_are_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
