@@ -3,7 +3,9 @@
 Each case runs ``run_experiments`` on a small fixed configuration and pins
 the SHA-256 of its CSV and of its full query sequence.  A change that keeps
 behaviour keeps every hash; a change that alters the comparisons made
-updates them and says why.
+updates them and says why.  Two more cases play an algorithm against the
+adaptive adversary and pin its transcript and the orders that still explain
+it.
 """
 
 import hashlib
@@ -11,10 +13,15 @@ import random
 
 import pytest
 
-from liarminmax.algorithms import improved_minmax
+from liarminmax.algorithms import find_min_k_lies, improved_minmax
 from liarminmax.core import Answer, TotalOrder
 from liarminmax.harness import ExperimentConfig, rows_to_csv, run_experiments
-from liarminmax.oracles import LyingOracle, RandomLiarOracle
+from liarminmax.oracles import (
+    AdaptiveAdversary,
+    LyingOracle,
+    RandomLiarOracle,
+    adversary_consistent_orders,
+)
 
 CASES = {
     "pohl": ExperimentConfig("pohl", n=13, k=0, trials=3, seed=5),
@@ -98,3 +105,30 @@ def test_group_log_fingerprint():
         oracle = RandomLiarOracle(order, 5, p=0.3, seed=seed)
         improved_minmax(list(range(40)), 5, oracle, group_log=log)
     assert _hex(repr(log)) == GOLDEN_GROUP_LOG
+
+
+ADVERSARY_RUNS = {
+    "find-min": lambda adversary: find_min_k_lies(list(range(5)), 2, adversary),
+    "improved-s2": lambda adversary: improved_minmax(list(range(5)), 2, adversary, s=2),
+}
+# (transcript SHA-256, SHA-256 of the orders that still explain it), n=5, k=2.
+GOLDEN_ADVERSARY = {
+    "find-min": (
+        "9cf38b2880e65e8b36636cf473f3f488425beb591f5921e0608e2f2d90830523",
+        "90be7563e7a712aa916ded23cd0c2e2eb7bf9caac82c7494e69674270242a674",
+    ),
+    "improved-s2": (
+        "cb169b0a827fef0b76766685f2bbcfb2d4d8aedb6856260a8a191cc831a96d32",
+        "4ab23bf31d898e845fb7ea9e841405fb3dbec76d5c4c71bf94f62f5034fb4859",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARY_RUNS))
+def test_adaptive_adversary_fingerprint(name):
+    adversary = AdaptiveAdversary(5, 2)
+    ADVERSARY_RUNS[name](adversary)
+    transcript = "\n".join(f"{r.a},{r.b},{r.answer.value}" for r in adversary.transcript)
+    orders = adversary_consistent_orders(adversary.transcript, 5, 2)
+    survivors = "\n".join(",".join(map(str, order.rank)) for order in orders)
+    assert (_hex(transcript), _hex(survivors)) == GOLDEN_ADVERSARY[name]

@@ -110,6 +110,45 @@ class TestSimpleBound:
         assert mergesort_comparison_cap(4) == 8
 
 
+# (nodes, leaves) of each walk in test_every_registered_algorithm_passes.
+# A change that keeps every algorithm's queries and the verifier's pruning
+# keeps every pair.
+WALK_SHAPES = {
+    ("pohl", 2, 0): (3, 2),
+    ("pohl", 3, 0): (13, 6),
+    ("pohl", 4, 0): (31, 16),
+    ("simple", 2, 0): (5, 2),
+    ("simple", 3, 0): (15, 6),
+    ("simple", 4, 0): (37, 16),
+    ("simple", 2, 1): (29, 8),
+    ("simple", 3, 1): (167, 48),
+    ("simple", 4, 1): (593, 176),
+    ("simple", 5, 1): (2769, 720),
+    ("improved", 2, 0): (3, 2),
+    ("improved", 3, 0): (13, 6),
+    ("improved", 4, 0): (31, 16),
+    ("improved", 2, 1): (15, 6),
+    ("improved", 3, 1): (133, 42),
+    ("improved", 4, 1): (435, 144),
+    ("find-min", 1, 0): (1, 1),
+    ("find-min", 2, 0): (3, 2),
+    ("find-min", 3, 0): (7, 4),
+    ("find-min", 4, 0): (15, 8),
+    ("find-min", 1, 1): (1, 1),
+    ("find-min", 2, 1): (11, 6),
+    ("find-min", 3, 1): (43, 20),
+    ("find-min", 4, 1): (135, 56),
+    ("find-max", 1, 0): (1, 1),
+    ("find-max", 2, 0): (3, 2),
+    ("find-max", 3, 0): (7, 4),
+    ("find-max", 4, 0): (15, 8),
+    ("find-max", 1, 1): (1, 1),
+    ("find-max", 2, 1): (11, 6),
+    ("find-max", 3, 1): (43, 20),
+    ("find-max", 4, 1): (135, 56),
+}
+
+
 class TestVerifyExhaustive:
     def test_find_min_two_elements(self):
         report = verify_exhaustive(2, 0, "find-min")
@@ -158,6 +197,7 @@ class TestVerifyExhaustive:
     def test_every_registered_algorithm_passes(self, algorithm, n, k):
         report = verify_exhaustive(n, k, algorithm)
         assert report.passed, report.counterexample
+        assert (report.nodes, report.leaves) == WALK_SHAPES[(algorithm, n, k)]
 
 
 class TestMeasureThickness:

@@ -1,10 +1,11 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liarminmax.core import Answer, InvalidQuery, TotalOrder, count_lies, truth_compare
+from liarminmax.core import Answer, InvalidQuery, TotalOrder, Transcript, count_lies, truth_compare
 from liarminmax.oracles import (
     AdaptiveAdversary,
     AnswersExhausted,
@@ -151,30 +152,37 @@ class TestAdaptiveAdversary:
 
 class TestConsistentOrders:
     def test_empty_transcript_keeps_everything(self):
-        from liarminmax.core import Transcript
-
         orders = adversary_consistent_orders(Transcript(), 2, 0)
         assert sorted(o.rank for o in orders) == [(0, 1), (1, 0)]
 
     def test_single_answer_pins_the_order_at_k0(self):
-        from liarminmax.core import Transcript
-
         t = Transcript()
         t.append(0, 1, Answer.FIRST_SMALLER)
         orders = adversary_consistent_orders(t, 2, 0)
         assert [o.rank for o in orders] == [(0, 1)]
 
     def test_one_lie_keeps_both_orders(self):
-        from liarminmax.core import Transcript
-
         t = Transcript()
         t.append(0, 1, Answer.FIRST_SMALLER)
         orders = adversary_consistent_orders(t, 2, 1)
         assert sorted(o.rank for o in orders) == [(0, 1), (1, 0)]
 
-    def test_cap_refused(self):
-        from liarminmax.core import Transcript
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_filter(self, data):
+        n = data.draw(st.integers(2, 5))
+        k = data.draw(st.integers(0, 2))
+        t = Transcript()
+        element = st.integers(0, n - 1)
+        for _ in range(data.draw(st.integers(0, 12))):
+            a = data.draw(element)
+            b = data.draw(element.filter(lambda x: x != a))
+            t.append(a, b, data.draw(st.sampled_from(Answer)))
+        every_order = (TotalOrder(rank) for rank in permutations(range(n)))
+        expected = [order for order in every_order if count_lies(t, order) <= k]
+        assert adversary_consistent_orders(t, n, k) == expected
 
+    def test_cap_refused(self):
         with pytest.raises(ValueError):
             adversary_consistent_orders(Transcript(), 8, 0)
 
