@@ -54,7 +54,6 @@ from .sorters import (
     balanced_quicksort,
     median_select,
     mergesort,
-    thickness_of_run,
 )
 
 __version__ = "0.1.0"

@@ -142,7 +142,7 @@ def _certify_by_completion(group, k: int, oracle, stats: RunStats):
         outcome = balanced_quicksort(group, oracle)
     except SortInconsistency as exc:
         stats.add("group-sort", exc.comparisons)
-        return None, exc.reason, 0, (), None
+        return None, exc.reason, exc.comparisons, (), None
     stats.add("group-sort", outcome.comparisons)
     order = outcome.output
     if not outcome.is_order_consistent():
@@ -240,18 +240,18 @@ def improved_minmax(
     leave some position short of its k+1 certificates, so it forces a restart
     too (it costs no queries and is likewise proof of a lie).
 
-    For k = 0 this dispatches to :func:`pohl_minmax`, which is the same
-    scheme with groups of two.
+    For k = 0 the group size can only be 2, and this dispatches to
+    :func:`pohl_minmax`, which is the same scheme with groups of two.
     """
     items = list(items)
     if len(items) < 2:
         raise ValueError("need at least two elements")
-    if k == 0:
-        return pohl_minmax(items, oracle)
     size = _group_size(k) if s is None else s
     if size < 2:
         raise ValueError("group size must be at least 2")
     if size > k + 2:
         # Sort degrees can reach size-1; beyond k+1 the completion has no room.
         raise ValueError(f"group size {size} exceeds k+2={k + 2}; completion would be infeasible")
+    if k == 0:
+        return pohl_minmax(items, oracle)
     return _extrema(_certify_by_completion, items, k, oracle, size, group_log)

@@ -36,13 +36,6 @@ class OrderedMultigraph:
     def empty(cls, s: int) -> "OrderedMultigraph":
         return cls(s, {})
 
-    @classmethod
-    def from_pairs(cls, s: int, pairs) -> "OrderedMultigraph":
-        graph = cls(s, {})
-        for a, b in pairs:
-            graph.add(a, b)
-        return graph
-
     def add(self, a: int, b: int, multiplicity: int = 1) -> None:
         if a == b:
             raise ValueError("loops are not allowed")
@@ -66,33 +59,18 @@ class OrderedMultigraph:
     def copy(self) -> "OrderedMultigraph":
         return OrderedMultigraph(self.s, dict(self.edges))
 
-    def _check_vertex(self, j: int) -> None:
-        if not 1 <= j <= self.s:
-            raise ValueError(f"position {j} outside 1..{self.s}")
-
-    def left_degree(self, j: int) -> int:
-        """Multiplicity-weighted count of edges from ``j`` to smaller positions."""
-        self._check_vertex(j)
-        return sum(m for (a, b), m in self.edges.items() if b == j)
-
-    def right_degree(self, j: int) -> int:
-        """Multiplicity-weighted count of edges from ``j`` to larger positions."""
-        self._check_vertex(j)
-        return sum(m for (a, b), m in self.edges.items() if a == j)
-
     def degree_profile(self) -> tuple[list[int], list[int]]:
-        """(left, right) degree lists, 1-indexed; index 0 is unused."""
+        """(left, right) degree lists, 1-indexed; index 0 is unused.
+
+        A position's left (right) degree is the multiplicity-weighted count of
+        its edges to smaller (larger) positions.
+        """
         left = [0] * (self.s + 1)
         right = [0] * (self.s + 1)
         for (a, b), m in self.edges.items():
             right[a] += m
             left[b] += m
         return left, right
-
-    def crossing_at(self, j: int) -> int:
-        """Edges passing strictly over position ``j``."""
-        self._check_vertex(j)
-        return sum(m for (a, b), m in self.edges.items() if a < j < b)
 
     def thickness(self) -> int:
         """Maximum, over interior positions, of the number of edges spanning it."""
@@ -122,22 +100,6 @@ class OrderedMultigraph:
             cap - left[j] for j in range(2, self.s + 1)
         )
 
-    def to_text(self) -> str:
-        """Edge-list dump: first line is s, then one 'a b multiplicity' per edge."""
-        lines = [str(self.s)]
-        for (a, b) in sorted(self.edges):
-            lines.append(f"{a} {b} {self.edges[(a, b)]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "OrderedMultigraph":
-        lines = [line for line in text.splitlines() if line.strip()]
-        graph = cls(int(lines[0]), {})
-        for line in lines[1:]:
-            a, b, m = (int(part) for part in line.split())
-            graph.add(a, b, m)
-        return graph
-
 
 def _checked_degrees(graph: OrderedMultigraph, k: int) -> tuple[list[int], list[int]]:
     """The degree profile, after checking that no degree exceeds k+1."""
@@ -152,8 +114,8 @@ def _checked_degrees(graph: OrderedMultigraph, k: int) -> tuple[list[int], list[
 def greedy_completion(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     """The graph plus the most edges that keep every degree within k+1.
 
-    Position i can take ``k+1 - right_degree(i)`` more right neighbors and
-    position j ``k+1 - left_degree(j)`` more left neighbors; an added edge
+    Position i can take k+1 minus its right degree more right neighbors and
+    position j k+1 minus its left degree more left neighbors; an added edge
     (i, j) with i < j spends one of each.  Position i may pair with any
     j in i+1..s, a suffix of the positions, so the pairing graph is convex
     and greedy matching is optimal (Glover 1967): walk i upward and hand its

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from itertools import permutations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -21,6 +20,8 @@ from .oracles import (
     ScriptedOracle,
     TriggeredLiarOracle,
     TruthfulOracle,
+    _every_order,
+    _narrow,
 )
 from .algorithms import (
     _blocks,
@@ -319,24 +320,17 @@ def verify_exhaustive(
     runner = _algorithm_runner(algorithm, items, k, s_override)
     name = algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "custom")
     report = VerifyReport(name, n, k)
-    initial = {rank: 0 for rank in permutations(range(n))}
     answers: list[Answer] = []
 
-    def walk(candidates: dict[tuple[int, ...], int]) -> Counterexample | None:
+    def walk(candidates: dict) -> Counterexample | None:
         report.nodes += 1
         oracle = ScriptedOracle(answers)
         try:
             low, high = runner(oracle)
         except AnswersExhausted as pending:
-            a, b = pending.a, pending.b
             for answer in (Answer.FIRST_SMALLER, Answer.FIRST_LARGER):
                 said_smaller = answer is Answer.FIRST_SMALLER
-                survivors: dict[tuple[int, ...], int] = {}
-                for rank, lies in candidates.items():
-                    if (rank[a] < rank[b]) == said_smaller:
-                        survivors[rank] = lies
-                    elif lies < k:
-                        survivors[rank] = lies + 1
+                survivors = _narrow(candidates, pending.a, pending.b, said_smaller, k)
                 if not survivors:
                     continue
                 answers.append(answer)
@@ -354,7 +348,7 @@ def verify_exhaustive(
                 return Counterexample(tuple(answers), low, high, surviving)
         return None
 
-    report.counterexample = walk(initial)
+    report.counterexample = walk(_every_order(n))
     return report
 
 

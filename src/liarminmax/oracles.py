@@ -1,10 +1,12 @@
 """Comparison oracles that may lie, but never beyond their budget.
 
 All oracles share one contract: ``query(a, b)`` returns an :class:`Answer`
-for the ordered pair, appends one transcript record per call (when
-recording), and never gives more than ``k`` false answers relative to the
-hidden order.  The adaptive adversary has no fixed hidden order; it keeps
-every (order, lies-spent) explanation alive and commits as late as possible.
+for the ordered pair and never gives more than ``k`` false answers relative
+to the hidden order.  A recording oracle also appends one transcript record
+per call; the scripted replay keeps none, as its answer list is the record.
+The adaptive adversary has no fixed hidden order; it keeps every (order,
+lies-spent) explanation alive, narrowed by :func:`_narrow` on each answer,
+and commits as late as possible.
 """
 
 from __future__ import annotations
@@ -29,6 +31,29 @@ __all__ = [
 
 # All n! orders get enumerated by the exhaustive backends; keep that desk-sized.
 EXHAUSTIVE_CAP = 6
+
+
+def _every_order(n: int) -> dict:
+    """Every ranking of ``n`` elements, none with a lie spent yet."""
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive order enumeration needs n <= {EXHAUSTIVE_CAP}, got {n}")
+    return dict.fromkeys(permutations(range(n)), 0)
+
+
+def _narrow(candidates: dict, a: int, b: int, said_smaller: bool, k: int) -> dict:
+    """The explanations left by one answer: ``a`` smaller than ``b``, or not.
+
+    ``candidates`` maps each ranking that explains the answers so far to the
+    lies it spends on them.  An order that agrees with the answer keeps its
+    count; one that does not spends a lie while it has one of its ``k`` left.
+    """
+    survivors = {}
+    for rank, lies in candidates.items():
+        if (rank[a] < rank[b]) == said_smaller:
+            survivors[rank] = lies
+        elif lies < k:
+            survivors[rank] = lies + 1
+    return survivors
 
 
 class LyingOracle:
@@ -119,38 +144,22 @@ class AdaptiveAdversary:
     """
 
     def __init__(self, n: int, k: int) -> None:
-        if n > EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"adaptive adversary enumerates all n! orders; n must be <= {EXHAUSTIVE_CAP}"
-            )
         self.n = n
         self.k = k
         self.transcript = Transcript()
-        self._candidates: dict[tuple[int, ...], int] = {
-            rank: 0 for rank in permutations(range(n))
-        }
+        self._candidates = _every_order(n)
 
     def query(self, a: int, b: int) -> Answer:
         if a == b:
             raise InvalidQuery(f"cannot compare element {a} with itself")
-        smaller_survivors: dict[tuple[int, ...], int] = {}
-        larger_survivors: dict[tuple[int, ...], int] = {}
-        for rank, lies in self._candidates.items():
-            if rank[a] < rank[b]:
-                smaller_survivors[rank] = lies
-                if lies < self.k:
-                    larger_survivors[rank] = lies + 1
-            else:
-                larger_survivors[rank] = lies
-                if lies < self.k:
-                    smaller_survivors[rank] = lies + 1
-        if len(smaller_survivors) >= len(larger_survivors):
-            answer, survivors = Answer.FIRST_SMALLER, smaller_survivors
-        else:
-            answer, survivors = Answer.FIRST_LARGER, larger_survivors
+        smaller = _narrow(self._candidates, a, b, True, self.k)
+        larger = _narrow(self._candidates, a, b, False, self.k)
         # Every candidate survives the answer matching its own truth, so the
         # larger side is never empty.
-        self._candidates = survivors
+        if len(smaller) >= len(larger):
+            answer, self._candidates = Answer.FIRST_SMALLER, smaller
+        else:
+            answer, self._candidates = Answer.FIRST_LARGER, larger
         self.transcript.append(a, b, answer)
         return answer
 
@@ -176,12 +185,13 @@ class AnswersExhausted(Exception):
 
 class ScriptedOracle:
     """Replays a fixed answer sequence; the backbone of transcript replay
-    and of the exhaustive game-tree verifier."""
+    and of the exhaustive game-tree verifier.  It records nothing: the
+    answer list already is the record."""
 
     def __init__(self, answers: Sequence[Answer]) -> None:
         self.answers = list(answers)
         self.position = 0
-        self.transcript = Transcript()
+        self.transcript = None
 
     def query(self, a: int, b: int) -> Answer:
         if a == b:
@@ -190,29 +200,17 @@ class ScriptedOracle:
             raise AnswersExhausted(a, b)
         answer = self.answers[self.position]
         self.position += 1
-        self.transcript.append(a, b, answer)
         return answer
 
 
-def adversary_consistent_orders(
-    transcript: Transcript, n: int, k: int, cap: int = EXHAUSTIVE_CAP
-) -> list[TotalOrder]:
+def adversary_consistent_orders(transcript: Transcript, n: int, k: int) -> list[TotalOrder]:
     """Every order an honest-but-lying oracle could still be hiding.
 
-    Enumerates all n! permutations and keeps those the transcript contradicts
-    at most ``k`` times; refuses when ``n`` exceeds the cap.
+    Narrows all n! permutations by each recorded answer in turn and keeps
+    those the transcript contradicts at most ``k`` times, in permutation
+    order; refuses when ``n`` exceeds :data:`EXHAUSTIVE_CAP`.
     """
-    if n > cap:
-        raise ValueError(f"exhaustive order enumeration requested for n={n}, cap is {cap}")
-    records = [(r.a, r.b, r.answer is Answer.FIRST_SMALLER) for r in transcript]
-    matches = []
-    for rank in permutations(range(n)):
-        lies = 0
-        for a, b, said_smaller in records:
-            if (rank[a] < rank[b]) != said_smaller:
-                lies += 1
-                if lies > k:
-                    break
-        if lies <= k:
-            matches.append(TotalOrder(rank))
-    return matches
+    candidates = _every_order(n)
+    for r in transcript:
+        candidates = _narrow(candidates, r.a, r.b, r.answer is Answer.FIRST_SMALLER, k)
+    return [TotalOrder(rank) for rank in candidates]

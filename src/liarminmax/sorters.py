@@ -22,7 +22,6 @@ __all__ = [
     "balanced_quicksort",
     "median_select",
     "mergesort",
-    "thickness_of_run",
 ]
 
 
@@ -212,8 +211,3 @@ def _bqsort(seq: list, session: _Session) -> list:
         return list(seq)
     median, smaller, larger = _median_partition(seq, session)
     return _bqsort(smaller, session) + [median] + _bqsort(larger, session)
-
-
-def thickness_of_run(outcome: SortOutcome) -> int:
-    """Thickness of the attempt's comparison graph in output coordinates."""
-    return outcome.graph.thickness()

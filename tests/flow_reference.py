@@ -282,7 +282,7 @@ def reference_complete_edges(
 class FlowSelftestReport:
     exhaustive_checked: int = 0
     random_checked: int = 0
-    failures: list[tuple[str, int, str]] = field(default_factory=list)  # (dump, k, problem)
+    failures: list[tuple[str, int, str]] = field(default_factory=list)  # (graph repr, k, problem)
 
     @property
     def passed(self) -> bool:
@@ -381,7 +381,7 @@ def flow_selftest(
                 problem = _check_completion_instance(graph, k)
                 report.exhaustive_checked += 1
                 if problem is not None:
-                    report.failures.append((graph.to_text(), k, problem))
+                    report.failures.append((repr(graph), k, problem))
     rng = random.Random(seed)
     for _ in range(random_instances):
         s = rng.randint(2, max_s)
@@ -390,5 +390,5 @@ def flow_selftest(
         problem = _check_completion_instance(graph, k)
         report.random_checked += 1
         if problem is not None:
-            report.failures.append((graph.to_text(), k, problem))
+            report.failures.append((repr(graph), k, problem))
     return report

@@ -310,6 +310,21 @@ class TestImproved:
         result = improved_minmax(list(range(n)), k, oracle)
         assert result.stats.comparisons == len(oracle.transcript)
 
+    @pytest.mark.parametrize("kind", ["random", "triggered"])
+    def test_group_log_sums_to_phase_totals(self, kind):
+        # Attempts that end in a sort inconsistency are charged too.
+        k, n = 5, 40
+        for seed in range(20):
+            rng = random.Random(seed)
+            order = TotalOrder.shuffled(n, rng)
+            log = []
+            result = improved_minmax(
+                list(range(n)), k, build_liar(kind, order, k, rng), group_log=log
+            )
+            phases = result.stats.phase_breakdown
+            assert sum(g.sort_comparisons for g in log) == phases["group-sort"]
+            assert sum(g.added_comparisons for g in log) == phases["group-verify"]
+
     def test_truthful_total_bound_from_group_reports(self):
         # no restarts under truth, so the total is the per-group completion
         # bounds plus the two loss-counter scans over the group extrema

@@ -76,7 +76,7 @@ GOLDEN = {
 # Seeds 10 and 29 between them restart on all three kinds of proven lie:
 # a partition-size contradiction, sort answers against the claimed order,
 # and a failed verification query.
-GOLDEN_GROUP_LOG = "83fe344a4f82b695bdefb226bdd831101101b286a74f68b779839c28f7a47974"
+GOLDEN_GROUP_LOG = "b7a117d93aa8963e89c311493822b501fd5d60950a2edbc1f3d1848179f797e3"
 
 
 def _hex(text: str) -> str:

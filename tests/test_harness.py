@@ -321,6 +321,14 @@ class TestCli:
                 ["verify", "--algorithm", "find-min", "--n", "3", "--s-override", "2"],
                 "find-min has no group size to override",
             ),
+            (
+                ["run", "--algorithm", "improved", "--n", "10", "--k", "0", "--s-override", "5"],
+                "group size 5 exceeds k+2=2; completion would be infeasible",
+            ),
+            (
+                ["verify", "--algorithm", "improved", "--n", "4", "--k", "0", "--s-override", "3"],
+                "group size 3 exceeds k+2=2; completion would be infeasible",
+            ),
         ],
         ids=[
             "run-n-1",
@@ -332,6 +340,8 @@ class TestCli:
             "run-simple-s-override",
             "run-pohl-s-override",
             "verify-find-min-s-override",
+            "run-improved-k-0-s-override",
+            "verify-improved-k-0-s-override",
         ],
     )
     def test_invalid_arguments_are_a_usage_error(self, argv, message, capsys):

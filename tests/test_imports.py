@@ -1,8 +1,11 @@
-"""Every import in the package is used.
+"""Every import in the package is used, and every export exists.
 
 A stdlib-only lint: leftovers such as a helper imported for a deleted code
 path fail here.  Relative imports in ``__init__.py`` are re-exports, and
-``from __future__`` imports are directives, so both are exempt.
+``from __future__`` imports are directives, so both are exempt from the
+unused-import check.  Instead, every name in a module's ``__all__`` must be
+defined in that module, and every name ``__init__.py`` re-exports must be in
+its source module's ``__all__``, so a deletion cannot leave a stale export.
 """
 
 import ast
@@ -39,3 +42,56 @@ def test_lint_flags_an_unused_import():
     assert unused_imports(source, is_init=False) == ["math (line 2)", "y (line 3)"]
     assert unused_imports(source, is_init=True) == ["math (line 2)"]
     assert unused_imports("import os.path\nos.sep\n", is_init=False) == []
+
+
+def exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names in ``__all__`` that no top-level statement of the module defines."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.add(node.target.id)
+    return [name for name in exports(tree) if name not in defined]
+
+
+def unexported_reexports(init_source: str, exports_of) -> list[str]:
+    """``module.name`` for each relative import in ``__init__.py`` that the
+    source module's ``__all__`` (as ``exports_of(module)`` returns it) lacks."""
+    stale = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            listed = exports_of(node.module)
+            stale += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
+    return stale
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+def test_init_reexports_only_exported_names():
+    def exports_of(module):
+        return exports(ast.parse((PACKAGE / f"{module}.py").read_text()))
+
+    assert unexported_reexports((PACKAGE / "__init__.py").read_text(), exports_of) == []
+
+
+def test_lint_flags_a_stale_export():
+    source = '__all__ = ["gone", "kept", "LIMIT", "Alias"]\nLIMIT = 1\nAlias: type = int\n'
+    assert undefined_exports(source + "def kept(): pass\n") == ["gone"]
+    init = "from .graphs import kept, gone\n"
+    assert unexported_reexports(init, lambda module: ["kept"]) == ["graphs.gone"]

@@ -194,4 +194,5 @@ def test_scripted_oracle_replays_then_signals():
     with pytest.raises(AnswersExhausted) as exc:
         oracle.query(0, 2)
     assert (exc.value.a, exc.value.b) == (0, 2)
-    assert len(oracle.transcript) == 2
+    assert oracle.position == 2
+    assert oracle.transcript is None

@@ -17,7 +17,6 @@ from liarminmax.sorters import (
     balanced_quicksort,
     median_select,
     mergesort,
-    thickness_of_run,
 )
 from test_acceptance import THICKNESS_CT
 
@@ -120,7 +119,7 @@ class TestBalancedQuicksort:
         out = balanced_quicksort([5], TruthfulOracle(TotalOrder.identity(6)))
         assert out.output == [5]
         assert out.comparisons == 0
-        assert thickness_of_run(out) == 0
+        assert out.graph.thickness() == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 48), st.integers(0, 2**31))
@@ -138,7 +137,7 @@ class TestBalancedQuicksort:
         order = TotalOrder.shuffled(8, random.Random(3))
         out = balanced_quicksort(list(range(8)), TruthfulOracle(order))
         assert out.output == order.ascending()
-        assert thickness_of_run(out) <= THICKNESS_CT * 8
+        assert out.graph.thickness() <= THICKNESS_CT * 8
 
     def test_single_lie_can_force_inconsistency(self):
         order = TotalOrder.identity(16)
