@@ -15,7 +15,6 @@ from .core import (
     Answer,
     InvalidQuery,
     LieBudgetViolation,
-    QueryRecord,
     RunStats,
     TotalOrder,
     Transcript,

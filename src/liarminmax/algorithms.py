@@ -107,45 +107,41 @@ def find_max_k_lies(items, k: int, oracle) -> tuple[int, int]:
     return _select_k_lies(items, k, oracle, Answer.FIRST_LARGER)
 
 
-# A certifier sorts a group: certify(group, k, oracle, stats) charges its sort
-# queries to ``stats`` and returns (order, reason, sort_comparisons, checks,
-# graph).  ``order`` is the claimed ascending order and ``checks`` the
+# A certifier sorts a group: certify(group, k, oracle) returns (order, reason,
+# sort_comparisons, checks, graph) and charges nothing; the group driver does
+# the accounting.  ``order`` is the claimed ascending order and ``checks`` the
 # position pairs (i, j), i < j and 1-based in ``order``, whose answers
 # certify it; ``reason`` names a lie the sort already proved, or is None.
 # ``graph`` is the sort's comparison graph where there is one, for the
 # thickness in a group report.
 
 
-def _certify_pair(group, k: int, oracle, stats: RunStats):
+def _certify_pair(group, k: int, oracle):
     # One comparison orders a pair; only a reliable oracle (k = 0) may use this.
     a, b = group
-    stats.add("group-sort", 1)
     order = [a, b] if oracle.query(a, b) is Answer.FIRST_SMALLER else [b, a]
     return order, None, 1, (), None
 
 
-def _certify_by_reasking(group, k: int, oracle, stats: RunStats):
+def _certify_by_reasking(group, k: int, oracle):
     """Mergesort, then re-ask every adjacent pair k+1 times."""
     outcome = mergesort(group, oracle)
-    stats.add("group-sort", outcome.comparisons)
     order = outcome.output
     m = len(order)
     checks = [pair for pair in zip(range(1, m), range(2, m + 1)) for _ in range(k + 1)]
     return order, None, outcome.comparisons, checks, None
 
 
-def _certify_by_completion(group, k: int, oracle, stats: RunStats):
+def _certify_by_completion(group, k: int, oracle):
     """Balanced quicksort, then only the comparisons that complete the sort's
     graph to k+1 certified neighbors per side.  A sort inconsistency, or sort
     answers against the claimed order, prove a lie before any check."""
     try:
         outcome = balanced_quicksort(group, oracle)
     except SortInconsistency as exc:
-        stats.add("group-sort", exc.comparisons)
         return None, exc.reason, exc.comparisons, (), None
-    stats.add("group-sort", outcome.comparisons)
     order = outcome.output
-    if not outcome.is_order_consistent():
+    if not outcome.consistent:
         return order, "sort answers contradict the claimed order", outcome.comparisons, (), None
     graph = outcome.graph
     checks = added_edge_pairs(graph, complete_edges(graph, k))
@@ -158,14 +154,16 @@ def _extrema(
     """Split ``items`` into blocks of ``size``; sort each block of two or
     more with ``certify`` and ask its checks, restarting the block whenever
     a lie is proven; then select the minimum among the group minima and the
-    maximum among the group maxima, each with budget k."""
+    maximum among the group maxima, each with budget k.  Every comparison is
+    charged here, to its phase in ``RunStats``; a certifier charges none."""
     stats = RunStats()
     minima: list[int] = []
     maxima: list[int] = []
     for group_index, group in enumerate(_blocks(items, size)):
         order = group
         while len(group) > 1:
-            order, reason, sort_comparisons, checks, graph = certify(group, k, oracle, stats)
+            order, reason, sort_comparisons, checks, graph = certify(group, k, oracle)
+            stats.add("group-sort", sort_comparisons)
             asked = 0
             if reason is None:
                 for i, j in checks:
@@ -213,7 +211,7 @@ def simple_minmax(items, k: int, oracle) -> MinMaxResult:
     then go through the loss-counter selections, each with the full budget.
 
     Once a group passes verification, every non-extremal element has been
-    declared larger (and smaller) than a neighbor k+1 times, so it cannot be
+    found larger (and smaller) than a neighbor k+1 times, so it cannot be
     an extremum unless the oracle exceeded its budget.
     """
     items = list(items)
@@ -240,8 +238,8 @@ def improved_minmax(
     leave some position short of its k+1 certificates, so it forces a restart
     too (it costs no queries and is likewise proof of a lie).
 
-    For k = 0 the group size can only be 2, and this dispatches to
-    :func:`pohl_minmax`, which is the same scheme with groups of two.
+    For k = 0 the group size can only be 2: each pair costs one sort
+    comparison and needs no added ones, as in :func:`pohl_minmax`.
     """
     items = list(items)
     if len(items) < 2:
@@ -252,6 +250,4 @@ def improved_minmax(
     if size > k + 2:
         # Sort degrees can reach size-1; beyond k+1 the completion has no room.
         raise ValueError(f"group size {size} exceeds k+2={k + 2}; completion would be infeasible")
-    if k == 0:
-        return pohl_minmax(items, oracle)
     return _extrema(_certify_by_completion, items, k, oracle, size, group_log)

@@ -17,7 +17,6 @@ __all__ = [
     "InvalidQuery",
     "LieBudgetViolation",
     "PHASES",
-    "QueryRecord",
     "RunStats",
     "TotalOrder",
     "Transcript",
@@ -103,26 +102,17 @@ def truth_compare(order: TotalOrder, a: int, b: int) -> Answer:
     return Answer.FIRST_SMALLER if order.rank[a] < order.rank[b] else Answer.FIRST_LARGER
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    index: int
-    a: int
-    b: int
-    answer: Answer
-
-
 class Transcript:
-    """Ordered log of every oracle query, including repeats of the same pair."""
+    """Ordered log of every oracle query, including repeats of the same pair,
+    as ``(a, b, answer)`` triples; a triple's position is its query index."""
 
     __slots__ = ("records",)
 
     def __init__(self) -> None:
-        self.records: list[QueryRecord] = []
+        self.records: list[tuple[int, int, Answer]] = []
 
-    def append(self, a: int, b: int, answer: Answer) -> QueryRecord:
-        record = QueryRecord(len(self.records), a, b, answer)
-        self.records.append(record)
-        return record
+    def append(self, a: int, b: int, answer: Answer) -> None:
+        self.records.append((a, b, answer))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -130,17 +120,14 @@ class Transcript:
     def __iter__(self):
         return iter(self.records)
 
-    def __getitem__(self, index):
-        return self.records[index]
-
 
 def count_lies(transcript: Transcript, order: TotalOrder) -> int:
     """Number of recorded answers that contradict the hidden order."""
     rank = order.rank
     smaller = Answer.FIRST_SMALLER
     lies = 0
-    for record in transcript:
-        if (rank[record.a] < rank[record.b]) != (record.answer is smaller):
+    for a, b, answer in transcript:
+        if (rank[a] < rank[b]) != (answer is smaller):
             lies += 1
     return lies
 

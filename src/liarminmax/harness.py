@@ -78,8 +78,7 @@ class ExperimentConfig:
     record_transcripts: bool = True
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        _check_algorithm(self.algorithm, self.k, self.s_override)
         if self.oracle not in ORACLES:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.n < 1:
@@ -94,7 +93,6 @@ class ExperimentConfig:
             raise ValueError("the pairing algorithm assumes a reliable oracle")
         if self.n < REGISTRY[self.algorithm].min_n:  # n >= 1 holds, so min_n is 2 here
             raise ValueError(f"{self.algorithm} needs at least two elements")
-        _check_s_override(self.algorithm, self.s_override)
 
 
 @dataclass(frozen=True)
@@ -184,9 +182,14 @@ REGISTRY = {
 ALGORITHMS = tuple(REGISTRY)
 
 
-def _check_s_override(algorithm: str, s_override: int | None) -> None:
-    if s_override is not None and not REGISTRY[algorithm].sized:
-        raise ValueError(f"{algorithm} has no group size to override")
+def _check_algorithm(name: str, k: int, s_override: int | None) -> None:
+    """The checks that ``run`` and ``verify`` share for a registry entry."""
+    if name not in REGISTRY:
+        raise ValueError(f"unknown algorithm {name!r}")
+    if name == "pohl" and k != 0:
+        raise ValueError("the pairing algorithm is a k=0 algorithm")
+    if s_override is not None and not REGISTRY[name].sized:
+        raise ValueError(f"{name} has no group size to override")
 
 
 def _oracle_label(cfg: ExperimentConfig, triggers: tuple[int, ...]) -> str:
@@ -292,11 +295,7 @@ def _algorithm_runner(algorithm, items: list[int], k: int, s_override: int | Non
         if s_override is not None:
             raise ValueError("a custom algorithm has no group size to override")
         return lambda oracle: algorithm(items, k, oracle)
-    if algorithm not in REGISTRY:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "pohl" and k != 0:
-        raise ValueError("the pairing algorithm is a k=0 algorithm")
-    _check_s_override(algorithm, s_override)
+    _check_algorithm(algorithm, k, s_override)
     run = REGISTRY[algorithm].run
     return lambda oracle: run(items, k, oracle, s_override)[:2]
 

@@ -211,6 +211,6 @@ def adversary_consistent_orders(transcript: Transcript, n: int, k: int) -> list[
     order; refuses when ``n`` exceeds :data:`EXHAUSTIVE_CAP`.
     """
     candidates = _every_order(n)
-    for r in transcript:
-        candidates = _narrow(candidates, r.a, r.b, r.answer is Answer.FIRST_SMALLER, k)
+    for a, b, answer in transcript:
+        candidates = _narrow(candidates, a, b, answer is Answer.FIRST_SMALLER, k)
     return [TotalOrder(rank) for rank in candidates]

@@ -10,7 +10,6 @@ partition-size check -- callers decide what an inconsistent attempt means.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .core import Answer
@@ -60,32 +59,28 @@ class _Session:
 class SortOutcome:
     """Result of one sort attempt.
 
-    ``declared`` holds each compared pair in output coordinates, oriented by
-    the recorded answer: (position answered smaller, position answered
-    larger).  ``graph`` is the same pairs unoriented; it is simple because of
-    memoization.
+    ``graph`` holds each compared pair once, in output coordinates; it is
+    simple because of memoization.  ``consistent`` is True when every recorded
+    answer agrees with the claimed output order.
     """
 
     output: list[int]
     graph: OrderedMultigraph
     comparisons: int
-    declared: list[tuple[int, int]]
-
-    def is_order_consistent(self) -> bool:
-        """True when every recorded answer agrees with the claimed output order."""
-        return all(i < j for i, j in self.declared)
+    consistent: bool
 
 
 def _make_outcome(output: list[int], session: _Session) -> SortOutcome:
     position = {element: index + 1 for index, element in enumerate(output)}
-    declared = []
-    edge_pairs = []
+    edges = {}
+    consistent = True
     for (lo, hi), lo_smaller in session.memo.items():
         p, q = position[lo], position[hi]
-        declared.append((p, q) if lo_smaller else (q, p))
-        edge_pairs.append((p, q) if p < q else (q, p))
-    graph = OrderedMultigraph(len(output), dict(Counter(edge_pairs)))
-    return SortOutcome(output, graph, len(session.memo), declared)
+        if (p < q) != lo_smaller:
+            consistent = False
+        edges[(p, q) if p < q else (q, p)] = 1
+    graph = OrderedMultigraph(len(output), edges)
+    return SortOutcome(output, graph, len(session.memo), consistent)
 
 
 def mergesort(items, oracle) -> SortOutcome:

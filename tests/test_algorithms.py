@@ -256,6 +256,19 @@ class TestImproved:
             assert result.min == order.min_element()
             assert result.max == order.max_element()
 
+    def test_k0_logs_one_completed_report_per_pair(self):
+        # At k = 0 the completion certifier runs on pairs: one sort comparison
+        # each, and the sort graph already meets the one-neighbor demand.
+        n = 7
+        order = TotalOrder.shuffled(n, random.Random(3))
+        log = []
+        result = improved_minmax(list(range(n)), 0, TruthfulOracle(order), group_log=log)
+        assert (result.min, result.max) == (order.min_element(), order.max_element())
+        assert [(g.group_index, g.size) for g in log] == [(0, 2), (1, 2), (2, 2)]
+        for report in log:
+            assert report.completed and report.restart_reason is None
+            assert (report.sort_comparisons, report.added_comparisons) == (1, 0)
+
     def test_two_elements_spend_k_plus_one(self):
         k = 3
         order = TotalOrder((1, 0))

@@ -128,7 +128,7 @@ GOLDEN_ADVERSARY = {
 def test_adaptive_adversary_fingerprint(name):
     adversary = AdaptiveAdversary(5, 2)
     ADVERSARY_RUNS[name](adversary)
-    transcript = "\n".join(f"{r.a},{r.b},{r.answer.value}" for r in adversary.transcript)
+    transcript = "\n".join(f"{a},{b},{answer.value}" for a, b, answer in adversary.transcript)
     orders = adversary_consistent_orders(adversary.transcript, 5, 2)
     survivors = "\n".join(",".join(map(str, order.rank)) for order in orders)
     assert (_hex(transcript), _hex(survivors)) == GOLDEN_ADVERSARY[name]

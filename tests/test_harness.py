@@ -300,6 +300,10 @@ class TestCli:
                 "the pairing algorithm is a k=0 algorithm",
             ),
             (
+                ["run", "--algorithm", "pohl", "--n", "10", "--k", "3"],
+                "the pairing algorithm is a k=0 algorithm",
+            ),
+            (
                 ["verify", "--algorithm", "find-min", "--n", "6"],
                 "game-tree verification enumerates all orders; n must be <= 5",
             ),
@@ -333,6 +337,7 @@ class TestCli:
         ids=[
             "run-n-1",
             "verify-pohl-k-1",
+            "run-pohl-k-3",
             "verify-n-6",
             "calibrate",
             "thickness-trials-0",

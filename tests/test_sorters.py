@@ -54,14 +54,14 @@ class TestMergesort:
         out = mergesort(items, TruthfulOracle(order))
         assert out.output == order.ascending()
         assert out.comparisons <= mergesort_cap(s)
-        assert out.is_order_consistent()
+        assert out.consistent
 
     def test_no_pair_queried_twice(self):
         rng = random.Random(11)
         order = TotalOrder.shuffled(20, rng)
         oracle = TruthfulOracle(order)
         out = mergesort(list(range(20)), oracle)
-        pairs = [(min(r.a, r.b), max(r.a, r.b)) for r in oracle.transcript]
+        pairs = [(min(a, b), max(a, b)) for a, b, _ in oracle.transcript]
         assert len(pairs) == len(set(pairs)) == out.comparisons
         assert all(m == 1 for m in out.graph.edges.values())
 
@@ -130,7 +130,7 @@ class TestBalancedQuicksort:
         rng.shuffle(items)
         out = balanced_quicksort(items, TruthfulOracle(order))
         assert out.output == order.ascending()
-        assert out.is_order_consistent()
+        assert out.consistent
         assert out.comparisons <= s * (s - 1) // 2
 
     def test_eight_items_thickness_within_threshold(self):
@@ -163,7 +163,7 @@ class TestBalancedQuicksort:
             out = balanced_quicksort(list(range(20)), oracle)
         except SortInconsistency:
             return
-        pairs = [(min(r.a, r.b), max(r.a, r.b)) for r in oracle.transcript]
+        pairs = [(min(a, b), max(a, b)) for a, b, _ in oracle.transcript]
         assert len(pairs) == len(set(pairs)) == out.comparisons
         assert all(m == 1 for m in out.graph.edges.values())
 
@@ -175,12 +175,12 @@ class TestBalancedQuicksort:
             original = balanced_quicksort(items, oracle)
         except SortInconsistency:
             pytest.skip("this seed trips the size checks before finishing")
-        replay = ScriptedOracle([r.answer for r in oracle.transcript])
+        replay = ScriptedOracle([answer for _, _, answer in oracle.transcript])
         repeated = balanced_quicksort(items, replay)
         assert repeated.output == original.output
         assert repeated.comparisons == original.comparisons
         assert repeated.graph.edges == original.graph.edges
-        assert sorted(repeated.declared) == sorted(original.declared)
+        assert repeated.consistent == original.consistent
 
 
 def test_mergesort_replay_reproduces_identical_outcome():
@@ -188,7 +188,7 @@ def test_mergesort_replay_reproduces_identical_outcome():
     oracle = RandomLiarOracle(order, k=2, p=0.5, seed=8)
     items = list(range(13))
     original = mergesort(items, oracle)
-    replay = ScriptedOracle([r.answer for r in oracle.transcript])
+    replay = ScriptedOracle([answer for _, _, answer in oracle.transcript])
     repeated = mergesort(items, replay)
     assert repeated.output == original.output
     assert repeated.graph.edges == original.graph.edges
@@ -200,10 +200,55 @@ def test_graph_covers_every_compared_pair_in_output_coordinates():
     out = mergesort(list(range(10)), oracle)
     position = {e: i + 1 for i, e in enumerate(out.output)}
     expected = set()
-    for r in oracle.transcript:
-        pa, pb = position[r.a], position[r.b]
+    for a, b, _ in oracle.transcript:
+        pa, pb = position[a], position[b]
         expected.add((min(pa, pb), max(pa, pb)))
     assert set(out.graph.edges) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([mergesort, balanced_quicksort]),
+    st.integers(1, 24),
+    st.integers(0, 4),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**31),
+)
+def test_outcome_matches_its_transcript(sort, s, k, p, seed):
+    # The outcome is rebuilt from the recorded answers alone: the verdict
+    # against the output order, and each compared pair once in output
+    # coordinates.
+    rng = random.Random(seed)
+    order = TotalOrder.shuffled(s, rng)
+    items = list(range(s))
+    rng.shuffle(items)
+    oracle = RandomLiarOracle(order, k, p, seed)
+    try:
+        out = sort(items, oracle)
+    except SortInconsistency:
+        return
+    position = {e: i + 1 for i, e in enumerate(out.output)}
+    consistent = True
+    pairs = []
+    for a, b, answer in oracle.transcript:
+        pa, pb = position[a], position[b]
+        consistent = consistent and (pa < pb) == (answer is Answer.FIRST_SMALLER)
+        pairs.append((min(pa, pb), max(pa, pb)))
+    assert out.consistent == consistent
+    assert out.graph.edges == dict.fromkeys(pairs, 1)
+    assert len(set(pairs)) == out.comparisons == len(oracle.transcript)
+
+
+def test_quicksort_can_return_an_inconsistent_order():
+    # Two lies that the partition sizes do not catch: the sort returns, and
+    # the answer "0 larger than 1" contradicts 0 coming first.
+    order = TotalOrder.shuffled(5, random.Random(45))
+    oracle = RandomLiarOracle(order, k=2, p=0.3, seed=45)
+    out = balanced_quicksort(list(range(5)), oracle)
+    assert oracle.lies_told == 2
+    assert out.output == [0, 4, 3, 2, 1] != order.ascending()
+    assert out.comparisons == 9
+    assert not out.consistent
 
 
 class ConstantOracle:
