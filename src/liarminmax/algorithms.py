@@ -74,6 +74,8 @@ def _select_k_lies(items, k: int, oracle, eliminating: Answer) -> tuple[int, int
     comparisons, since every comparison hands out exactly one loss and the
     survivor ends with at most k.  Returns (winner, comparisons).
     """
+    if k < 0:
+        raise ValueError("k must be non-negative")
     items = list(items)
     if not items:
         raise ValueError("cannot select from an empty set")
@@ -149,13 +151,18 @@ def _certify_by_completion(group, k: int, oracle):
 
 
 def _extrema(
-    certify, items: list, k: int, oracle, size: int, group_log: list | None = None
+    certify, items, k: int, oracle, size: int, group_log: list | None = None
 ) -> MinMaxResult:
     """Split ``items`` into blocks of ``size``; sort each block of two or
     more with ``certify`` and ask its checks, restarting the block whenever
     a lie is proven; then select the minimum among the group minima and the
     maximum among the group maxima, each with budget k.  Every comparison is
     charged here, to its phase in ``RunStats``; a certifier charges none."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    items = list(items)
+    if len(items) < 2:
+        raise ValueError("need at least two elements")
     stats = RunStats()
     minima: list[int] = []
     maxima: list[int] = []
@@ -199,9 +206,6 @@ def pohl_minmax(items, oracle) -> MinMaxResult:
     Assumes a reliable oracle and uses exactly ceil(3n/2) - 2 comparisons;
     an odd leftover element joins both candidate pools for free.
     """
-    items = list(items)
-    if len(items) < 2:
-        raise ValueError("need at least two elements")
     return _extrema(_certify_pair, items, 0, oracle, 2)
 
 
@@ -214,9 +218,6 @@ def simple_minmax(items, k: int, oracle) -> MinMaxResult:
     found larger (and smaller) than a neighbor k+1 times, so it cannot be
     an extremum unless the oracle exceeded its budget.
     """
-    items = list(items)
-    if len(items) < 2:
-        raise ValueError("need at least two elements")
     return _extrema(_certify_by_reasking, items, k, oracle, _group_size(k))
 
 
@@ -241,9 +242,6 @@ def improved_minmax(
     For k = 0 the group size can only be 2: each pair costs one sort
     comparison and needs no added ones, as in :func:`pohl_minmax`.
     """
-    items = list(items)
-    if len(items) < 2:
-        raise ValueError("need at least two elements")
     size = _group_size(k) if s is None else s
     if size < 2:
         raise ValueError("group size must be at least 2")

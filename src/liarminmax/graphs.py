@@ -11,6 +11,7 @@ problem on a convex bipartite graph, which one greedy sweep solves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 __all__ = [
     "DegreeBoundExceeded",
@@ -31,10 +32,6 @@ class OrderedMultigraph:
 
     s: int
     edges: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    @classmethod
-    def empty(cls, s: int) -> "OrderedMultigraph":
-        return cls(s, {})
 
     def add(self, a: int, b: int, multiplicity: int = 1) -> None:
         if a == b:
@@ -74,20 +71,9 @@ class OrderedMultigraph:
 
     def thickness(self) -> int:
         """Maximum, over interior positions, of the number of edges spanning it."""
-        if self.s <= 2:
-            return 0
-        starts = [0] * (self.s + 1)
-        ends = [0] * (self.s + 1)
-        for (a, b), m in self.edges.items():
-            starts[a] += m
-            ends[b] += m
-        best = 0
-        open_edges = 0
-        for j in range(2, self.s):
-            open_edges += starts[j - 1] - ends[j]
-            if open_edges > best:
-                best = open_edges
-        return best
+        left, right = self.degree_profile()
+        # Edges over j = edges over j-1 + edges leaving j-1 - edges ending at j.
+        return max(accumulate((right[j - 1] - left[j] for j in range(2, self.s)), initial=0))
 
     def defect(self, k: int) -> int:
         """Total shortfall of left and right degrees below k+1.
@@ -157,12 +143,12 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
         raise ValueError("completion needs at least two positions")
     completed = greedy_completion(graph, k)
     cap = k + 1
-    left, _ = completed.degree_profile()
+    left, right = completed.degree_profile()
     for j in range(2, graph.s + 1):
         need = cap - left[j]
         if need > 0:
             completed.add(1, j, need)
-    _, right = completed.degree_profile()
+            right[1] += need
     for j in range(1, graph.s):
         need = cap - right[j]
         if need > 0:
@@ -175,9 +161,9 @@ def added_edge_pairs(
 ) -> list[tuple[int, int]]:
     """Edges of ``completed`` beyond ``base``, one entry per copy, ascending."""
     pairs: list[tuple[int, int]] = []
-    for (a, b) in sorted(completed.edges):
-        extra = completed.edges[(a, b)] - base.multiplicity(a, b)
+    for pair in sorted(completed.edges):
+        extra = completed.edges[pair] - base.edges.get(pair, 0)
         if extra < 0:
             raise ValueError("base graph is not contained in the completed graph")
-        pairs.extend([(a, b)] * extra)
+        pairs.extend([pair] * extra)
     return pairs

@@ -83,8 +83,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if self.trials < 1:
@@ -93,6 +91,12 @@ class ExperimentConfig:
             raise ValueError("the pairing algorithm assumes a reliable oracle")
         if self.n < REGISTRY[self.algorithm].min_n:  # n >= 1 holds, so min_n is 2 here
             raise ValueError(f"{self.algorithm} needs at least two elements")
+        if self.p and self.oracle != "random-liar":
+            raise ValueError("p applies only to the random-liar oracle")
+        if self.triggers and self.oracle != "triggered-liar":
+            raise ValueError("triggers apply only to the triggered-liar oracle")
+        if not self.record_transcripts and self.oracle != "truthful":
+            raise ValueError("a lying oracle always records its transcript")
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,8 @@ def _check_algorithm(name: str, k: int, s_override: int | None) -> None:
         raise ValueError("the pairing algorithm is a k=0 algorithm")
     if s_override is not None and not REGISTRY[name].sized:
         raise ValueError(f"{name} has no group size to override")
+    if k < 0:
+        raise ValueError("k must be non-negative")
 
 
 def _oracle_label(cfg: ExperimentConfig, triggers: tuple[int, ...]) -> str:

@@ -344,7 +344,7 @@ def _max_degree(graph: OrderedMultigraph) -> int:
 
 
 def _random_feasible_graph(rng: random.Random, s: int, k: int) -> OrderedMultigraph:
-    graph = OrderedMultigraph.empty(s)
+    graph = OrderedMultigraph(s)
     left = [0] * (s + 1)
     right = [0] * (s + 1)
     cap = k + 1

@@ -19,6 +19,7 @@ from liarminmax.core import Answer, TotalOrder, Transcript, count_lies
 from liarminmax.oracles import (
     AdaptiveAdversary,
     RandomLiarOracle,
+    ScriptedOracle,
     TriggeredLiarOracle,
     TruthfulOracle,
     adversary_consistent_orders,
@@ -140,6 +141,21 @@ class TestFindMax:
         assert comparisons <= (k + 1) * n - 1
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda oracle: find_min_k_lies([0, 1, 2], -1, oracle),
+        lambda oracle: find_max_k_lies([0, 1, 2], -1, oracle),
+        lambda oracle: simple_minmax([0, 1, 2, 3], -1, oracle),
+    ],
+    ids=["find-min", "find-max", "simple"],
+)
+def test_negative_k_rejected_before_any_query(run):
+    # An empty script raises AnswersExhausted on the first query.
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        run(ScriptedOracle([]))
+
+
 class TestPohl:
     @pytest.mark.parametrize("n, expected", [(2, 1), (4, 4), (5, 6)])
     def test_exact_counts(self, n, expected):
@@ -157,9 +173,18 @@ class TestPohl:
             assert result.stats.comparisons == pohl_count(n)
             assert oracle.queries == result.stats.comparisons
 
-    def test_needs_two_elements(self):
-        with pytest.raises(ValueError):
-            pohl_minmax([0], TruthfulOracle(TotalOrder.identity(1)))
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda items, oracle: pohl_minmax(items, oracle),
+            lambda items, oracle: simple_minmax(items, 1, oracle),
+            lambda items, oracle: improved_minmax(items, 1, oracle),
+        ],
+        ids=["pohl", "simple", "improved"],
+    )
+    def test_needs_two_elements(self, run):
+        with pytest.raises(ValueError, match="need at least two elements"):
+            run([0], TruthfulOracle(TotalOrder.identity(1)))
 
 
 def group_plan(n, k):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_reference import (
+    _random_feasible_graph,
     brute_force_min_cut,
     build_flow_network,
     flow_selftest,
@@ -22,25 +23,14 @@ from liarminmax.graphs import (
 
 
 def graph(s, *pairs):
-    g = OrderedMultigraph.empty(s)
+    g = OrderedMultigraph(s)
     for pair in pairs:
         g.add(*pair)
     return g
 
 
 def random_feasible(seed, s, k):
-    rng = random.Random(seed)
-    g = OrderedMultigraph.empty(s)
-    left = [0] * (s + 1)
-    right = [0] * (s + 1)
-    for _ in range(rng.randint(0, (k + 1) * (s - 1))):
-        a = rng.randint(1, s - 1)
-        b = rng.randint(a + 1, s)
-        if right[a] < k + 1 and left[b] < k + 1:
-            g.add(a, b)
-            right[a] += 1
-            left[b] += 1
-    return g
+    return _random_feasible_graph(random.Random(seed), s, k)
 
 
 feasible_instances = st.builds(
@@ -64,7 +54,7 @@ class TestDegrees:
         assert right == [0, 1, 1, 0]
 
     def test_empty_graph_degrees(self):
-        assert OrderedMultigraph.empty(4).degree_profile() == ([0] * 5, [0] * 5)
+        assert OrderedMultigraph(4).degree_profile() == ([0] * 5, [0] * 5)
 
     def test_multiplicity_weighted(self):
         left, right = OrderedMultigraph(3, {(1, 3): 2}).degree_profile()
@@ -83,7 +73,7 @@ class TestThickness:
         assert graph(4, (1, 3), (2, 4), (1, 4)).thickness() == 2
 
     def test_tiny_graphs_are_flat(self):
-        assert OrderedMultigraph.empty(1).thickness() == 0
+        assert OrderedMultigraph(1).thickness() == 0
         assert graph(2, (1, 2)).thickness() == 0
 
     @given(feasible_instances)
@@ -95,7 +85,7 @@ class TestThickness:
 
 class TestDefect:
     def test_empty_graph(self):
-        assert OrderedMultigraph.empty(3).defect(0) == 4
+        assert OrderedMultigraph(3).defect(0) == 4
 
     def test_full_path(self):
         assert graph(3, (1, 2), (2, 3)).defect(0) == 0
@@ -115,7 +105,7 @@ class TestDefect:
 
 class TestFlowNetwork:
     def test_empty_graph_capacities(self):
-        net = build_flow_network(OrderedMultigraph.empty(3), 0)
+        net = build_flow_network(OrderedMultigraph(3), 0)
         assert [net.source_capacity(j) for j in (1, 2, 3)] == [1, 1, 1]
         assert [net.sink_capacity(j) for j in (1, 2, 3)] == [1, 1, 1]
 
@@ -127,7 +117,7 @@ class TestFlowNetwork:
         assert net.sink_capacity(1) == net.sink_capacity(2) == 1
 
     def test_two_positions_k1(self):
-        net = build_flow_network(OrderedMultigraph.empty(2), 1)
+        net = build_flow_network(OrderedMultigraph(2), 1)
         assert net.source_capacity(1) == net.source_capacity(2) == 2
         assert net.sink_capacity(1) == net.sink_capacity(2) == 2
         pair_arcs = [
@@ -138,7 +128,7 @@ class TestFlowNetwork:
 
     def test_infinite_encoding(self):
         assert infinite_capacity(3, 0) == 4
-        net = build_flow_network(OrderedMultigraph.empty(3), 0)
+        net = build_flow_network(OrderedMultigraph(3), 0)
         assert net.pair_capacity(1, 3) == 4
 
     def test_degree_precondition(self):
@@ -150,7 +140,7 @@ class TestMaxFlow:
     @pytest.mark.parametrize(
         "g, k, value",
         [
-            (OrderedMultigraph.empty(3), 0, 2),
+            (OrderedMultigraph(3), 0, 2),
             (OrderedMultigraph(3, {(1, 3): 1}), 0, 0),
             (OrderedMultigraph(3, {(1, 2): 1, (2, 3): 1}), 0, 0),
         ],
@@ -181,9 +171,9 @@ class TestMinSplitCut:
     @pytest.mark.parametrize(
         "g, k, value",
         [
-            (OrderedMultigraph.empty(3), 0, 2),
+            (OrderedMultigraph(3), 0, 2),
             (OrderedMultigraph(3, {(1, 3): 1}), 0, 0),
-            (OrderedMultigraph.empty(4), 1, 6),
+            (OrderedMultigraph(4), 1, 6),
         ],
     )
     def test_closed_form_values(self, g, k, value):
@@ -205,7 +195,7 @@ def test_flow_value_identity(instance):
 
 class TestCompleteEdges:
     def test_empty_path_completion(self):
-        full = complete_edges(OrderedMultigraph.empty(3), 0)
+        full = complete_edges(OrderedMultigraph(3), 0)
         assert full.edges == {(1, 2): 1, (2, 3): 1}
 
     def test_spanning_edge_needs_patches(self):
@@ -218,12 +208,12 @@ class TestCompleteEdges:
         assert full.edges == {(1, 2): 1}
 
     def test_two_positions_k1(self):
-        full = complete_edges(OrderedMultigraph.empty(2), 1)
+        full = complete_edges(OrderedMultigraph(2), 1)
         assert full.edges == {(1, 2): 2}
 
     def test_needs_two_positions(self):
         with pytest.raises(ValueError):
-            complete_edges(OrderedMultigraph.empty(1), 0)
+            complete_edges(OrderedMultigraph(1), 0)
 
     def test_degree_precondition(self):
         with pytest.raises(DegreeBoundExceeded):
@@ -265,7 +255,7 @@ def test_flow_selftest_small_grid():
 
 
 def test_add_normalizes_orientation():
-    g = OrderedMultigraph.empty(3)
+    g = OrderedMultigraph(3)
     g.add(3, 1)
     assert g.edges == {(1, 3): 1}
     with pytest.raises(ValueError):

@@ -333,6 +333,24 @@ class TestCli:
                 ["verify", "--algorithm", "improved", "--n", "4", "--k", "0", "--s-override", "3"],
                 "group size 3 exceeds k+2=2; completion would be infeasible",
             ),
+            (
+                ["verify", "--algorithm", "find-min", "--n", "3", "--k", "-1"],
+                "k must be non-negative",
+            ),
+            (
+                ["run", "--algorithm", "simple", "--n", "10", "--k", "1", "--p", "0.5"],
+                "p applies only to the random-liar oracle",
+            ),
+            (
+                ["run", "--algorithm", "simple", "--n", "10", "--k", "1"]
+                + ["--oracle", "random-liar", "--trigger", "3"],
+                "triggers apply only to the triggered-liar oracle",
+            ),
+            (
+                ["run", "--algorithm", "simple", "--n", "10", "--k", "1"]
+                + ["--oracle", "triggered-liar", "--no-transcripts"],
+                "a lying oracle always records its transcript",
+            ),
         ],
         ids=[
             "run-n-1",
@@ -347,6 +365,10 @@ class TestCli:
             "verify-find-min-s-override",
             "run-improved-k-0-s-override",
             "verify-improved-k-0-s-override",
+            "verify-k-negative",
+            "run-p-truthful",
+            "run-trigger-random-liar",
+            "run-no-transcripts-liar",
         ],
     )
     def test_invalid_arguments_are_a_usage_error(self, argv, message, capsys):

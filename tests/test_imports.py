@@ -1,4 +1,5 @@
-"""Every import in the package is used, and every export exists.
+"""Every import in the package, its tests and its scripts is used, and every
+export exists.
 
 A stdlib-only lint: leftovers such as a helper imported for a deleted code
 path fail here.  Relative imports in ``__init__.py`` are re-exports, and
@@ -13,7 +14,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liarminmax"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "liarminmax"
+SOURCES = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted((ROOT / "tests").glob("*.py")),
+    *sorted((ROOT / "scripts").glob("*.py")),
+]
 
 
 def unused_imports(source: str, is_init: bool) -> list[str]:
@@ -32,7 +39,7 @@ def unused_imports(source: str, is_init: bool) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(), path.name == "__init__.py") == []
 
