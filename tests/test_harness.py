@@ -7,10 +7,11 @@ import pytest
 
 from liarminmax import harness
 from liarminmax.cli import main
-from liarminmax.core import TotalOrder
+from liarminmax.core import Answer, TotalOrder
 from liarminmax.harness import (
     CSV_HEADER,
     REGISTRY,
+    Counterexample,
     ExperimentConfig,
     measure_thickness,
     mergesort_comparison_cap,
@@ -124,12 +125,15 @@ WALK_SHAPES = {
     ("simple", 3, 1): (167, 48),
     ("simple", 4, 1): (593, 176),
     ("simple", 5, 1): (2769, 720),
+    ("simple", 4, 2): (9173, 2144),
     ("improved", 2, 0): (3, 2),
     ("improved", 3, 0): (13, 6),
     ("improved", 4, 0): (31, 16),
     ("improved", 2, 1): (15, 6),
     ("improved", 3, 1): (133, 42),
     ("improved", 4, 1): (435, 144),
+    ("improved", 5, 1): (2291, 624),
+    ("improved", 4, 2): (6211, 1584),
     ("find-min", 1, 0): (1, 1),
     ("find-min", 2, 0): (3, 2),
     ("find-min", 3, 0): (7, 4),
@@ -192,12 +196,92 @@ class TestVerifyExhaustive:
             for k in ((0,) if name == "pohl" else (0, 1))
             for n in range(entry.min_n, 5)
         ]
-        + [("simple", 5, 1)],
+        + [("simple", 5, 1), ("simple", 4, 2), ("improved", 5, 1), ("improved", 4, 2)],
     )
     def test_every_registered_algorithm_passes(self, algorithm, n, k):
         report = verify_exhaustive(n, k, algorithm)
         assert report.passed, report.counterexample
         assert (report.nodes, report.leaves) == WALK_SHAPES[(algorithm, n, k)]
+
+
+def one_query_then_guess(items, k, oracle):
+    oracle.query(0, 1)
+    return 0, 1
+
+
+def _majority_switches(oracle, held, challenger, k, wanted) -> bool:
+    # The bug: k+1 votes are too few, as k lies can tie or outvote the truth.
+    votes = sum(oracle.query(held, challenger) is wanted for _ in range(k + 1))
+    return 2 * votes > k + 1
+
+
+def min_by_short_majority(items, k, oracle):
+    low = items[0]
+    for x in items[1:]:
+        if _majority_switches(oracle, low, x, k, Answer.FIRST_LARGER):
+            low = x
+    return low, None
+
+
+def extrema_by_short_majority(items, k, oracle):
+    low = high = items[0]
+    for x in items[1:]:
+        if _majority_switches(oracle, low, x, k, Answer.FIRST_LARGER):
+            low = x
+        if _majority_switches(oracle, high, x, k, Answer.FIRST_SMALLER):
+            high = x
+    return low, high
+
+
+def _counterexample(answers: str, low, high, *ranks) -> Counterexample:
+    """``answers`` spells the answer sequence, S for FIRST_SMALLER, L for FIRST_LARGER."""
+    spelled = {"S": Answer.FIRST_SMALLER, "L": Answer.FIRST_LARGER}
+    return Counterexample(
+        tuple(spelled[c] for c in answers), low, high, tuple(TotalOrder(r) for r in ranks)
+    )
+
+
+# The first counterexample of a broken algorithm and the (nodes, leaves) the
+# walk took to reach it.  The walk explores FIRST_SMALLER before FIRST_LARGER,
+# depth first, so these pin its visiting order as well as its pruning.
+COUNTEREXAMPLES = [
+    (
+        one_query_then_guess, 3, 1, (2, 1),
+        _counterexample(
+            "S", 0, 1, (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
+        ),
+    ),
+    (
+        min_by_short_majority, 3, 1, (6, 2),
+        _counterexample("SSSL", 0, None, (0, 1, 2), (0, 2, 1), (1, 2, 0)),
+    ),
+    (
+        min_by_short_majority, 4, 2, (11, 2),
+        _counterexample(
+            "SSSSSSSSL", 0, None,
+            (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1),
+            (0, 3, 1, 2), (0, 3, 2, 1), (1, 2, 3, 0), (1, 3, 2, 0),
+        ),
+    ),
+    (
+        extrema_by_short_majority, 5, 1, (18, 2),
+        _counterexample(
+            "S" * 15 + "L", 0, 3,
+            (0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (0, 1, 3, 4, 2), (0, 2, 3, 4, 1),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "algorithm, n, k, shape, expected",
+    COUNTEREXAMPLES,
+    ids=[f"{algorithm.__name__}-{n}-{k}" for algorithm, n, k, _, _ in COUNTEREXAMPLES],
+)
+def test_first_counterexample_is_pinned(algorithm, n, k, shape, expected):
+    report = verify_exhaustive(n, k, algorithm)
+    assert report.counterexample == expected
+    assert (report.nodes, report.leaves) == shape
 
 
 class TestMeasureThickness:
