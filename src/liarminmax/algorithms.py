@@ -242,6 +242,8 @@ def improved_minmax(
     For k = 0 the group size can only be 2: each pair costs one sort
     comparison and needs no added ones, as in :func:`pohl_minmax`.
     """
+    if k < 0:
+        raise ValueError("k must be non-negative")
     size = _group_size(k) if s is None else s
     if size < 2:
         raise ValueError("group size must be at least 2")

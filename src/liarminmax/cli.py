@@ -92,7 +92,8 @@ def _cmd_verify(args) -> int:
     if report.passed:
         print(
             f"pass: {args.algorithm} n={args.n} k={args.k} "
-            f"({report.leaves} leaves, {report.nodes} nodes)"
+            f"({report.leaves} leaves, {report.nodes} nodes, "
+            f"worst_comparisons={report.worst_comparisons})"
         )
         return 0
     ce = report.counterexample

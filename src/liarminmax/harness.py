@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple
 
 from .core import Answer, TotalOrder, assert_lie_budget
 from .oracles import (
-    AnswersExhausted,
     RandomLiarOracle,
     ScriptedOracle,
     TriggeredLiarOracle,
@@ -286,6 +285,7 @@ class VerifyReport:
     k: int
     nodes: int = 0
     leaves: int = 0
+    worst_comparisons: int = 0
     counterexample: Counterexample | None = None
 
     @property
@@ -306,6 +306,27 @@ def _algorithm_runner(algorithm, items: list[int], k: int, s_override: int | Non
     return lambda oracle: run(items, k, oracle, s_override)[:2]
 
 
+class _Branching(ScriptedOracle):
+    """Replays an answer prefix, then answers FIRST_SMALLER wherever an
+    explanation survives it.  Where both answers have survivors, it stacks
+    the FIRST_LARGER side on ``siblings`` as (depth, survivors)."""
+
+    def __init__(self, answers, candidates: dict, siblings: list, report: VerifyReport) -> None:
+        super().__init__(answers)
+        self.candidates, self.siblings, self.report = candidates, siblings, report
+
+    def query(self, a: int, b: int) -> Answer:
+        if self.position == len(self.answers):
+            self.report.nodes += 1
+            smaller = _narrow(self.candidates, a, b, True, self.report.k)
+            larger = _narrow(self.candidates, a, b, False, self.report.k)
+            if smaller and larger:
+                self.siblings.append((self.position, larger))
+            self.answers.append(Answer.FIRST_SMALLER if smaller else Answer.FIRST_LARGER)
+            self.candidates = smaller or larger
+        return super().query(a, b)
+
+
 def verify_exhaustive(
     n: int, k: int, algorithm, *, s_override: int | None = None
 ) -> VerifyReport:
@@ -313,9 +334,12 @@ def verify_exhaustive(
 
     At every query both answers are explored, except branches no (order,
     <= k lies) explanation can justify -- a contract-honoring oracle cannot
-    produce them.  At each leaf the reported extrema must match the extrema
-    of every surviving order.  The first violation is returned as a
-    counterexample.
+    produce them.  The algorithm runs once per leaf: a run replays an answer
+    prefix, then takes FIRST_SMALLER where it can and stacks the FIRST_LARGER
+    siblings; the deepest sibling is replayed next, so leaves come depth
+    first.  At each leaf the reported extrema must match the extrema of every
+    surviving order, and ``worst_comparisons`` keeps the longest answer list.
+    The first violation is returned as a counterexample.
     """
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(
@@ -325,36 +349,27 @@ def verify_exhaustive(
     runner = _algorithm_runner(algorithm, items, k, s_override)
     name = algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "custom")
     report = VerifyReport(name, n, k)
+    siblings: list[tuple[int, dict]] = []
     answers: list[Answer] = []
-
-    def walk(candidates: dict) -> Counterexample | None:
+    candidates = _every_order(n)
+    while True:
+        oracle = _Branching(answers, candidates, siblings, report)
+        low, high = runner(oracle)
+        answers, candidates = oracle.answers, oracle.candidates
         report.nodes += 1
-        oracle = ScriptedOracle(answers)
-        try:
-            low, high = runner(oracle)
-        except AnswersExhausted as pending:
-            for answer in (Answer.FIRST_SMALLER, Answer.FIRST_LARGER):
-                said_smaller = answer is Answer.FIRST_SMALLER
-                survivors = _narrow(candidates, pending.a, pending.b, said_smaller, k)
-                if not survivors:
-                    continue
-                answers.append(answer)
-                found = walk(survivors)
-                answers.pop()
-                if found is not None:
-                    return found
-            return None
         report.leaves += 1
+        report.worst_comparisons = max(report.worst_comparisons, len(answers))
         for rank in candidates:
             if (low is not None and rank.index(0) != low) or (
                 high is not None and rank.index(n - 1) != high
             ):
                 surviving = tuple(TotalOrder(r) for r in sorted(candidates))
-                return Counterexample(tuple(answers), low, high, surviving)
-        return None
-
-    report.counterexample = walk(_every_order(n))
-    return report
+                report.counterexample = Counterexample(tuple(answers), low, high, surviving)
+                return report
+        if not siblings:
+            return report
+        depth, candidates = siblings.pop()
+        answers = answers[:depth] + [Answer.FIRST_LARGER]
 
 
 # --- thickness measurement ---------------------------------------------------

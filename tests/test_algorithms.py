@@ -147,8 +147,9 @@ class TestFindMax:
         lambda oracle: find_min_k_lies([0, 1, 2], -1, oracle),
         lambda oracle: find_max_k_lies([0, 1, 2], -1, oracle),
         lambda oracle: simple_minmax([0, 1, 2, 3], -1, oracle),
+        lambda oracle: improved_minmax([0, 1, 2, 3], -1, oracle),
     ],
-    ids=["find-min", "find-max", "simple"],
+    ids=["find-min", "find-max", "simple", "improved"],
 )
 def test_negative_k_rejected_before_any_query(run):
     # An empty script raises AnswersExhausted on the first query.

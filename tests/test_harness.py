@@ -153,6 +153,25 @@ WALK_SHAPES = {
 }
 
 
+# Each algorithm's exact worst case at its default group size: the longest
+# answer sequence at any leaf, i.e. the most queries any oracle with at most
+# k lies can force.
+WORST_COMPARISONS = {
+    ("pohl", 4, 0): 4,
+    ("pohl", 5, 0): 6,
+    ("improved", 4, 0): 4,
+    ("improved", 5, 0): 6,
+    ("improved", 3, 1): 8,
+    ("improved", 4, 1): 10,
+    ("improved", 5, 1): 14,
+    ("improved", 4, 2): 18,
+    ("improved", 5, 2): 24,
+    ("simple", 3, 1): 10,
+    ("simple", 4, 1): 13,
+    ("simple", 5, 1): 17,
+}
+
+
 class TestVerifyExhaustive:
     def test_find_min_two_elements(self):
         report = verify_exhaustive(2, 0, "find-min")
@@ -202,6 +221,15 @@ class TestVerifyExhaustive:
         report = verify_exhaustive(n, k, algorithm)
         assert report.passed, report.counterexample
         assert (report.nodes, report.leaves) == WALK_SHAPES[(algorithm, n, k)]
+
+    @pytest.mark.parametrize("algorithm, n, k", WORST_COMPARISONS)
+    def test_exact_worst_case(self, algorithm, n, k):
+        report = verify_exhaustive(n, k, algorithm)
+        assert report.passed, report.counterexample
+        assert report.worst_comparisons == WORST_COMPARISONS[(algorithm, n, k)]
+        if k == 0:
+            # Pohl's ceil(3n/2) - 2, which no algorithm can beat.
+            assert report.worst_comparisons == (3 * n + 1) // 2 - 2
 
 
 def one_query_then_guess(items, k, oracle):
@@ -347,7 +375,9 @@ class TestCli:
     def test_verify_pass(self, capsys):
         code = main(["verify", "--algorithm", "find-min", "--n", "3", "--k", "1"])
         assert code == 0
-        assert "pass" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "pass: find-min n=3 k=1 (20 leaves, 43 nodes, worst_comparisons=5)\n"
+        )
 
     def test_thickness(self, capsys):
         code = main(

@@ -7,12 +7,15 @@ path fail here.  Relative imports in ``__init__.py`` are re-exports, and
 unused-import check.  Instead, every name in a module's ``__all__`` must be
 defined in that module, and every name ``__init__.py`` re-exports must be in
 its source module's ``__all__``, so a deletion cannot leave a stale export.
+The names the benchmark's tracer patches must stay in their modules too.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from liarminmax import algorithms, core, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "liarminmax"
@@ -102,3 +105,33 @@ def test_lint_flags_a_stale_export():
     assert undefined_exports(source + "def kept(): pass\n") == ["gone"]
     init = "from .graphs import kept, gone\n"
     assert unexported_reexports(init, lambda module: ["kept"]) == ["graphs.gone"]
+
+
+# The names the benchmark's tracer (``perfbench/tracer.py``, ``instrument``)
+# swaps for tracing wrappers.  It reads each one from its owner's
+# ``__dict__``, so a refactor that stops importing one of them breaks every
+# benchmark run, golden replay included; this fails first.
+PATCH_POINTS = [
+    (harness, "run_experiments"),
+    (harness, "verify_exhaustive"),
+    (harness, "assert_lie_budget"),
+    (harness, "improved_minmax"),
+    (harness, "simple_minmax"),
+    (harness, "pohl_minmax"),
+    (harness, "TruthfulOracle"),
+    (harness, "RandomLiarOracle"),
+    (harness, "TriggeredLiarOracle"),
+    (harness, "ScriptedOracle"),
+    (algorithms, "balanced_quicksort"),
+    (algorithms, "mergesort"),
+    (algorithms, "complete_edges"),
+    (algorithms, "added_edge_pairs"),
+    (algorithms, "find_min_k_lies"),
+    (algorithms, "find_max_k_lies"),
+    (core.Transcript, "append"),
+]
+
+
+def test_benchmark_patch_points_exist():
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in PATCH_POINTS if attr not in vars(owner)]
+    assert missing == []
