@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Answer, RunStats
+from .core import LARGER, SMALLER, Answer, RunStats
 from .graphs import added_edge_pairs, complete_edges
 from .sorters import SortInconsistency, balanced_quicksort, mergesort
 
@@ -83,11 +83,12 @@ def _select_k_lies(items, k: int, oracle, eliminating: Answer) -> tuple[int, int
     candidate = items[0]
     candidate_losses = 0
     comparisons = 0
+    query = oracle.query
     for challenger in items[1:]:
         challenger_losses = 0
         while True:
             comparisons += 1
-            if oracle.query(candidate, challenger) is eliminating:
+            if query(candidate, challenger) is eliminating:
                 challenger_losses += 1
                 if challenger_losses == out:
                     break
@@ -101,12 +102,12 @@ def _select_k_lies(items, k: int, oracle, eliminating: Answer) -> tuple[int, int
 
 def find_min_k_lies(items, k: int, oracle) -> tuple[int, int]:
     """Loss-counter minimum: k+1 'larger' verdicts knock an element out."""
-    return _select_k_lies(items, k, oracle, Answer.FIRST_SMALLER)
+    return _select_k_lies(items, k, oracle, SMALLER)
 
 
 def find_max_k_lies(items, k: int, oracle) -> tuple[int, int]:
     """Loss-counter maximum: k+1 'smaller' verdicts knock an element out."""
-    return _select_k_lies(items, k, oracle, Answer.FIRST_LARGER)
+    return _select_k_lies(items, k, oracle, LARGER)
 
 
 # A certifier sorts a group: certify(group, k, oracle) returns (order, reason,
@@ -121,7 +122,7 @@ def find_max_k_lies(items, k: int, oracle) -> tuple[int, int]:
 def _certify_pair(group, k: int, oracle):
     # One comparison orders a pair; only a reliable oracle (k = 0) may use this.
     a, b = group
-    order = [a, b] if oracle.query(a, b) is Answer.FIRST_SMALLER else [b, a]
+    order = [a, b] if oracle.query(a, b) is SMALLER else [b, a]
     return order, None, 1, (), None
 
 
@@ -164,6 +165,7 @@ def _extrema(
     if len(items) < 2:
         raise ValueError("need at least two elements")
     stats = RunStats()
+    query = oracle.query
     minima: list[int] = []
     maxima: list[int] = []
     for group_index, group in enumerate(_blocks(items, size)):
@@ -175,7 +177,7 @@ def _extrema(
             if reason is None:
                 for i, j in checks:
                     asked += 1
-                    if oracle.query(order[i - 1], order[j - 1]) is Answer.FIRST_LARGER:
+                    if query(order[i - 1], order[j - 1]) is LARGER:
                         reason = "verification contradicted the claimed order"
                         break
                 stats.add("group-verify", asked)

@@ -97,8 +97,10 @@ def _checked_degrees(graph: OrderedMultigraph, k: int) -> tuple[list[int], list[
     return left, right
 
 
-def greedy_completion(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
-    """The graph plus the most edges that keep every degree within k+1.
+def _greedy_sweep(
+    graph: OrderedMultigraph, k: int
+) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
+    """The greedy completion's edges, with the (left, right) slack it leaves.
 
     Position i can take k+1 minus its right degree more right neighbors and
     position j k+1 minus its left degree more left neighbors; an added edge
@@ -106,27 +108,38 @@ def greedy_completion(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     j in i+1..s, a suffix of the positions, so the pairing graph is convex
     and greedy matching is optimal (Glover 1967): walk i upward and hand its
     slack to the smallest j > i with slack left.  The j pointer never moves
-    back, so this is O(s + added edges).  The remaining defect is exactly
-    twice the thickness of the input graph.
+    back, so this is O(s + added edges).  The slack lists are 1-indexed like
+    the degree profile; index 0 is unused.
     """
     left, right = _checked_degrees(graph, k)
     cap = k + 1
     s = graph.s
+    edges = dict(graph.edges)
     left_slack = [cap - d for d in left]
-    completed = graph.copy()
+    right_slack = [cap - d for d in right]
     j = 2
     for i in range(1, s):
-        slack = cap - right[i]
+        slack = right_slack[i]
         j = max(j, i + 1)
         while slack and j <= s:
             take = min(slack, left_slack[j])
             if take:
-                completed.add(i, j, take)
+                edges[(i, j)] = edges.get((i, j), 0) + take
                 slack -= take
                 left_slack[j] -= take
             if not left_slack[j]:
                 j += 1
-    return completed
+        right_slack[i] = slack
+    return edges, left_slack, right_slack
+
+
+def greedy_completion(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
+    """The graph plus the most edges that keep every degree within k+1.
+
+    The remaining defect is exactly twice the thickness of the input graph.
+    """
+    edges, _, _ = _greedy_sweep(graph, k)
+    return OrderedMultigraph(graph.s, edges)
 
 
 def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
@@ -135,25 +148,25 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     Two steps: fold in the greedy edges (which never overshoot any degree),
     then patch what is still deficient with edges to the extreme positions --
     left shortfalls connect to position 1, right shortfalls to position s,
-    each pass in ascending position order.  The result contains the input as
-    a sub-multigraph, satisfies the degree floor on both sides, and has at
-    most (k+1)(s-1) + thickness(graph) edges in total.
+    each pass in ascending position order.  Both passes read the shortfalls
+    from the sweep's slack, so the graph is profiled once.  The result
+    contains the input as a sub-multigraph, satisfies the degree floor on
+    both sides, and has at most (k+1)(s-1) + thickness(graph) edges in total.
     """
-    if graph.s < 2:
+    s = graph.s
+    if s < 2:
         raise ValueError("completion needs at least two positions")
-    completed = greedy_completion(graph, k)
-    cap = k + 1
-    left, right = completed.degree_profile()
-    for j in range(2, graph.s + 1):
-        need = cap - left[j]
+    edges, left_slack, right_slack = _greedy_sweep(graph, k)
+    for j in range(2, s + 1):
+        need = left_slack[j]
         if need > 0:
-            completed.add(1, j, need)
-            right[1] += need
-    for j in range(1, graph.s):
-        need = cap - right[j]
+            edges[(1, j)] = edges.get((1, j), 0) + need
+            right_slack[1] -= need
+    for j in range(1, s):
+        need = right_slack[j]
         if need > 0:
-            completed.add(j, graph.s, need)
-    return completed
+            edges[(j, s)] = edges.get((j, s), 0) + need
+    return OrderedMultigraph(s, edges)
 
 
 def added_edge_pairs(

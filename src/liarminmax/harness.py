@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .core import Answer, TotalOrder, assert_lie_budget
+from .core import LARGER, SMALLER, Answer, TotalOrder, assert_lie_budget
 from .oracles import (
     RandomLiarOracle,
     ScriptedOracle,
@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("p applies only to the random-liar oracle")
         if self.triggers and self.oracle != "triggered-liar":
             raise ValueError("triggers apply only to the triggered-liar oracle")
+        if any(trigger < 0 for trigger in self.triggers):
+            raise ValueError("trigger indices must be non-negative")
         if not self.record_transcripts and self.oracle != "truthful":
             raise ValueError("a lying oracle always records its transcript")
 
@@ -322,7 +324,7 @@ class _Branching(ScriptedOracle):
             larger = _narrow(self.candidates, a, b, False, self.report.k)
             if smaller and larger:
                 self.siblings.append((self.position, larger))
-            self.answers.append(Answer.FIRST_SMALLER if smaller else Answer.FIRST_LARGER)
+            self.answers.append(SMALLER if smaller else LARGER)
             self.candidates = smaller or larger
         return super().query(a, b)
 
@@ -351,7 +353,7 @@ def verify_exhaustive(
     report = VerifyReport(name, n, k)
     siblings: list[tuple[int, dict]] = []
     answers: list[Answer] = []
-    candidates = _every_order(n)
+    candidates = _every_order(n, k)
     while True:
         oracle = _Branching(answers, candidates, siblings, report)
         low, high = runner(oracle)
@@ -369,7 +371,7 @@ def verify_exhaustive(
         if not siblings:
             return report
         depth, candidates = siblings.pop()
-        answers = answers[:depth] + [Answer.FIRST_LARGER]
+        answers = answers[:depth] + [LARGER]
 
 
 # --- thickness measurement ---------------------------------------------------

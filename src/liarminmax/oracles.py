@@ -15,7 +15,7 @@ import random
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .core import Answer, InvalidQuery, TotalOrder, Transcript
+from .core import LARGER, SMALLER, Answer, InvalidQuery, TotalOrder, Transcript
 
 __all__ = [
     "AdaptiveAdversary",
@@ -33,8 +33,14 @@ __all__ = [
 EXHAUSTIVE_CAP = 6
 
 
-def _every_order(n: int) -> dict:
-    """Every ranking of ``n`` elements, none with a lie spent yet."""
+def _check_budget(k: int) -> None:
+    if k < 0:
+        raise ValueError("lie budget must be non-negative")
+
+
+def _every_order(n: int, k: int) -> dict:
+    """Every ranking of ``n`` elements, none with any of its ``k`` lies spent yet."""
+    _check_budget(k)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive order enumeration needs n <= {EXHAUSTIVE_CAP}, got {n}")
     return dict.fromkeys(permutations(range(n)), 0)
@@ -65,8 +71,7 @@ class LyingOracle:
     """
 
     def __init__(self, order: TotalOrder, k: int = 0, record: bool = True) -> None:
-        if k < 0:
-            raise ValueError("lie budget must be non-negative")
+        _check_budget(k)
         self.order = order
         self.k = k
         self.lies_told = 0
@@ -80,12 +85,10 @@ class LyingOracle:
         if a == b:
             raise InvalidQuery(f"cannot compare element {a} with itself")
         rank = self.order.rank
-        truth = Answer.FIRST_SMALLER if rank[a] < rank[b] else Answer.FIRST_LARGER
+        answer = SMALLER if rank[a] < rank[b] else LARGER
         if self.lies_told < self.k and self._wants_lie(self.queries, a, b):
             self.lies_told += 1
-            answer = truth.flipped()
-        else:
-            answer = truth
+            answer = answer.flipped()
         self.queries += 1
         if self.transcript is not None:
             self.transcript.append(a, b, answer)
@@ -147,7 +150,7 @@ class AdaptiveAdversary:
         self.n = n
         self.k = k
         self.transcript = Transcript()
-        self._candidates = _every_order(n)
+        self._candidates = _every_order(n, k)
 
     def query(self, a: int, b: int) -> Answer:
         if a == b:
@@ -157,9 +160,9 @@ class AdaptiveAdversary:
         # Every candidate survives the answer matching its own truth, so the
         # larger side is never empty.
         if len(smaller) >= len(larger):
-            answer, self._candidates = Answer.FIRST_SMALLER, smaller
+            answer, self._candidates = SMALLER, smaller
         else:
-            answer, self._candidates = Answer.FIRST_LARGER, larger
+            answer, self._candidates = LARGER, larger
         self.transcript.append(a, b, answer)
         return answer
 
@@ -210,7 +213,7 @@ def adversary_consistent_orders(transcript: Transcript, n: int, k: int) -> list[
     those the transcript contradicts at most ``k`` times, in permutation
     order; refuses when ``n`` exceeds :data:`EXHAUSTIVE_CAP`.
     """
-    candidates = _every_order(n)
+    candidates = _every_order(n, k)
     for a, b, answer in transcript:
-        candidates = _narrow(candidates, a, b, answer is Answer.FIRST_SMALLER, k)
+        candidates = _narrow(candidates, a, b, answer is SMALLER, k)
     return [TotalOrder(rank) for rank in candidates]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Answer
+from .core import SMALLER
 from .graphs import OrderedMultigraph
 
 __all__ = [
@@ -50,7 +50,7 @@ class _Session:
             key, flip = (b, a), True
         lo_smaller = self.memo.get(key)
         if lo_smaller is None:
-            lo_smaller = self.oracle.query(key[0], key[1]) is Answer.FIRST_SMALLER
+            lo_smaller = self.oracle.query(key[0], key[1]) is SMALLER
             self.memo[key] = lo_smaller
         return lo_smaller != flip
 

@@ -7,6 +7,7 @@ not computed from the run being checked.
 
 import math
 import random
+import zlib
 
 from flow_reference import flow_selftest
 from liarminmax.algorithms import (
@@ -150,7 +151,9 @@ def test_criterion_8_lie_accounting():
             variants = [("random-liar", 0.1), ("random-liar", 0.5), ("triggered-liar", None)]
             for oracle_kind, p in variants:
                 for trial in range(20):
-                    rng = random.Random(80_000 + hash((algorithm, n, k, oracle_kind, p, trial)) % 10**6)
+                    # crc32, unlike hash(), gives the same seed in every process.
+                    key = repr((algorithm, n, k, oracle_kind, p, trial)).encode()
+                    rng = random.Random(80_000 + zlib.crc32(key) % 10**6)
                     order = TotalOrder.shuffled(n, rng)
                     if oracle_kind == "random-liar":
                         oracle = RandomLiarOracle(order, k, p, seed=rng.randrange(2**31))

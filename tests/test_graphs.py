@@ -219,6 +219,15 @@ class TestCompleteEdges:
         with pytest.raises(DegreeBoundExceeded):
             complete_edges(OrderedMultigraph(3, {(1, 2): 2}), 0)
 
+    def test_one_degree_profile_per_completion(self, monkeypatch):
+        profiled = []
+        profile = OrderedMultigraph.degree_profile
+        monkeypatch.setattr(
+            OrderedMultigraph, "degree_profile", lambda g: profiled.append(g) or profile(g)
+        )
+        complete_edges(OrderedMultigraph(4, {(1, 3): 1, (2, 4): 1}), 1)
+        assert len(profiled) == 1
+
     def test_added_pairs_listing(self):
         base = OrderedMultigraph(3, {(1, 3): 1})
         full = complete_edges(base, 0)

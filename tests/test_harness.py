@@ -200,6 +200,13 @@ class TestVerifyExhaustive:
         with pytest.raises(ValueError):
             verify_exhaustive(6, 0, "find-min")
 
+    def test_custom_algorithm_negative_budget_rejected(self):
+        def first_element_is_min(items, k, oracle):
+            return items[0], None
+
+        with pytest.raises(ValueError, match="lie budget must be non-negative"):
+            verify_exhaustive(3, -1, first_element_is_min)
+
     def test_custom_algorithm_takes_no_group_size(self):
         def first_element_is_min(items, k, oracle):
             return items[0], None
@@ -465,6 +472,11 @@ class TestCli:
                 + ["--oracle", "triggered-liar", "--no-transcripts"],
                 "a lying oracle always records its transcript",
             ),
+            (
+                ["run", "--algorithm", "simple", "--n", "10", "--k", "1"]
+                + ["--oracle", "triggered-liar", "--trigger", "-5"],
+                "trigger indices must be non-negative",
+            ),
         ],
         ids=[
             "run-n-1",
@@ -483,6 +495,7 @@ class TestCli:
             "run-p-truthful",
             "run-trigger-random-liar",
             "run-no-transcripts-liar",
+            "run-trigger-negative",
         ],
     )
     def test_invalid_arguments_are_a_usage_error(self, argv, message, capsys):

@@ -107,6 +107,45 @@ def test_lint_flags_a_stale_export():
     assert unexported_reexports(init, lambda module: ["kept"]) == ["graphs.gone"]
 
 
+def answer_lookups_in_functions(source: str) -> list[str]:
+    """``Answer.<member>`` lookups inside function bodies: each one takes the
+    enum metaclass's slow ``__getattr__`` on every call, where the module
+    constants ``core.SMALLER`` / ``core.LARGER`` are plain global reads."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = func.body if isinstance(func.body, list) else [func.body]
+            for node in (inner for statement in body for inner in ast.walk(statement)):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "Answer"
+                ):
+                    found.add(f"Answer.{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_answer_lookup_inside_functions(path):
+    assert answer_lookups_in_functions(path.read_text()) == []
+
+
+def test_lint_flags_an_answer_lookup_inside_a_function():
+    source = (
+        "SMALLER = Answer.FIRST_SMALLER\n"
+        "def f(x=Answer.FIRST_LARGER):\n"
+        "    return x is Answer.FIRST_LARGER\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        h = lambda: Answer.FIRST_SMALLER\n"
+        "        return SMALLER\n"
+    )
+    assert answer_lookups_in_functions(source) == [
+        "Answer.FIRST_LARGER (line 3)",
+        "Answer.FIRST_SMALLER (line 6)",
+    ]
+
+
 # The names the benchmark's tracer (``perfbench/tracer.py``, ``instrument``)
 # swaps for tracing wrappers.  It reads each one from its owner's
 # ``__dict__``, so a refactor that stops importing one of them breaks every

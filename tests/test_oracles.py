@@ -119,6 +119,20 @@ def test_recording_can_be_disabled():
     assert oracle.queries == 1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RandomLiarOracle(TotalOrder.identity(3), -1, 0.5, seed=1),
+        lambda: AdaptiveAdversary(3, -1),
+        lambda: adversary_consistent_orders(Transcript(), 3, -1),
+    ],
+    ids=["lying-oracle", "adaptive-adversary", "consistent-orders"],
+)
+def test_negative_lie_budget_rejected(build):
+    with pytest.raises(ValueError, match="lie budget must be non-negative"):
+        build()
+
+
 class TestAdaptiveAdversary:
     def test_first_tie_breaks_toward_smaller(self):
         adversary = AdaptiveAdversary(2, 0)
