@@ -27,7 +27,6 @@ from .graphs import (
     OrderedMultigraph,
     added_edge_pairs,
     complete_edges,
-    greedy_completion,
 )
 from .harness import (
     ExperimentConfig,

@@ -1,12 +1,13 @@
 """Min/max selection against a bounded-lie comparison oracle.
 
 Loss-counter minimum/maximum finding, and one group driver behind the three
-min+max algorithms, which differ only in how they certify a group: one
-comparison per pair for a reliable oracle (the classic pairing scheme),
-mergesort plus k+1 re-asks per adjacent pair (the simple algorithm), or
-balanced quicksort plus edge completion (the improved algorithm).  Restarts
-stay local to one group, and every restart is evidence of at least one lie,
-so a contract-honoring oracle can force at most k of them in a whole run.
+min+max algorithms with two certifiers: mergesort plus k+1 re-asks per
+adjacent pair (the simple algorithm), or balanced quicksort plus edge
+completion (the improved algorithm).  Pohl's pairing scheme for a reliable
+oracle is the completion certifier at k = 0: a pair takes one sort
+comparison and its completion adds none.  Restarts stay local to one group,
+and every restart is evidence of at least one lie, so a contract-honoring
+oracle can force at most k of them in a whole run.
 """
 
 from __future__ import annotations
@@ -119,13 +120,6 @@ def find_max_k_lies(items, k: int, oracle) -> tuple[int, int]:
 # thickness in a group report.
 
 
-def _certify_pair(group, k: int, oracle):
-    # One comparison orders a pair; only a reliable oracle (k = 0) may use this.
-    a, b = group
-    order = [a, b] if oracle.query(a, b) is SMALLER else [b, a]
-    return order, None, 1, (), None
-
-
 def _certify_by_reasking(group, k: int, oracle):
     """Mergesort, then re-ask every adjacent pair k+1 times."""
     outcome = mergesort(group, oracle)
@@ -206,9 +200,11 @@ def pohl_minmax(items, oracle) -> MinMaxResult:
     the maximum among the pair winners.
 
     Assumes a reliable oracle and uses exactly ceil(3n/2) - 2 comparisons;
-    an odd leftover element joins both candidate pools for free.
+    an odd leftover element joins both candidate pools for free.  This is
+    :func:`improved_minmax` at k = 0: each pair is asked once, as (smaller
+    id, larger id), and its completion adds no comparison.
     """
-    return _extrema(_certify_pair, items, 0, oracle, 2)
+    return improved_minmax(items, 0, oracle)
 
 
 def simple_minmax(items, k: int, oracle) -> MinMaxResult:
@@ -242,7 +238,8 @@ def improved_minmax(
     too (it costs no queries and is likewise proof of a lie).
 
     For k = 0 the group size can only be 2: each pair costs one sort
-    comparison and needs no added ones, as in :func:`pohl_minmax`.
+    comparison and needs no added ones, which is Pohl's pairing scheme
+    (:func:`pohl_minmax`).
     """
     if k < 0:
         raise ValueError("k must be non-negative")

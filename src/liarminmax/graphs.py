@@ -18,7 +18,6 @@ __all__ = [
     "OrderedMultigraph",
     "added_edge_pairs",
     "complete_edges",
-    "greedy_completion",
 ]
 
 
@@ -32,29 +31,6 @@ class OrderedMultigraph:
 
     s: int
     edges: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def add(self, a: int, b: int, multiplicity: int = 1) -> None:
-        if a == b:
-            raise ValueError("loops are not allowed")
-        if a > b:
-            a, b = b, a
-        if not 1 <= a < b <= self.s:
-            raise ValueError(f"edge ({a}, {b}) outside positions 1..{self.s}")
-        if multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
-        self.edges[(a, b)] = self.edges.get((a, b), 0) + multiplicity
-
-    def multiplicity(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        return self.edges.get((a, b), 0)
-
-    def edge_count(self) -> int:
-        """Total number of edges, counting multiplicities."""
-        return sum(self.edges.values())
-
-    def copy(self) -> "OrderedMultigraph":
-        return OrderedMultigraph(self.s, dict(self.edges))
 
     def degree_profile(self) -> tuple[list[int], list[int]]:
         """(left, right) degree lists, 1-indexed; index 0 is unused.
@@ -75,45 +51,35 @@ class OrderedMultigraph:
         # Edges over j = edges over j-1 + edges leaving j-1 - edges ending at j.
         return max(accumulate((right[j - 1] - left[j] for j in range(2, self.s)), initial=0))
 
-    def defect(self, k: int) -> int:
-        """Total shortfall of left and right degrees below k+1.
 
-        Equals 2(k+1)(s-1) - 2 * edge_count(); requires all degrees <= k+1.
-        """
-        left, right = _checked_degrees(self, k)
-        cap = k + 1
-        return sum(cap - right[j] for j in range(1, self.s)) + sum(
-            cap - left[j] for j in range(2, self.s + 1)
-        )
-
-
-def _checked_degrees(graph: OrderedMultigraph, k: int) -> tuple[list[int], list[int]]:
-    """The degree profile, after checking that no degree exceeds k+1."""
-    left, right = graph.degree_profile()
-    cap = k + 1
-    for j in range(1, graph.s + 1):
-        if left[j] > cap or right[j] > cap:
-            raise DegreeBoundExceeded(f"degree of position {j} exceeds {cap}")
-    return left, right
-
-
-def _greedy_sweep(
-    graph: OrderedMultigraph, k: int
-) -> tuple[dict[tuple[int, int], int], list[int], list[int]]:
-    """The greedy completion's edges, with the (left, right) slack it leaves.
+def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
+    """Extend the graph so every position has k+1 certified neighbors per side.
 
     Position i can take k+1 minus its right degree more right neighbors and
     position j k+1 minus its left degree more left neighbors; an added edge
     (i, j) with i < j spends one of each.  Position i may pair with any
     j in i+1..s, a suffix of the positions, so the pairing graph is convex
-    and greedy matching is optimal (Glover 1967): walk i upward and hand its
-    slack to the smallest j > i with slack left.  The j pointer never moves
-    back, so this is O(s + added edges).  The slack lists are 1-indexed like
-    the degree profile; index 0 is unused.
+    and greedy matching is a maximum one (Glover 1967): walk i upward and
+    hand its slack to the smallest j > i with slack left.  The j pointer
+    never moves back, so the sweep is O(s + added edges), and it never
+    overshoots a degree; what it leaves is twice the thickness of the input.
+    Then patch the remaining slack with edges to the extreme positions --
+    left shortfalls connect to position 1, right shortfalls to position s,
+    each pass in ascending position order.
+
+    The graph is profiled once.  The result contains the input as a
+    sub-multigraph, satisfies the degree floor on both sides, and has at
+    most (k+1)(s-1) + thickness(graph) edges in total.  Raises
+    :class:`DegreeBoundExceeded` if a degree of the input exceeds k+1.
     """
-    left, right = _checked_degrees(graph, k)
-    cap = k + 1
     s = graph.s
+    if s < 2:
+        raise ValueError("completion needs at least two positions")
+    left, right = graph.degree_profile()
+    cap = k + 1
+    for j in range(1, s + 1):
+        if left[j] > cap or right[j] > cap:
+            raise DegreeBoundExceeded(f"degree of position {j} exceeds {cap}")
     edges = dict(graph.edges)
     left_slack = [cap - d for d in left]
     right_slack = [cap - d for d in right]
@@ -130,33 +96,6 @@ def _greedy_sweep(
             if not left_slack[j]:
                 j += 1
         right_slack[i] = slack
-    return edges, left_slack, right_slack
-
-
-def greedy_completion(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
-    """The graph plus the most edges that keep every degree within k+1.
-
-    The remaining defect is exactly twice the thickness of the input graph.
-    """
-    edges, _, _ = _greedy_sweep(graph, k)
-    return OrderedMultigraph(graph.s, edges)
-
-
-def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
-    """Extend the graph so every position has k+1 certified neighbors per side.
-
-    Two steps: fold in the greedy edges (which never overshoot any degree),
-    then patch what is still deficient with edges to the extreme positions --
-    left shortfalls connect to position 1, right shortfalls to position s,
-    each pass in ascending position order.  Both passes read the shortfalls
-    from the sweep's slack, so the graph is profiled once.  The result
-    contains the input as a sub-multigraph, satisfies the degree floor on
-    both sides, and has at most (k+1)(s-1) + thickness(graph) edges in total.
-    """
-    s = graph.s
-    if s < 2:
-        raise ValueError("completion needs at least two positions")
-    edges, left_slack, right_slack = _greedy_sweep(graph, k)
     for j in range(2, s + 1):
         need = left_slack[j]
         if need > 0:

@@ -177,7 +177,9 @@ class AdaptiveAdversary:
 class AnswersExhausted(Exception):
     """Raised by :class:`ScriptedOracle` when the script runs out.
 
-    Carries the pending query pair so a driver can branch on both answers.
+    ``a`` and ``b`` are the query the replayed run asked after its last
+    scripted answer: the pair that a longer script would have to answer
+    next.
     """
 
     def __init__(self, a: int, b: int) -> None:

@@ -1,13 +1,15 @@
 """Reference solvers for the edge completion, kept beside the tests.
 
-The runtime completes a comparison graph with a greedy sweep
-(:func:`liarminmax.graphs.greedy_completion`).  This module keeps the general
-construction it replaces -- a flow network, a breadth-first augmenting-path
-max-flow, the closed-form split-cut minimum and an exhaustive min-cut -- so
-each can check the others and the sweep.  The sweep must agree with the
-max-flow completion edge for edge, not just in edge count: breadth-first
-augmentation always takes source -> smallest i with slack -> smallest j > i
-with slack -> sink, and that greedy is already maximum.
+The runtime completes a comparison graph with a greedy sweep and a patch to
+the extreme positions (:func:`liarminmax.graphs.complete_edges`).  This
+module keeps the general construction the sweep replaces -- a flow network, a
+breadth-first augmenting-path max-flow, the closed-form split-cut minimum and
+an exhaustive min-cut -- so each can check the others and the sweep.  The
+completion must agree with the max-flow one edge for edge, not just in edge
+count: breadth-first augmentation always takes source -> smallest i with
+slack -> smallest j > i with slack -> sink, and that greedy is already
+maximum.  The degree-bound check and the defect are computed here, apart
+from the runtime's completion.
 """
 
 from __future__ import annotations
@@ -85,13 +87,30 @@ class FlowNetwork:
         return ("left", node - self.s)
 
 
-def build_flow_network(graph: OrderedMultigraph, k: int) -> FlowNetwork:
-    """Network whose max flow selects the cheapest completion edges."""
+def _bounded_degrees(graph: OrderedMultigraph, k: int) -> tuple[list[int], list[int]]:
+    """The degree profile, after checking that no degree exceeds k+1."""
     left, right = graph.degree_profile()
     cap = k + 1
     for j in range(1, graph.s + 1):
         if left[j] > cap or right[j] > cap:
             raise DegreeBoundExceeded(f"degree of position {j} exceeds {cap}")
+    return left, right
+
+
+def defect(graph: OrderedMultigraph, k: int) -> int:
+    """Total shortfall of left and right degrees below k+1; requires every
+    degree to be at most k+1, and equals 2(k+1)(s-1) minus twice the edge count."""
+    left, right = _bounded_degrees(graph, k)
+    cap = k + 1
+    return sum(cap - right[j] for j in range(1, graph.s)) + sum(
+        cap - left[j] for j in range(2, graph.s + 1)
+    )
+
+
+def build_flow_network(graph: OrderedMultigraph, k: int) -> FlowNetwork:
+    """Network whose max flow selects the cheapest completion edges."""
+    left, right = _bounded_degrees(graph, k)
+    cap = k + 1
     right_slack = [0] + [cap - right[j] for j in range(1, graph.s + 1)]
     left_slack = [0] + [cap - left[j] for j in range(1, graph.s + 1)]
     return FlowNetwork(graph.s, k, right_slack, left_slack)
@@ -165,11 +184,8 @@ def min_split_cut(graph: OrderedMultigraph, k: int) -> int:
     and left-slots (i+1)..s on the source side; its capacity is
     (s-1)(k+1) - sum of right degrees below i - sum of left degrees above i.
     """
-    left, right = graph.degree_profile()
+    left, right = _bounded_degrees(graph, k)
     cap = k + 1
-    for j in range(1, graph.s + 1):
-        if left[j] > cap or right[j] > cap:
-            raise DegreeBoundExceeded(f"degree of position {j} exceeds {cap}")
     base = (graph.s - 1) * cap
     suffix_left = sum(left[j] for j in range(1, graph.s + 1))
     prefix_right = 0
@@ -243,13 +259,13 @@ def flow_completion(
     """
     if flows is None:
         _, flows = max_flow_integral(build_flow_network(graph, k))
-    completed = graph.copy()
+    edges = dict(graph.edges)
     for i in range(1, graph.s + 1):
         for j in range(i + 1, graph.s + 1):
             flow = flows.get((("right", i), ("left", j)), 0)
             if flow:
-                completed.add(i, j, flow)
-    return completed
+                edges[(i, j)] = edges.get((i, j), 0) + flow
+    return OrderedMultigraph(graph.s, edges)
 
 
 def reference_complete_edges(
@@ -261,17 +277,18 @@ def reference_complete_edges(
     if graph.s < 2:
         raise ValueError("completion needs at least two positions")
     completed = flow_completion(graph, k, flows)
+    edges = completed.edges
     cap = k + 1
     left, _ = completed.degree_profile()
     for j in range(2, graph.s + 1):
         need = cap - left[j]
         if need > 0:
-            completed.add(1, j, need)
+            edges[(1, j)] = edges.get((1, j), 0) + need
     _, right = completed.degree_profile()
     for j in range(1, graph.s):
         need = cap - right[j]
         if need > 0:
-            completed.add(j, graph.s, need)
+            edges[(j, graph.s)] = edges.get((j, graph.s), 0) + need
     return completed
 
 
@@ -294,7 +311,7 @@ def _check_completion_instance(graph: OrderedMultigraph, k: int) -> str | None:
     against the exhaustive min-cut and the max-flow completion; returns a
     description of the first violation, or None."""
     s = graph.s
-    e = graph.edge_count()
+    e = sum(graph.edges.values())
     t = graph.thickness()
     target = (k + 1) * (s - 1) - e - t
     net = build_flow_network(graph, k)
@@ -312,13 +329,13 @@ def _check_completion_instance(graph: OrderedMultigraph, k: int) -> str | None:
     cap = k + 1
     if any(left[j] > cap or right[j] > cap for j in range(1, s + 1)):
         return "flow completion overshot a degree bound"
-    if star.defect(k) != 2 * t:
-        return f"flow completion defect {star.defect(k)} != 2t = {2 * t}"
+    if defect(star, k) != 2 * t:
+        return f"flow completion defect {defect(star, k)} != 2t = {2 * t}"
     full = complete_edges(graph, k)
     if full.edges != reference_complete_edges(graph, k, flows).edges:
         return "complete_edges differs from the max-flow completion"
     for pair, mult in graph.edges.items():
-        if full.multiplicity(*pair) < mult:
+        if full.edges.get(pair, 0) < mult:
             return f"completed graph dropped edge {pair}"
     left, right = full.degree_profile()
     if any(left[j] < cap for j in range(2, s + 1)):
@@ -326,8 +343,9 @@ def _check_completion_instance(graph: OrderedMultigraph, k: int) -> str | None:
     if any(right[j] < cap for j in range(1, s)):
         return "a non-last position is short of right neighbors"
     limit = (k + 1) * (s - 1) + t
-    if full.edge_count() > limit:
-        return f"completed graph has {full.edge_count()} edges, limit {limit}"
+    e = sum(full.edges.values())
+    if e > limit:
+        return f"completed graph has {e} edges, limit {limit}"
     return None
 
 
@@ -344,7 +362,7 @@ def _max_degree(graph: OrderedMultigraph) -> int:
 
 
 def _random_feasible_graph(rng: random.Random, s: int, k: int) -> OrderedMultigraph:
-    graph = OrderedMultigraph(s)
+    edges: dict[tuple[int, int], int] = {}
     left = [0] * (s + 1)
     right = [0] * (s + 1)
     cap = k + 1
@@ -352,10 +370,10 @@ def _random_feasible_graph(rng: random.Random, s: int, k: int) -> OrderedMultigr
         a = rng.randint(1, s - 1)
         b = rng.randint(a + 1, s)
         if right[a] < cap and left[b] < cap:
-            graph.add(a, b)
+            edges[(a, b)] = edges.get((a, b), 0) + 1
             right[a] += 1
             left[b] += 1
-    return graph
+    return OrderedMultigraph(s, edges)
 
 
 def flow_selftest(

@@ -174,6 +174,21 @@ class TestPohl:
             assert result.stats.comparisons == pohl_count(n)
             assert oracle.queries == result.stats.comparisons
 
+    def test_shuffled_ids(self):
+        # Ids out of order: each pair is asked as (smaller id, larger id),
+        # and neither the count nor the extrema depend on the listing order.
+        rng = random.Random(60)
+        for n in range(2, 61):
+            items = list(range(n))
+            rng.shuffle(items)
+            order = TotalOrder.shuffled(n, rng)
+            oracle = TruthfulOracle(order)
+            result = pohl_minmax(items, oracle)
+            assert (result.min, result.max) == (order.min_element(), order.max_element())
+            assert result.stats.comparisons == oracle.queries == pohl_count(n)
+            pairs = [tuple(sorted(items[i : i + 2])) for i in range(0, n - 1, 2)]
+            assert [(a, b) for a, b, _ in oracle.transcript.records[: n // 2]] == pairs
+
     @pytest.mark.parametrize(
         "run",
         [
@@ -274,7 +289,7 @@ class TestSimple:
 
 
 class TestImproved:
-    def test_k0_dispatches_to_pairing(self):
+    def test_k0_spends_pohl_count(self):
         for n in (2, 5, 9, 16):
             order = TotalOrder.shuffled(n, random.Random(n))
             result = improved_minmax(list(range(n)), 0, TruthfulOracle(order))

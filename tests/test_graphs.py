@@ -8,6 +8,7 @@ from flow_reference import (
     _random_feasible_graph,
     brute_force_min_cut,
     build_flow_network,
+    defect,
     flow_selftest,
     infinite_capacity,
     max_flow_integral,
@@ -18,15 +19,15 @@ from liarminmax.graphs import (
     OrderedMultigraph,
     added_edge_pairs,
     complete_edges,
-    greedy_completion,
 )
 
 
 def graph(s, *pairs):
-    g = OrderedMultigraph(s)
+    """The graph on positions 1..s with one edge per (lo, hi) pair listed."""
+    edges = {}
     for pair in pairs:
-        g.add(*pair)
-    return g
+        edges[pair] = edges.get(pair, 0) + 1
+    return OrderedMultigraph(s, edges)
 
 
 def random_feasible(seed, s, k):
@@ -84,23 +85,24 @@ class TestThickness:
 
 
 class TestDefect:
+    """The reference's defect, which the completion self-test checks against 2t."""
+
     def test_empty_graph(self):
-        assert OrderedMultigraph(3).defect(0) == 4
+        assert defect(OrderedMultigraph(3), 0) == 4
 
     def test_full_path(self):
-        assert graph(3, (1, 2), (2, 3)).defect(0) == 0
+        assert defect(graph(3, (1, 2), (2, 3)), 0) == 0
 
     def test_single_edge_with_slack(self):
-        assert graph(2, (1, 2)).defect(1) == 2
+        assert defect(graph(2, (1, 2)), 1) == 2
 
     def test_closed_form(self):
         g = random_feasible(3, 6, 2)
-        assert g.defect(2) == 2 * 3 * (g.s - 1) - 2 * g.edge_count()
+        assert defect(g, 2) == 2 * 3 * (g.s - 1) - 2 * sum(g.edges.values())
 
     def test_degree_violation_rejected(self):
-        g = OrderedMultigraph(3, {(1, 2): 2})
         with pytest.raises(DegreeBoundExceeded):
-            g.defect(0)
+            defect(OrderedMultigraph(3, {(1, 2): 2}), 0)
 
 
 class TestFlowNetwork:
@@ -185,7 +187,7 @@ class TestMinSplitCut:
 def test_flow_value_identity(instance):
     # max flow == split-cut minimum == (k+1)(s-1) - e - t == exhaustive min cut
     g, k = instance
-    target = (k + 1) * (g.s - 1) - g.edge_count() - g.thickness()
+    target = (k + 1) * (g.s - 1) - sum(g.edges.values()) - g.thickness()
     net = build_flow_network(g, k)
     value, _ = max_flow_integral(net)
     assert value == target
@@ -201,7 +203,7 @@ class TestCompleteEdges:
     def test_spanning_edge_needs_patches(self):
         full = complete_edges(OrderedMultigraph(3, {(1, 3): 1}), 0)
         assert full.edges == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
-        assert full.edge_count() == 3  # exactly (k+1)(s-1) + t
+        assert sum(full.edges.values()) == 3  # exactly (k+1)(s-1) + t
 
     def test_already_complete_pair(self):
         full = complete_edges(OrderedMultigraph(2, {(1, 2): 1}), 0)
@@ -240,20 +242,15 @@ def test_completion_guarantees(instance):
     g, k = instance
     cap = k + 1
     t = g.thickness()
-
-    star = greedy_completion(g, k)
-    left, right = star.degree_profile()
-    assert all(left[j] <= cap and right[j] <= cap for j in range(1, g.s + 1))
-    assert star.defect(k) == 2 * t
-
     full = complete_edges(g, k)
     for pair, mult in g.edges.items():
-        assert full.multiplicity(*pair) >= mult
+        assert full.edges.get(pair, 0) >= mult
     left, right = full.degree_profile()
     assert all(left[j] >= cap for j in range(2, g.s + 1))
     assert all(right[j] >= cap for j in range(1, g.s))
-    assert full.edge_count() <= cap * (g.s - 1) + t
-    assert full.edge_count() == g.edge_count() + len(added_edge_pairs(g, full))
+    edges = sum(full.edges.values())
+    assert edges <= cap * (g.s - 1) + t
+    assert edges == sum(g.edges.values()) + len(added_edge_pairs(g, full))
 
 
 def test_flow_selftest_small_grid():
@@ -261,11 +258,3 @@ def test_flow_selftest_small_grid():
     assert report.passed
     assert report.exhaustive_checked > 100
     assert report.random_checked == 300
-
-
-def test_add_normalizes_orientation():
-    g = OrderedMultigraph(3)
-    g.add(3, 1)
-    assert g.edges == {(1, 3): 1}
-    with pytest.raises(ValueError):
-        g.add(2, 2)

@@ -1,5 +1,5 @@
-"""Every import in the package, its tests and its scripts is used, and every
-export exists.
+"""Every import in the package, its tests, its scripts and the benchmark's
+scripts (``perfbench/*.py``) is used, and every export exists.
 
 A stdlib-only lint: leftovers such as a helper imported for a deleted code
 path fail here.  Relative imports in ``__init__.py`` are re-exports, and
@@ -23,6 +23,7 @@ SOURCES = [
     *sorted(PACKAGE.glob("*.py")),
     *sorted((ROOT / "tests").glob("*.py")),
     *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
 ]
 
 
