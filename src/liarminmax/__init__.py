@@ -23,7 +23,6 @@ from .core import (
     truth_compare,
 )
 from .graphs import (
-    DegreeBoundExceeded,
     OrderedMultigraph,
     added_edge_pairs,
     complete_edges,
@@ -50,7 +49,6 @@ from .sorters import (
     SortInconsistency,
     SortOutcome,
     balanced_quicksort,
-    median_select,
     mergesort,
 )
 

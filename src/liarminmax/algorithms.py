@@ -59,8 +59,9 @@ def _blocks(items: list, s: int) -> list[list]:
 
 
 def _group_size(k: int) -> int:
-    # s = k once groups are big enough to amortize; pairs for tiny budgets,
-    # which also keeps sort degrees (<= s-1) within the completion bound k+1.
+    # s = k once groups are big enough to amortize; pairs for tiny budgets.
+    # Either way sort degrees (<= s-1) stay within k+1, where the completed
+    # graph has at most (k+1)(s-1) + thickness edges.
     return k if k >= 4 else 2
 
 
@@ -247,6 +248,7 @@ def improved_minmax(
     if size < 2:
         raise ValueError("group size must be at least 2")
     if size > k + 2:
-        # Sort degrees can reach size-1; beyond k+1 the completion has no room.
-        raise ValueError(f"group size {size} exceeds k+2={k + 2}; completion would be infeasible")
+        # Sort degrees reach at most size-1, so up to k+2 they stay within
+        # k+1: the domain of the per-group bound (k+1)(s-1) + thickness.
+        raise ValueError(f"group size {size} exceeds k+2={k + 2}")
     return _extrema(_certify_by_completion, items, k, oracle, size, group_log)

@@ -2,10 +2,10 @@
 
 A sort of ``s`` elements leaves behind a graph on positions ``1..s`` (one edge
 per compared pair, drawn in output order).  The verification step must extend
-that graph so every position other than the first has ``k+1`` neighbors to its
-left and every position other than the last has ``k+1`` neighbors to its
-right, adding as few edges as possible.  Picking those edges is a max-flow
-problem on a convex bipartite graph, which one greedy sweep solves.
+that graph so every position other than the first has at least ``k+1``
+neighbors to its left and every position other than the last at least ``k+1``
+to its right, adding as few edges as possible.  Picking those edges is a
+max-flow problem on a convex bipartite graph, which one greedy sweep solves.
 """
 
 from __future__ import annotations
@@ -14,15 +14,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 __all__ = [
-    "DegreeBoundExceeded",
     "OrderedMultigraph",
     "added_edge_pairs",
     "complete_edges",
 ]
-
-
-class DegreeBoundExceeded(ValueError):
-    """A left or right degree exceeds k+1, so the completion is infeasible."""
 
 
 @dataclass
@@ -53,33 +48,33 @@ class OrderedMultigraph:
 
 
 def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
-    """Extend the graph so every position has k+1 certified neighbors per side.
+    """Extend the graph so every position has at least k+1 certified
+    neighbors per side.
 
     Position i can take k+1 minus its right degree more right neighbors and
-    position j k+1 minus its left degree more left neighbors; an added edge
-    (i, j) with i < j spends one of each.  Position i may pair with any
-    j in i+1..s, a suffix of the positions, so the pairing graph is convex
-    and greedy matching is a maximum one (Glover 1967): walk i upward and
-    hand its slack to the smallest j > i with slack left.  The j pointer
-    never moves back, so the sweep is O(s + added edges), and it never
-    overshoots a degree; what it leaves is twice the thickness of the input.
-    Then patch the remaining slack with edges to the extreme positions --
-    left shortfalls connect to position 1, right shortfalls to position s,
-    each pass in ascending position order.
+    position j k+1 minus its left degree more left neighbors; a degree of
+    k+1 or more leaves no slack (zero or negative), and nothing is added
+    there.  An added edge (i, j) with i < j spends one slack of each.
+    Position i may pair with any j in i+1..s, a suffix of the positions, so
+    the pairing graph is convex and greedy matching is a maximum one (Glover
+    1967): walk i upward and hand its slack to the smallest j > i with slack
+    left.  The j pointer never moves back, so the sweep is O(s + added
+    edges), and it never pushes a degree past k+1.  Then patch the remaining
+    slack with edges to the extreme positions -- left shortfalls connect to
+    position 1, right shortfalls to position s, each pass in ascending
+    position order.
 
     The graph is profiled once.  The result contains the input as a
-    sub-multigraph, satisfies the degree floor on both sides, and has at
-    most (k+1)(s-1) + thickness(graph) edges in total.  Raises
-    :class:`DegreeBoundExceeded` if a degree of the input exceeds k+1.
+    sub-multigraph and satisfies the degree floor on both sides, whatever
+    the input degrees.  When every input degree is at most k+1 (a sort of at
+    most k+2 elements), the sweep leaves twice the thickness of the input
+    and the result has at most (k+1)(s-1) + thickness(graph) edges in total.
     """
     s = graph.s
     if s < 2:
         raise ValueError("completion needs at least two positions")
     left, right = graph.degree_profile()
     cap = k + 1
-    for j in range(1, s + 1):
-        if left[j] > cap or right[j] > cap:
-            raise DegreeBoundExceeded(f"degree of position {j} exceeds {cap}")
     edges = dict(graph.edges)
     left_slack = [cap - d for d in left]
     right_slack = [cap - d for d in right]
@@ -87,13 +82,13 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     for i in range(1, s):
         slack = right_slack[i]
         j = max(j, i + 1)
-        while slack and j <= s:
+        while slack > 0 and j <= s:
             take = min(slack, left_slack[j])
-            if take:
+            if take > 0:
                 edges[(i, j)] = edges.get((i, j), 0) + take
                 slack -= take
                 left_slack[j] -= take
-            if not left_slack[j]:
+            if left_slack[j] <= 0:
                 j += 1
         right_slack[i] = slack
     for j in range(2, s + 1):

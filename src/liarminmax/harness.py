@@ -54,9 +54,6 @@ ORACLES = ("truthful", "random-liar", "triggered-liar")
 
 CSV_HEADER = "algorithm,n,k,oracle,seed,comparisons,restarts,bound,within_bound"
 
-# Game-tree verification enumerates all n! orders, so it only runs for small n.
-MAX_EXHAUSTIVE_N = 5
-
 
 def _child_seed(root: int, index: int) -> int:
     # Splits one root seed into well-separated per-trial streams.
@@ -341,12 +338,9 @@ def verify_exhaustive(
     siblings; the deepest sibling is replayed next, so leaves come depth
     first.  At each leaf the reported extrema must match the extrema of every
     surviving order, and ``worst_comparisons`` keeps the longest answer list.
-    The first violation is returned as a counterexample.
+    The first violation is returned as a counterexample.  The walk starts
+    from all n! orders, so n is capped at :data:`oracles.EXHAUSTIVE_CAP`.
     """
-    if n > MAX_EXHAUSTIVE_N:
-        raise ValueError(
-            f"game-tree verification enumerates all orders; n must be <= {MAX_EXHAUSTIVE_N}"
-        )
     items = list(range(n))
     runner = _algorithm_runner(algorithm, items, k, s_override)
     name = algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "custom")

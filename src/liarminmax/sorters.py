@@ -1,8 +1,9 @@
 """Oracle-driven sorting with comparison memoization and graph extraction.
 
 A sorter never queries the same unordered pair twice within one attempt, so
-the comparison graph is simple and every degree is at most s-1; that is what
-makes the edge completion feasible whenever the group size is at most k+2.
+the comparison graph is simple and every degree is at most s-1; at a group
+size of at most k+2 that keeps every degree within k+1, where the completed
+graph has at most (k+1)(s-1) + thickness edges.
 Memoization also bounds an attempt at s(s-1)/2 queries whatever the answers,
 so no comparison cap is needed.  Lies are not hunted down here beyond the
 partition-size check -- callers decide what an inconsistent attempt means.
@@ -19,7 +20,6 @@ __all__ = [
     "SortInconsistency",
     "SortOutcome",
     "balanced_quicksort",
-    "median_select",
     "mergesort",
 ]
 
@@ -154,39 +154,6 @@ def _select_kth(seq: list, rank: int, session: _Session):
             seq = larger
 
 
-def _median_partition(seq, session: _Session):
-    m = len(seq)
-    target = (m + 1) // 2
-    median = _select_kth(list(seq), target, session)
-    smaller: list = []
-    larger: list = []
-    for x in seq:
-        if x == median:
-            continue
-        (smaller if session.less(x, median) else larger).append(x)
-    if len(smaller) != target - 1:
-        raise SortInconsistency(
-            f"partition sizes off: {len(smaller)}/{len(larger)} around claimed median of {m}",
-            len(session.memo),
-        )
-    return median, smaller, larger
-
-
-def median_select(items, oracle):
-    """Median plus the strictly-smaller and strictly-larger sides.
-
-    On truthful answers the median has rank ceil(m/2) and the sides have
-    exactly ceil(m/2)-1 and m-ceil(m/2) elements; wrong sizes raise
-    :class:`SortInconsistency`.  Never asks a pair twice, so it spends at
-    most m(m-1)/2 queries on any answers.
-    """
-    items = list(items)
-    if not items:
-        raise ValueError("median of an empty set")
-    session = _Session(oracle)
-    return _median_partition(items, session)
-
-
 def balanced_quicksort(items, oracle) -> SortOutcome:
     """Quicksort splitting at the exact median on every level.
 
@@ -202,7 +169,20 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
 
 
 def _bqsort(seq: list, session: _Session) -> list:
-    if len(seq) <= 1:
-        return list(seq)
-    median, smaller, larger = _median_partition(seq, session)
+    m = len(seq)
+    if m <= 1:
+        return seq
+    target = (m + 1) // 2
+    median = _select_kth(seq, target, session)
+    smaller: list = []
+    larger: list = []
+    for x in seq:
+        if x == median:
+            continue
+        (smaller if session.less(x, median) else larger).append(x)
+    if len(smaller) != target - 1:
+        raise SortInconsistency(
+            f"partition sizes off: {len(smaller)}/{len(larger)} around claimed median of {m}",
+            len(session.memo),
+        )
     return _bqsort(smaller, session) + [median] + _bqsort(larger, session)

@@ -8,8 +8,9 @@ an exhaustive min-cut -- so each can check the others and the sweep.  The
 completion must agree with the max-flow one edge for edge, not just in edge
 count: breadth-first augmentation always takes source -> smallest i with
 slack -> smallest j > i with slack -> sink, and that greedy is already
-maximum.  The degree-bound check and the defect are computed here, apart
-from the runtime's completion.
+maximum.  A degree above k+1 leaves no slack, so the network clamps each
+slack at zero; the slacks and the defect are computed here, apart from the
+runtime's completion.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from liarminmax.graphs import DegreeBoundExceeded, OrderedMultigraph, complete_edges
+from liarminmax.graphs import OrderedMultigraph, complete_edges
 
 
 def infinite_capacity(s: int, k: int) -> int:
@@ -87,32 +88,24 @@ class FlowNetwork:
         return ("left", node - self.s)
 
 
-def _bounded_degrees(graph: OrderedMultigraph, k: int) -> tuple[list[int], list[int]]:
-    """The degree profile, after checking that no degree exceeds k+1."""
+def _clamped_slack(graph: OrderedMultigraph, k: int) -> tuple[list[int], list[int]]:
+    """(left, right) slack lists, 1-indexed: how far each degree falls short
+    of k+1, and zero for a degree of k+1 or more."""
     left, right = graph.degree_profile()
     cap = k + 1
-    for j in range(1, graph.s + 1):
-        if left[j] > cap or right[j] > cap:
-            raise DegreeBoundExceeded(f"degree of position {j} exceeds {cap}")
-    return left, right
+    return [max(0, cap - d) for d in left], [max(0, cap - d) for d in right]
 
 
 def defect(graph: OrderedMultigraph, k: int) -> int:
-    """Total shortfall of left and right degrees below k+1; requires every
-    degree to be at most k+1, and equals 2(k+1)(s-1) minus twice the edge count."""
-    left, right = _bounded_degrees(graph, k)
-    cap = k + 1
-    return sum(cap - right[j] for j in range(1, graph.s)) + sum(
-        cap - left[j] for j in range(2, graph.s + 1)
-    )
+    """Total shortfall of left and right degrees below k+1.  When every
+    degree is at most k+1 it equals 2(k+1)(s-1) minus twice the edge count."""
+    left_slack, right_slack = _clamped_slack(graph, k)
+    return sum(right_slack[1 : graph.s]) + sum(left_slack[2:])
 
 
 def build_flow_network(graph: OrderedMultigraph, k: int) -> FlowNetwork:
     """Network whose max flow selects the cheapest completion edges."""
-    left, right = _bounded_degrees(graph, k)
-    cap = k + 1
-    right_slack = [0] + [cap - right[j] for j in range(1, graph.s + 1)]
-    left_slack = [0] + [cap - left[j] for j in range(1, graph.s + 1)]
+    left_slack, right_slack = _clamped_slack(graph, k)
     return FlowNetwork(graph.s, k, right_slack, left_slack)
 
 
@@ -181,21 +174,21 @@ def min_split_cut(graph: OrderedMultigraph, k: int) -> int:
     """Minimum cut capacity over the per-position split cuts, in closed form.
 
     The cut that splits at position i keeps the source plus right-slots i..s
-    and left-slots (i+1)..s on the source side; its capacity is
-    (s-1)(k+1) - sum of right degrees below i - sum of left degrees above i.
+    and left-slots (i+1)..s on the source side; its capacity is the right
+    slack below i plus the left slack above i, which is (s-1)(k+1) - sum of
+    right degrees below i - sum of left degrees above i when every degree is
+    at most k+1.
     """
-    left, right = _bounded_degrees(graph, k)
-    cap = k + 1
-    base = (graph.s - 1) * cap
-    suffix_left = sum(left[j] for j in range(1, graph.s + 1))
+    left_slack, right_slack = _clamped_slack(graph, k)
+    suffix_left = sum(left_slack[1:])
     prefix_right = 0
     best = None
     for i in range(1, graph.s + 1):
-        suffix_left -= left[i]
-        value = base - prefix_right - suffix_left
+        suffix_left -= left_slack[i]
+        value = prefix_right + suffix_left
         if best is None or value < best:
             best = value
-        prefix_right += right[i]
+        prefix_right += right_slack[i]
     return best
 
 
@@ -252,8 +245,9 @@ def flow_completion(
 ) -> OrderedMultigraph:
     """The graph plus the max-flow-selected edges.
 
-    Degrees stay within k+1 (the arc capacities guarantee it) and the
-    remaining defect is exactly twice the thickness of the input graph.
+    No degree is pushed past k+1 (the arc capacities guarantee it).  When
+    every input degree is at most k+1, the remaining defect is exactly twice
+    the thickness of the input graph.
     Flow edges are folded in ascending (i, j) order so the result is
     reproducible.
     """

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_reference import (
+    _exhaustive_graphs,
+    _max_degree,
     _random_feasible_graph,
     brute_force_min_cut,
     build_flow_network,
@@ -13,13 +15,12 @@ from flow_reference import (
     infinite_capacity,
     max_flow_integral,
     min_split_cut,
+    reference_complete_edges,
 )
-from liarminmax.graphs import (
-    DegreeBoundExceeded,
-    OrderedMultigraph,
-    added_edge_pairs,
-    complete_edges,
-)
+from liarminmax.core import TotalOrder
+from liarminmax.graphs import OrderedMultigraph, added_edge_pairs, complete_edges
+from liarminmax.oracles import TruthfulOracle
+from liarminmax.sorters import balanced_quicksort, mergesort
 
 
 def graph(s, *pairs):
@@ -100,10 +101,6 @@ class TestDefect:
         g = random_feasible(3, 6, 2)
         assert defect(g, 2) == 2 * 3 * (g.s - 1) - 2 * sum(g.edges.values())
 
-    def test_degree_violation_rejected(self):
-        with pytest.raises(DegreeBoundExceeded):
-            defect(OrderedMultigraph(3, {(1, 2): 2}), 0)
-
 
 class TestFlowNetwork:
     def test_empty_graph_capacities(self):
@@ -132,10 +129,6 @@ class TestFlowNetwork:
         assert infinite_capacity(3, 0) == 4
         net = build_flow_network(OrderedMultigraph(3), 0)
         assert net.pair_capacity(1, 3) == 4
-
-    def test_degree_precondition(self):
-        with pytest.raises(DegreeBoundExceeded):
-            build_flow_network(OrderedMultigraph(3, {(1, 2): 2}), 0)
 
 
 class TestMaxFlow:
@@ -217,10 +210,6 @@ class TestCompleteEdges:
         with pytest.raises(ValueError):
             complete_edges(OrderedMultigraph(1), 0)
 
-    def test_degree_precondition(self):
-        with pytest.raises(DegreeBoundExceeded):
-            complete_edges(OrderedMultigraph(3, {(1, 2): 2}), 0)
-
     def test_one_degree_profile_per_completion(self, monkeypatch):
         profiled = []
         profile = OrderedMultigraph.degree_profile
@@ -251,6 +240,40 @@ def test_completion_guarantees(instance):
     edges = sum(full.edges.values())
     assert edges <= cap * (g.s - 1) + t
     assert edges == sum(g.edges.values()) + len(added_edge_pairs(g, full))
+
+
+def assert_completes_like_the_reference(g, k):
+    """The completion matches the clamped max-flow reference edge for edge,
+    keeps the input, and gives every position k+1 neighbors per side."""
+    full = complete_edges(g, k)
+    assert full.edges == reference_complete_edges(g, k).edges, (g, k)
+    assert all(full.edges.get(pair, 0) >= mult for pair, mult in g.edges.items())
+    left, right = full.degree_profile()
+    assert min(left[2:]) >= k + 1 and min(right[1 : g.s]) >= k + 1
+
+
+def test_over_degree_completion_matches_the_reference():
+    # Every graph on up to four positions with multiplicities up to 2, at
+    # each k <= 3 that some degree of it exceeds k+1.
+    checked = 0
+    for s in range(2, 5):
+        for g in _exhaustive_graphs(s, 2):
+            for k in range(min(4, _max_degree(g) - 1)):
+                assert_completes_like_the_reference(g, k)
+                checked += 1
+    assert checked == 2016
+
+
+@pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
+def test_sort_graph_completion_past_k_plus_2(sort):
+    # Groups larger than k+2, whose sort degrees may exceed k+1.
+    rng = random.Random(11)
+    for k in range(6):
+        for s in range(k + 3, 17):
+            for _ in range(5):
+                order = TotalOrder.shuffled(s, rng)
+                g = sort(list(range(s)), TruthfulOracle(order, record=False)).graph
+                assert_completes_like_the_reference(g, k)
 
 
 def test_flow_selftest_small_grid():

@@ -22,7 +22,12 @@ from liarminmax.harness import (
     verify_exhaustive,
 )
 from liarminmax.oracles import TruthfulOracle
-from liarminmax.algorithms import improved_minmax, simple_minmax
+from liarminmax.algorithms import (
+    _certify_by_completion,
+    _extrema,
+    improved_minmax,
+    simple_minmax,
+)
 
 
 class TestRunExperiments:
@@ -150,6 +155,14 @@ WALK_SHAPES = {
     ("find-max", 2, 1): (11, 6),
     ("find-max", 3, 1): (43, 20),
     ("find-max", 4, 1): (135, 56),
+    ("pohl", 6, 0): (255, 128),
+    ("improved", 6, 0): (255, 128),
+    ("improved", 6, 1): (6275, 1920),
+    ("improved", 6, 2): (145507, 33536),
+    ("simple", 6, 1): (7913, 2304),
+    ("simple", 6, 2): (199741, 43904),
+    ("find-min", 6, 1): (991, 352),
+    ("find-min", 6, 2): (14031, 4058),
 }
 
 
@@ -169,6 +182,37 @@ WORST_COMPARISONS = {
     ("simple", 3, 1): 10,
     ("simple", 4, 1): 13,
     ("simple", 5, 1): 17,
+    ("pohl", 6, 0): 7,
+    ("improved", 6, 0): 7,
+    ("improved", 6, 1): 16,
+    ("improved", 6, 2): 27,
+    ("simple", 6, 1): 20,
+    ("simple", 6, 2): 32,
+    ("find-min", 6, 1): 11,
+    ("find-min", 6, 2): 17,
+}
+
+# An n = 6 walk takes up to about 4.5 s, so each is walked once, in
+# test_every_registered_algorithm_passes, which checks its worst case too.
+SIX_ELEMENT_WALKS = [key for key in WALK_SHAPES if key[1] == 6]
+
+
+def assert_worst_case(report, algorithm, n, k):
+    assert report.worst_comparisons == WORST_COMPARISONS[(algorithm, n, k)]
+    if k == 0:
+        # Pohl's ceil(3n/2) - 2, which no algorithm can beat.
+        assert report.worst_comparisons == (3 * n + 1) // 2 - 2
+
+
+# (nodes, leaves, worst_comparisons) of the completion certifier's walks at
+# group sizes s > k+2, where sort degrees may exceed k+1, keyed by (n, k, s).
+BEYOND_K_PLUS_2 = {
+    (4, 0, 3): (41, 18, 5),
+    (4, 0, 4): (55, 24, 6),
+    (5, 0, 5): (319, 120, 10),
+    (4, 1, 4): (1149, 182, 16),
+    (5, 1, 4): (3665, 834, 20),
+    (5, 1, 5): (8971, 1110, 24),
 }
 
 
@@ -197,8 +241,8 @@ class TestVerifyExhaustive:
         assert any(order.min_element() != 0 for order in ce.surviving)
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            verify_exhaustive(6, 0, "find-min")
+        with pytest.raises(ValueError, match="needs n <= 6, got 7"):
+            verify_exhaustive(7, 0, "find-min")
 
     def test_custom_algorithm_negative_budget_rejected(self):
         def first_element_is_min(items, k, oracle):
@@ -222,21 +266,37 @@ class TestVerifyExhaustive:
             for k in ((0,) if name == "pohl" else (0, 1))
             for n in range(entry.min_n, 5)
         ]
-        + [("simple", 5, 1), ("simple", 4, 2), ("improved", 5, 1), ("improved", 4, 2)],
+        + [("simple", 5, 1), ("simple", 4, 2), ("improved", 5, 1), ("improved", 4, 2)]
+        + SIX_ELEMENT_WALKS,
     )
     def test_every_registered_algorithm_passes(self, algorithm, n, k):
         report = verify_exhaustive(n, k, algorithm)
         assert report.passed, report.counterexample
         assert (report.nodes, report.leaves) == WALK_SHAPES[(algorithm, n, k)]
+        if n == 6:
+            assert_worst_case(report, algorithm, n, k)
 
-    @pytest.mark.parametrize("algorithm, n, k", WORST_COMPARISONS)
+    @pytest.mark.parametrize(
+        "algorithm, n, k", [key for key in WORST_COMPARISONS if key not in SIX_ELEMENT_WALKS]
+    )
     def test_exact_worst_case(self, algorithm, n, k):
         report = verify_exhaustive(n, k, algorithm)
         assert report.passed, report.counterexample
-        assert report.worst_comparisons == WORST_COMPARISONS[(algorithm, n, k)]
-        if k == 0:
-            # Pohl's ceil(3n/2) - 2, which no algorithm can beat.
-            assert report.worst_comparisons == (3 * n + 1) // 2 - 2
+        assert_worst_case(report, algorithm, n, k)
+
+    @pytest.mark.parametrize("n, k, s", BEYOND_K_PLUS_2)
+    def test_completion_certifies_groups_beyond_k_plus_2(self, n, k, s):
+        # Sort degrees may exceed k+1 here; the completion still gives every
+        # position k+1 answers per side, and that floor is all the
+        # certificate needs.
+        def completion_groups_of_s(items, k, oracle):
+            result = _extrema(_certify_by_completion, items, k, oracle, s)
+            return result.min, result.max
+
+        report = verify_exhaustive(n, k, completion_groups_of_s)
+        assert report.passed, report.counterexample
+        shape = (report.nodes, report.leaves, report.worst_comparisons)
+        assert shape == BEYOND_K_PLUS_2[(n, k, s)]
 
 
 def one_query_then_guess(items, k, oracle):
@@ -425,8 +485,8 @@ class TestCli:
                 "the pairing algorithm is a k=0 algorithm",
             ),
             (
-                ["verify", "--algorithm", "find-min", "--n", "6"],
-                "game-tree verification enumerates all orders; n must be <= 5",
+                ["verify", "--algorithm", "find-min", "--n", "7"],
+                "exhaustive order enumeration needs n <= 6, got 7",
             ),
             (["calibrate"], None),
             (
@@ -448,11 +508,11 @@ class TestCli:
             ),
             (
                 ["run", "--algorithm", "improved", "--n", "10", "--k", "0", "--s-override", "5"],
-                "group size 5 exceeds k+2=2; completion would be infeasible",
+                "group size 5 exceeds k+2=2",
             ),
             (
                 ["verify", "--algorithm", "improved", "--n", "4", "--k", "0", "--s-override", "3"],
-                "group size 3 exceeds k+2=2; completion would be infeasible",
+                "group size 3 exceeds k+2=2",
             ),
             (
                 ["verify", "--algorithm", "find-min", "--n", "3", "--k", "-1"],
@@ -482,7 +542,7 @@ class TestCli:
             "run-n-1",
             "verify-pohl-k-1",
             "run-pohl-k-3",
-            "verify-n-6",
+            "verify-n-7",
             "calibrate",
             "thickness-trials-0",
             "thickness-s-0",

@@ -12,12 +12,7 @@ from liarminmax.oracles import (
     TriggeredLiarOracle,
     TruthfulOracle,
 )
-from liarminmax.sorters import (
-    SortInconsistency,
-    balanced_quicksort,
-    median_select,
-    mergesort,
-)
+from liarminmax.sorters import SortInconsistency, balanced_quicksort, mergesort
 from test_acceptance import THICKNESS_CT
 
 
@@ -82,32 +77,32 @@ class TestMergesort:
 
 
 class TestMedianSelect:
+    """The median split at each level of balanced quicksort."""
+
     def test_single_item(self):
         oracle = TruthfulOracle(TotalOrder.identity(1))
-        median, smaller, larger = median_select([0], oracle)
-        assert (median, smaller, larger) == (0, [], [])
+        out = balanced_quicksort([0], oracle)
+        assert out.output == [0]
         assert oracle.queries == 0
 
     def test_five_items_truthful(self):
         order = TotalOrder((3, 1, 4, 0, 2))
-        oracle = TruthfulOracle(order)
-        median, smaller, larger = median_select([0, 1, 2, 3, 4], oracle)
-        assert order.rank[median] == 2
-        assert sorted(order.rank[x] for x in smaller) == [0, 1]
-        assert sorted(order.rank[x] for x in larger) == [3, 4]
+        out = balanced_quicksort([0, 1, 2, 3, 4], TruthfulOracle(order))
+        assert [order.rank[x] for x in out.output] == [0, 1, 2, 3, 4]
+        assert out.consistent
 
     def test_partition_lie_detected(self):
         # A lie on some query must eventually produce wrong side sizes for m=4.
         order = TotalOrder.identity(4)
         items = [2, 0, 3, 1]
         truthful = TruthfulOracle(order)
-        median_select(items, truthful)
+        balanced_quicksort(items, truthful)
         total = truthful.queries
         failures = []
         for trigger in range(total):
             oracle = TriggeredLiarOracle(order, k=1, triggers={trigger})
             try:
-                median_select(items, oracle)
+                balanced_quicksort(items, oracle)
             except SortInconsistency as exc:
                 failures.append((trigger, exc.reason))
         assert failures, "no single lie produced an inconsistent partition"
@@ -279,7 +274,7 @@ class PairLog:
     st.sampled_from(["random-liar", "first-smaller", "first-larger"]),
     st.floats(0.0, 1.0),
     st.integers(0, 2**31),
-    st.sampled_from([balanced_quicksort, median_select]),
+    st.sampled_from([balanced_quicksort, mergesort]),
 )
 def test_any_answers_stay_within_all_pairs(s, kind, p, seed, sorter):
     """On any answers a sort attempt returns or raises SortInconsistency,
