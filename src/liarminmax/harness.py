@@ -20,7 +20,7 @@ from .oracles import (
     TriggeredLiarOracle,
     TruthfulOracle,
     _every_order,
-    _narrow,
+    _split,
 )
 from .algorithms import (
     _blocks,
@@ -305,27 +305,6 @@ def _algorithm_runner(algorithm, items: list[int], k: int, s_override: int | Non
     return lambda oracle: run(items, k, oracle, s_override)[:2]
 
 
-class _Branching(ScriptedOracle):
-    """Replays an answer prefix, then answers FIRST_SMALLER wherever an
-    explanation survives it.  Where both answers have survivors, it stacks
-    the FIRST_LARGER side on ``siblings`` as (depth, survivors)."""
-
-    def __init__(self, answers, candidates: dict, siblings: list, report: VerifyReport) -> None:
-        super().__init__(answers)
-        self.candidates, self.siblings, self.report = candidates, siblings, report
-
-    def query(self, a: int, b: int) -> Answer:
-        if self.position == len(self.answers):
-            self.report.nodes += 1
-            smaller = _narrow(self.candidates, a, b, True, self.report.k)
-            larger = _narrow(self.candidates, a, b, False, self.report.k)
-            if smaller and larger:
-                self.siblings.append((self.position, larger))
-            self.answers.append(SMALLER if smaller else LARGER)
-            self.candidates = smaller or larger
-        return super().query(a, b)
-
-
 def verify_exhaustive(
     n: int, k: int, algorithm, *, s_override: int | None = None
 ) -> VerifyReport:
@@ -333,13 +312,14 @@ def verify_exhaustive(
 
     At every query both answers are explored, except branches no (order,
     <= k lies) explanation can justify -- a contract-honoring oracle cannot
-    produce them.  The algorithm runs once per leaf: a run replays an answer
-    prefix, then takes FIRST_SMALLER where it can and stacks the FIRST_LARGER
-    siblings; the deepest sibling is replayed next, so leaves come depth
-    first.  At each leaf the reported extrema must match the extrema of every
-    surviving order, and ``worst_comparisons`` keeps the longest answer list.
-    The first violation is returned as a counterexample.  The walk starts
-    from all n! orders, so n is capped at :data:`oracles.EXHAUSTIVE_CAP`.
+    produce them.  The algorithm runs once per leaf, against a
+    :class:`ScriptedOracle` that replays an answer prefix and extends it by
+    FIRST_SMALLER where an explanation survives, stacking the FIRST_LARGER
+    side where both do.  The deepest sibling is replayed next, so leaves come
+    depth first.  At each leaf the reported extrema must match the extrema of
+    every surviving order, and ``worst_comparisons`` keeps the longest answer
+    list.  The first violation is returned as a counterexample.  The walk
+    starts from all n! orders, so n is capped at :data:`oracles.EXHAUSTIVE_CAP`.
     """
     items = list(range(n))
     runner = _algorithm_runner(algorithm, items, k, s_override)
@@ -348,10 +328,20 @@ def verify_exhaustive(
     siblings: list[tuple[int, dict]] = []
     answers: list[Answer] = []
     candidates = _every_order(n, k)
+
+    def branch(a: int, b: int) -> Answer:
+        nonlocal candidates
+        report.nodes += 1
+        smaller, larger = _split(candidates, a, b, k)
+        if smaller and larger:
+            siblings.append((len(oracle.answers), larger))
+        candidates = smaller or larger
+        return SMALLER if smaller else LARGER
+
     while True:
-        oracle = _Branching(answers, candidates, siblings, report)
+        oracle = ScriptedOracle(answers, branch)
         low, high = runner(oracle)
-        answers, candidates = oracle.answers, oracle.candidates
+        answers = oracle.answers
         report.nodes += 1
         report.leaves += 1
         report.worst_comparisons = max(report.worst_comparisons, len(answers))

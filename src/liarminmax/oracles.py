@@ -5,15 +5,16 @@ for the ordered pair and never gives more than ``k`` false answers relative
 to the hidden order.  A recording oracle also appends one transcript record
 per call; the scripted replay keeps none, as its answer list is the record.
 The adaptive adversary has no fixed hidden order; it keeps every (order,
-lies-spent) explanation alive, narrowed by :func:`_narrow` on each answer,
-and commits as late as possible.
+lies-spent) explanation alive, split by :func:`_split` into the sides each
+answer leaves, and commits as late as possible.  The scripted replay may
+``extend`` its script, as the exhaustive verifier does.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import LARGER, SMALLER, Answer, InvalidQuery, TotalOrder, Transcript
 
@@ -46,20 +47,24 @@ def _every_order(n: int, k: int) -> dict:
     return dict.fromkeys(permutations(range(n)), 0)
 
 
-def _narrow(candidates: dict, a: int, b: int, said_smaller: bool, k: int) -> dict:
-    """The explanations left by one answer: ``a`` smaller than ``b``, or not.
+def _split(candidates: dict, a: int, b: int, k: int) -> tuple[dict, dict]:
+    """The explanations left by each answer to ``(a, b)``: (smaller, larger).
 
     ``candidates`` maps each ranking that explains the answers so far to the
-    lies it spends on them.  An order that agrees with the answer keeps its
-    count; one that does not spends a lie while it has one of its ``k`` left.
+    lies it spends on them.  A ranking keeps its count on the side it agrees
+    with, and spends a lie on the other side while it has one of its ``k`` left.
     """
-    survivors = {}
+    smaller, larger = {}, {}
     for rank, lies in candidates.items():
-        if (rank[a] < rank[b]) == said_smaller:
-            survivors[rank] = lies
-        elif lies < k:
-            survivors[rank] = lies + 1
-    return survivors
+        if rank[a] < rank[b]:
+            smaller[rank] = lies
+            if lies < k:
+                larger[rank] = lies + 1
+        else:
+            larger[rank] = lies
+            if lies < k:
+                smaller[rank] = lies + 1
+    return smaller, larger
 
 
 class LyingOracle:
@@ -155,8 +160,7 @@ class AdaptiveAdversary:
     def query(self, a: int, b: int) -> Answer:
         if a == b:
             raise InvalidQuery(f"cannot compare element {a} with itself")
-        smaller = _narrow(self._candidates, a, b, True, self.k)
-        larger = _narrow(self._candidates, a, b, False, self.k)
+        smaller, larger = _split(self._candidates, a, b, self.k)
         # Every candidate survives the answer matching its own truth, so the
         # larger side is never empty.
         if len(smaller) >= len(larger):
@@ -175,7 +179,7 @@ class AdaptiveAdversary:
 
 
 class AnswersExhausted(Exception):
-    """Raised by :class:`ScriptedOracle` when the script runs out.
+    """Raised by :class:`ScriptedOracle` when a script without ``extend`` runs out.
 
     ``a`` and ``b`` are the query the replayed run asked after its last
     scripted answer: the pair that a longer script would have to answer
@@ -190,19 +194,23 @@ class AnswersExhausted(Exception):
 
 class ScriptedOracle:
     """Replays a fixed answer sequence; the backbone of transcript replay
-    and of the exhaustive game-tree verifier.  It records nothing: the
-    answer list already is the record."""
+    and of the exhaustive game-tree verifier.  Past the end of the script,
+    ``extend(a, b)`` supplies the next answer, which joins ``answers``.  It
+    records nothing: the answer list already is the record."""
 
-    def __init__(self, answers: Sequence[Answer]) -> None:
+    def __init__(self, answers: Sequence[Answer], extend: Callable | None = None) -> None:
         self.answers = list(answers)
+        self.extend = extend
         self.position = 0
         self.transcript = None
 
     def query(self, a: int, b: int) -> Answer:
         if a == b:
             raise InvalidQuery(f"cannot compare element {a} with itself")
-        if self.position >= len(self.answers):
-            raise AnswersExhausted(a, b)
+        if self.position == len(self.answers):
+            if self.extend is None:
+                raise AnswersExhausted(a, b)
+            self.answers.append(self.extend(a, b))
         answer = self.answers[self.position]
         self.position += 1
         return answer
@@ -211,11 +219,11 @@ class ScriptedOracle:
 def adversary_consistent_orders(transcript: Transcript, n: int, k: int) -> list[TotalOrder]:
     """Every order an honest-but-lying oracle could still be hiding.
 
-    Narrows all n! permutations by each recorded answer in turn and keeps
+    Narrows all n! permutations to the side of each recorded answer and keeps
     those the transcript contradicts at most ``k`` times, in permutation
     order; refuses when ``n`` exceeds :data:`EXHAUSTIVE_CAP`.
     """
     candidates = _every_order(n, k)
     for a, b, answer in transcript:
-        candidates = _narrow(candidates, a, b, answer is SMALLER, k)
+        candidates = _split(candidates, a, b, k)[answer is LARGER]
     return [TotalOrder(rank) for rank in candidates]

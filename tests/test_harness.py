@@ -21,7 +21,7 @@ from liarminmax.harness import (
     thickness_rows_to_csv,
     verify_exhaustive,
 )
-from liarminmax.oracles import TruthfulOracle
+from liarminmax.oracles import ScriptedOracle, TruthfulOracle
 from liarminmax.algorithms import (
     _certify_by_completion,
     _extrema,
@@ -283,6 +283,20 @@ class TestVerifyExhaustive:
         report = verify_exhaustive(n, k, algorithm)
         assert report.passed, report.counterexample
         assert_worst_case(report, algorithm, n, k)
+
+    def test_walk_builds_every_oracle_through_the_patch_point(self, monkeypatch):
+        # The benchmark's tracer taps ``harness.ScriptedOracle``; a walk that
+        # built its oracles some other way would leave the oracle layer dark.
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return ScriptedOracle(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ScriptedOracle", counting)
+        report = verify_exhaustive(4, 2, "improved", s_override=2)
+        assert (report.nodes, report.leaves) == (6211, 1584)
+        assert len(built) == report.leaves
 
     @pytest.mark.parametrize("n, k, s", BEYOND_K_PLUS_2)
     def test_completion_certifies_groups_beyond_k_plus_2(self, n, k, s):

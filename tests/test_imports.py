@@ -150,7 +150,11 @@ def test_lint_flags_an_answer_lookup_inside_a_function():
 # The names the benchmark's tracer (``perfbench/tracer.py``, ``instrument``)
 # swaps for tracing wrappers.  It reads each one from its owner's
 # ``__dict__``, so a refactor that stops importing one of them breaks every
-# benchmark run, golden replay included; this fails first.
+# benchmark run, golden replay included; this fails first.  A name that stays
+# but that the package stops *calling* breaks nothing here, yet leaves its
+# layer dark in every traced run; the tests that run the code through a
+# patched name guard that, e.g. test_harness's
+# test_walk_builds_every_oracle_through_the_patch_point for ScriptedOracle.
 PATCH_POINTS = [
     (harness, "run_experiments"),
     (harness, "verify_exhaustive"),

@@ -13,6 +13,7 @@ from liarminmax.oracles import (
     ScriptedOracle,
     TriggeredLiarOracle,
     TruthfulOracle,
+    _split,
     adversary_consistent_orders,
 )
 
@@ -208,3 +209,54 @@ def test_scripted_oracle_replays_then_signals():
     assert (exc.value.a, exc.value.b) == (0, 2)
     assert oracle.position == 2
     assert oracle.transcript is None
+
+
+def test_scripted_oracle_extends_past_its_script():
+    script = [Answer.FIRST_SMALLER]
+    asked = []
+
+    def extend(a, b):
+        asked.append((a, b))
+        return Answer.FIRST_LARGER
+
+    oracle = ScriptedOracle(script, extend)
+    assert oracle.query(0, 1) is Answer.FIRST_SMALLER
+    assert asked == []
+    assert oracle.query(1, 2) is Answer.FIRST_LARGER
+    assert asked == [(1, 2)]
+    assert oracle.answers == [Answer.FIRST_SMALLER, Answer.FIRST_LARGER]
+    assert oracle.position == 2
+    assert script == [Answer.FIRST_SMALLER]
+    # A self-comparison is refused before the script can grow.
+    with pytest.raises(InvalidQuery):
+        oracle.query(2, 2)
+    assert asked == [(1, 2)]
+    assert len(oracle.answers) == oracle.position == 2
+
+
+def _narrow(candidates, a, b, said_smaller, k):
+    """One side of an answer, narrowed on its own: the reference for ``_split``."""
+    survivors = {}
+    for rank, lies in candidates.items():
+        if (rank[a] < rank[b]) == said_smaller:
+            survivors[rank] = lies
+        elif lies < k:
+            survivors[rank] = lies + 1
+    return survivors
+
+
+def test_split_matches_one_sided_reference():
+    rng = random.Random(2024)
+    for n in range(2, 5):
+        ranks = list(permutations(range(n)))
+        for k in range(3):
+            for _ in range(20):
+                chosen = rng.sample(ranks, rng.randint(0, len(ranks)))
+                candidates = {rank: rng.randint(0, k) for rank in chosen}
+                for a, b in permutations(range(n), 2):
+                    sides = _split(candidates, a, b, k)
+                    reference = [_narrow(candidates, a, b, said, k) for said in (True, False)]
+                    # Items, not dicts, so the order of each side is compared too.
+                    assert [list(side.items()) for side in sides] == [
+                        list(side.items()) for side in reference
+                    ]
