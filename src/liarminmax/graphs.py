@@ -73,31 +73,34 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     s = graph.s
     if s < 2:
         raise ValueError("completion needs at least two positions")
+    # The profile's degrees are raised in place as edges are added; a
+    # position's slack is k+1 minus its current degree.
     left, right = graph.degree_profile()
     cap = k + 1
     edges = dict(graph.edges)
-    left_slack = [cap - d for d in left]
-    right_slack = [cap - d for d in right]
     j = 2
     for i in range(1, s):
-        slack = right_slack[i]
-        j = max(j, i + 1)
+        slack = cap - right[i]
+        if j <= i:
+            j = i + 1
         while slack > 0 and j <= s:
-            take = min(slack, left_slack[j])
+            take = cap - left[j]
             if take > 0:
+                if take > slack:
+                    take = slack
                 edges[(i, j)] = edges.get((i, j), 0) + take
                 slack -= take
-                left_slack[j] -= take
-            if left_slack[j] <= 0:
+                left[j] += take
+            if left[j] >= cap:
                 j += 1
-        right_slack[i] = slack
+        right[i] = cap - slack
     for j in range(2, s + 1):
-        need = left_slack[j]
+        need = cap - left[j]
         if need > 0:
             edges[(1, j)] = edges.get((1, j), 0) + need
-            right_slack[1] -= need
+            right[1] += need
     for j in range(1, s):
-        need = right_slack[j]
+        need = cap - right[j]
         if need > 0:
             edges[(j, s)] = edges.get((j, s), 0) + need
     return OrderedMultigraph(s, edges)
@@ -106,11 +109,32 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
 def added_edge_pairs(
     base: OrderedMultigraph, completed: OrderedMultigraph
 ) -> list[tuple[int, int]]:
-    """Edges of ``completed`` beyond ``base``, one entry per copy, ascending."""
+    """Edges of ``completed`` beyond ``base``, one entry per copy, ascending.
+
+    Raises ``ValueError`` unless ``base`` is a sub-multigraph of
+    ``completed``: each of its pairs must be there with at least its
+    multiplicity.  Only the pairs whose multiplicity grew are sorted.
+    """
+    old, new = base.edges, completed.edges
+    get = old.get
+    grown = []
+    fresh = 0
+    for pair, m in new.items():
+        before = get(pair)
+        if before is None:
+            fresh += 1
+            grown.append(pair)
+        elif m != before:
+            grown.append(pair)
+    # Every pair of ``completed`` that is not fresh is a pair of ``base``, so
+    # the counts agree exactly when no pair of ``base`` is missing.
+    if len(new) - fresh != len(old):
+        raise ValueError("base graph is not contained in the completed graph")
+    grown.sort()
     pairs: list[tuple[int, int]] = []
-    for pair in sorted(completed.edges):
-        extra = completed.edges[pair] - base.edges.get(pair, 0)
+    for pair in grown:
+        extra = new[pair] - get(pair, 0)
         if extra < 0:
             raise ValueError("base graph is not contained in the completed graph")
-        pairs.extend([pair] * extra)
+        pairs += [pair] * extra
     return pairs

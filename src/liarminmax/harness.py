@@ -328,6 +328,7 @@ def verify_exhaustive(
     siblings: list[tuple[int, dict]] = []
     answers: list[Answer] = []
     candidates = _every_order(n, k)
+    ids = range(n)
 
     def branch(a: int, b: int) -> Answer:
         nonlocal candidates
@@ -345,9 +346,12 @@ def verify_exhaustive(
         report.nodes += 1
         report.leaves += 1
         report.worst_comparisons = max(report.worst_comparisons, len(answers))
+        # An id outside 0..n-1 matches no order; checking it first keeps
+        # ``rank[low]`` from failing, or from reading a negative index.
+        valid = (low is None or low in ids) and (high is None or high in ids)
         for rank in candidates:
-            if (low is not None and rank.index(0) != low) or (
-                high is not None and rank.index(n - 1) != high
+            if not valid or (low is not None and rank[low] != 0) or (
+                high is not None and rank[high] != n - 1
             ):
                 surviving = tuple(TotalOrder(r) for r in sorted(candidates))
                 report.counterexample = Counterexample(tuple(answers), low, high, surviving)

@@ -71,7 +71,11 @@ class SortOutcome:
 
 
 def _make_outcome(output: list[int], session: _Session) -> SortOutcome:
-    position = {element: index + 1 for index, element in enumerate(output)}
+    # A loop, not a comprehension: on CPython 3.11 a comprehension runs in a
+    # frame of its own, which costs more than the work for a group of two.
+    position = {}
+    for index, element in enumerate(output, 1):
+        position[element] = index
     edges = {}
     consistent = True
     for (lo, hi), lo_smaller in session.memo.items():
@@ -172,6 +176,12 @@ def _bqsort(seq: list, session: _Session) -> list:
     m = len(seq)
     if m <= 1:
         return seq
+    if m == 2:
+        # The one answer the general case would ask, in insertion's order;
+        # its partition then re-reads that answer from the memo, and a split
+        # of two is never off-size.
+        a, b = seq
+        return [b, a] if session.less(b, a) else seq
     target = (m + 1) // 2
     median = _select_kth(seq, target, session)
     smaller: list = []

@@ -224,6 +224,57 @@ class TestCompleteEdges:
         full = complete_edges(base, 0)
         assert added_edge_pairs(base, full) == [(1, 2), (2, 3)]
 
+    @pytest.mark.parametrize(
+        "base, completed",
+        [
+            # A base pair missing from the completed graph.
+            (OrderedMultigraph(3, {(1, 3): 1}), OrderedMultigraph(3, {(1, 2): 1})),
+            # A base pair whose multiplicity shrank.
+            (OrderedMultigraph(2, {(1, 2): 2}), OrderedMultigraph(2, {(1, 2): 1})),
+        ],
+    )
+    def test_added_pairs_need_the_base_contained(self, base, completed):
+        with pytest.raises(ValueError, match="not contained"):
+            added_edge_pairs(base, completed)
+
+
+def reference_added_edge_pairs(base, completed):
+    """Every pair of the completed graph in ascending order, each repeated by
+    its growth: the reference listing for ``added_edge_pairs``."""
+    pairs = []
+    for pair in sorted(completed.edges):
+        pairs.extend([pair] * (completed.edges[pair] - base.edges.get(pair, 0)))
+    return pairs
+
+
+def assert_lists_like_the_reference(g, k):
+    full = complete_edges(g, k)
+    assert added_edge_pairs(g, full) == reference_added_edge_pairs(g, full), (g, k)
+
+
+@pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
+def test_added_pairs_of_sort_graph_completions_match_the_reference(sort):
+    rng = random.Random(13)
+    for k in range(6):
+        for s in range(2, 17):
+            for _ in range(3):
+                order = TotalOrder.shuffled(s, rng)
+                g = sort(list(range(s)), TruthfulOracle(order, record=False)).graph
+                assert_lists_like_the_reference(g, k)
+
+
+def test_added_pairs_of_over_degree_completions_match_the_reference():
+    for s in range(2, 5):
+        for g in _exhaustive_graphs(s, 2):
+            for k in range(min(4, _max_degree(g) - 1)):
+                assert_lists_like_the_reference(g, k)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_a_pair_graph_adds_k_copies_of_its_edge(k):
+    pair = graph(2, (1, 2))
+    assert added_edge_pairs(pair, complete_edges(pair, k)) == [(1, 2)] * k
+
 
 @settings(max_examples=120, deadline=None)
 @given(feasible_instances)

@@ -240,6 +240,17 @@ class TestVerifyExhaustive:
         assert ce.reported_min == 0
         assert any(order.min_element() != 0 for order in ce.surviving)
 
+    @pytest.mark.parametrize("reported", [-1, 2])
+    def test_out_of_range_extremum_yields_counterexample(self, reported):
+        # Reported only where element 1 is the minimum, which -1 would name
+        # if it were read as an index.
+        def out_of_range(items, k, oracle):
+            return (0 if oracle.query(0, 1) is Answer.FIRST_SMALLER else reported), None
+
+        report = verify_exhaustive(2, 0, out_of_range)
+        assert not report.passed
+        assert report.counterexample.reported_min == reported
+
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="needs n <= 6, got 7"):
             verify_exhaustive(7, 0, "find-min")

@@ -295,3 +295,129 @@ def test_any_answers_stay_within_all_pairs(s, kind, p, seed, sorter):
         assert exc.comparisons == len(oracle.pairs)
     assert len(oracle.pairs) == len(set(oracle.pairs))
     assert len(oracle.pairs) <= s * (s - 1) // 2
+
+
+# --- the balanced quicksort as it stood before its two-element base case -----
+
+
+class ReferenceQuicksort:
+    """Balanced quicksort with a general case at every size: the reference
+    for ``balanced_quicksort``'s queries, outcome and inconsistency."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.memo = {}
+
+    def less(self, a, b):
+        key = (min(a, b), max(a, b))
+        if key not in self.memo:
+            self.memo[key] = self.oracle.query(*key) is Answer.FIRST_SMALLER
+        return self.memo[key] != (a > b)
+
+    def insertion(self, seq):
+        out = []
+        for x in seq:
+            i = len(out)
+            while i > 0 and self.less(x, out[i - 1]):
+                i -= 1
+            out.insert(i, x)
+        return out
+
+    def partition(self, seq, pivot):
+        smaller, larger = [], []
+        for x in seq:
+            if x != pivot:
+                (smaller if self.less(x, pivot) else larger).append(x)
+        return smaller, larger
+
+    def select_kth(self, seq, rank):
+        while True:
+            if len(seq) <= 5:
+                return self.insertion(seq)[rank - 1]
+            medians = []
+            for i in range(0, len(seq), 5):
+                chunk = seq[i : i + 5]
+                medians.append(self.insertion(chunk)[(len(chunk) - 1) // 2])
+            pivot = self.select_kth(medians, (len(medians) + 1) // 2)
+            smaller, larger = self.partition(seq, pivot)
+            if rank <= len(smaller):
+                seq = smaller
+            elif rank == len(smaller) + 1:
+                return pivot
+            else:
+                rank -= len(smaller) + 1
+                seq = larger
+
+    def sort(self, seq):
+        m = len(seq)
+        if m <= 1:
+            return seq
+        target = (m + 1) // 2
+        median = self.select_kth(seq, target)
+        smaller, larger = self.partition(seq, median)
+        if len(smaller) != target - 1:
+            raise SortInconsistency(
+                f"partition sizes off: {len(smaller)}/{len(larger)} around claimed median of {m}",
+                len(self.memo),
+            )
+        return self.sort(smaller) + [median] + self.sort(larger)
+
+    def outcome(self, items):
+        """(output, edges, comparisons, consistent), or the inconsistency's
+        (reason, comparisons)."""
+        try:
+            output = self.sort(list(items))
+        except SortInconsistency as exc:
+            return exc.reason, exc.comparisons
+        position = {element: index + 1 for index, element in enumerate(output)}
+        edges = {}
+        consistent = True
+        for (lo, hi), lo_smaller in self.memo.items():
+            p, q = position[lo], position[hi]
+            consistent = consistent and (p < q) == lo_smaller
+            edges[(min(p, q), max(p, q))] = 1
+        return output, edges, len(self.memo), consistent
+
+
+def assert_quicksort_asks_like_the_reference(items, make_oracle):
+    """Same transcript, and the same outcome or the same inconsistency;
+    returns whether the sort raised."""
+    oracle = make_oracle()
+    try:
+        out = balanced_quicksort(items, oracle)
+        got = out.output, out.graph.edges, out.comparisons, out.consistent
+    except SortInconsistency as exc:
+        got = exc.reason, exc.comparisons
+    reference_oracle = make_oracle()
+    expected = ReferenceQuicksort(reference_oracle).outcome(items)
+    assert oracle.transcript.records == reference_oracle.transcript.records, items
+    assert got == expected, items
+    return len(got) == 2
+
+
+def test_quicksort_asks_like_the_reference_on_every_small_order():
+    for s in range(1, 7):
+        items = list(range(s))
+        for index, rank in enumerate(permutations(range(s))):
+            order = TotalOrder(rank)
+            assert_quicksort_asks_like_the_reference(items, lambda: TruthfulOracle(order))
+            assert_quicksort_asks_like_the_reference(
+                items, lambda: RandomLiarOracle(order, 2, 0.3, seed=index)
+            )
+
+
+@pytest.mark.parametrize("s", [2, 3, 32, 33, 64])
+def test_quicksort_asks_like_the_reference_on_seeded_orders(s):
+    inconsistent = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        order = TotalOrder.shuffled(s, rng)
+        items = list(range(s))
+        rng.shuffle(items)
+        assert_quicksort_asks_like_the_reference(items, lambda: TruthfulOracle(order))
+        for k, p in ((1, 0.5), (4, 0.2)):
+            inconsistent += assert_quicksort_asks_like_the_reference(
+                items, lambda: RandomLiarOracle(order, k, p, seed=seed)
+            )
+    # The larger sizes raise on some seeds, so the inconsistency path is compared too.
+    assert s < 32 or inconsistent > 0
