@@ -74,7 +74,8 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     if s < 2:
         raise ValueError("completion needs at least two positions")
     # The profile's degrees are raised in place as edges are added; a
-    # position's slack is k+1 minus its current degree.
+    # position's slack is k+1 minus its current degree.  Plain comparisons
+    # stand in for min() and max(), whose calls cost more than a pair's sweep.
     left, right = graph.degree_profile()
     cap = k + 1
     edges = dict(graph.edges)
