@@ -113,21 +113,33 @@ def truth_compare(order: TotalOrder, a: int, b: int) -> Answer:
 
 class Transcript:
     """Ordered log of every oracle query, including repeats of the same pair,
-    as ``(a, b, answer)`` triples; a triple's position is its query index."""
+    as ``(a, b, answer)`` triples; a triple's position is its query index.
 
-    __slots__ = ("records",)
+    The triples live in one flat list ``a, b, answer, a, b, answer, ...``:
+    ids are small ints and answers are the two enum members, so a record
+    adds no object the garbage collector tracks, and a long transcript
+    triggers no collections.  Iteration rebuilds the triples on the fly;
+    ``records`` is a read-only list of them.
+    """
+
+    __slots__ = ("_flat",)
 
     def __init__(self) -> None:
-        self.records: list[tuple[int, int, Answer]] = []
+        self._flat: list = []
 
     def append(self, a: int, b: int, answer: Answer) -> None:
-        self.records.append((a, b, answer))
+        self._flat += (a, b, answer)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._flat) // 3
 
     def __iter__(self):
-        return iter(self.records)
+        fields = iter(self._flat)
+        return zip(fields, fields, fields)
+
+    @property
+    def records(self) -> list[tuple[int, int, Answer]]:
+        return list(self)
 
 
 def count_lies(transcript: Transcript, order: TotalOrder) -> int:

@@ -70,9 +70,15 @@ def _split(candidates: dict, a: int, b: int, k: int) -> tuple[dict, dict]:
 class LyingOracle:
     """Base class for oracles with a fixed hidden order and a lie budget.
 
-    Subclasses override :meth:`_wants_lie`; the base class handles budget
-    enforcement, lie counting, and transcript recording.  ``record=False``
-    skips transcript records for large truthful benchmark runs.
+    The base class handles budget enforcement, lie counting, and transcript
+    recording; ``record=False`` skips transcript records for large truthful
+    benchmark runs.  A subclass decides its lies through two members:
+    ``_next_lie``, an instance attribute holding the next query index at
+    which to consult the lie rule (-1: never), and :meth:`_wants_lie`, which
+    ``query`` calls only at that index while budget remains.  The hook says
+    whether this query lies and sets ``_next_lie`` to the next index to
+    consult.  Every other query skips the hook, so a truthful query costs
+    one comparison of its index.
     """
 
     def __init__(self, order: TotalOrder, k: int = 0, record: bool = True) -> None:
@@ -82,6 +88,8 @@ class LyingOracle:
         self.lies_told = 0
         self.queries = 0
         self.transcript: Transcript | None = Transcript() if record else None
+        self._rank = order.rank
+        self._next_lie = -1
 
     def _wants_lie(self, index: int, a: int, b: int) -> bool:
         return False
@@ -89,12 +97,13 @@ class LyingOracle:
     def query(self, a: int, b: int) -> Answer:
         if a == b:
             raise InvalidQuery(f"cannot compare element {a} with itself")
-        rank = self.order.rank
+        rank = self._rank
         answer = SMALLER if rank[a] < rank[b] else LARGER
-        if self.lies_told < self.k and self._wants_lie(self.queries, a, b):
+        index = self.queries
+        if index == self._next_lie and self.lies_told < self.k and self._wants_lie(index, a, b):
             self.lies_told += 1
             answer = answer.flipped()
-        self.queries += 1
+        self.queries = index + 1
         if self.transcript is not None:
             self.transcript.append(a, b, answer)
         return answer
@@ -110,6 +119,7 @@ class TruthfulOracle(LyingOracle):
 class RandomLiarOracle(LyingOracle):
     """Lies independently with probability ``p`` until the budget is spent.
 
+    It consults every query index, one RNG draw each while budget remains.
     Deterministic for a fixed seed: two oracles with the same seed produce
     bit-identical transcripts over the same query sequence.
     """
@@ -121,8 +131,10 @@ class RandomLiarOracle(LyingOracle):
         self.p = p
         self.seed = seed
         self._rng = random.Random(seed)
+        self._next_lie = 0
 
     def _wants_lie(self, index: int, a: int, b: int) -> bool:
+        self._next_lie = index + 1
         return self._rng.random() < self.p
 
 
@@ -130,15 +142,22 @@ class TriggeredLiarOracle(LyingOracle):
     """Lies exactly on the given global query indices, budget permitting.
 
     Useful for forcing a restart at a chosen moment, e.g. on the last
-    verification query of a group.
+    verification query of a group.  The lie rule is consulted only at the
+    triggers, which it pops in ascending order.
     """
 
     def __init__(self, order: TotalOrder, k: int, triggers: Iterable[int]) -> None:
         super().__init__(order, k)
         self.triggers = frozenset(triggers)
+        if any(trigger < 0 for trigger in self.triggers):
+            raise ValueError("trigger indices must be non-negative")
+        # Descending, above the -1 that ends the schedule after the last trigger.
+        self._pending = [-1, *sorted(self.triggers, reverse=True)]
+        self._next_lie = self._pending.pop()
 
     def _wants_lie(self, index: int, a: int, b: int) -> bool:
-        return index in self.triggers
+        self._next_lie = self._pending.pop()
+        return True
 
 
 class AdaptiveAdversary:

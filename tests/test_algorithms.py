@@ -287,6 +287,25 @@ class TestSimple:
         with pytest.raises(BudgetViolation):
             simple_minmax(list(range(6)), 1, FlipFlopOracle(order))
 
+    def test_records_every_query_through_the_patch_point(self, monkeypatch):
+        # The benchmark's tracer wraps ``core.Transcript.append``; an oracle
+        # that recorded its answers some other way would leave the core
+        # layer dark.
+        recorded = []
+        append = Transcript.append
+
+        def counting(transcript, a, b, answer):
+            recorded.append((a, b, answer))
+            append(transcript, a, b, answer)
+
+        monkeypatch.setattr(Transcript, "append", counting)
+        order = TotalOrder.shuffled(64, random.Random(11))
+        oracle = TriggeredLiarOracle(order, 3, [0, 40, 41, 500])
+        result = simple_minmax(list(range(64)), 3, oracle)
+        assert result.stats.restarts >= 1
+        assert len(recorded) == oracle.queries == len(oracle.transcript)
+        assert recorded == oracle.transcript.records
+
 
 class TestImproved:
     def test_k0_spends_pohl_count(self):

@@ -154,7 +154,9 @@ def test_lint_flags_an_answer_lookup_inside_a_function():
 # but that the package stops *calling* breaks nothing here, yet leaves its
 # layer dark in every traced run; the tests that run the code through a
 # patched name guard that, e.g. test_harness's
-# test_walk_builds_every_oracle_through_the_patch_point for ScriptedOracle.
+# test_walk_builds_every_oracle_through_the_patch_point for ScriptedOracle
+# and test_algorithms's test_records_every_query_through_the_patch_point for
+# Transcript.append.
 PATCH_POINTS = [
     (harness, "run_experiments"),
     (harness, "verify_exhaustive"),

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import permutations
 
@@ -68,6 +69,11 @@ def test_triggered_liar_respects_budget():
     assert lies == 1
 
 
+def test_triggered_liar_rejects_negative_trigger():
+    with pytest.raises(ValueError, match="trigger indices must be non-negative"):
+        TriggeredLiarOracle(TotalOrder.identity(3), 1, [-1, 0])
+
+
 def test_random_liar_same_seed_identical_transcript():
     rng = random.Random(9)
     order = TotalOrder.shuffled(10, rng)
@@ -118,6 +124,71 @@ def test_recording_can_be_disabled():
     oracle.query(0, 1)
     assert oracle.transcript is None
     assert oracle.queries == 1
+
+
+def per_query_run(order, k, wants_lie, stream):
+    """The reference lie rule: consult ``wants_lie(index)`` on every query
+    while budget remains.  Returns (transcript, lies told, queries)."""
+    transcript, lies = [], 0
+    for index, (a, b) in enumerate(stream):
+        answer = truth_compare(order, a, b)
+        if lies < k and wants_lie(index):
+            lies += 1
+            answer = answer.flipped()
+        transcript.append((a, b, answer))
+    return transcript, lies, len(stream)
+
+
+def oracle_run(oracle, stream):
+    for a, b in stream:
+        oracle.query(a, b)
+    return oracle.transcript.records, oracle.lies_told, oracle.queries
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("length", [0, 1, 17, 200])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_scheduled_lie_consults_match_per_query_rules(k, length, seed):
+    # The oracles consult their lie rule only at ``_next_lie``; that must tell
+    # the very lies that asking on every query tells.
+    rng = random.Random(seed)
+    order = TotalOrder.shuffled(7, rng)
+    stream = random_query_stream(rng, 7, length)
+    trigger_sets = [
+        set(),
+        {0},
+        {0, 1, 2, 3, 4},  # more triggers than budget
+        {length, length + 9},  # past the last query
+        set(rng.sample(range(length + 20), 6)),
+    ]
+    for triggers in trigger_sets:
+        reference = per_query_run(order, k, triggers.__contains__, stream)
+        assert oracle_run(TriggeredLiarOracle(order, k, triggers), stream) == reference
+    for p in (0.0, 0.3, 1.0):
+        draws = random.Random(seed + 100)
+        reference = per_query_run(order, k, lambda index: draws.random() < p, stream)
+        assert oracle_run(RandomLiarOracle(order, k, p, seed + 100), stream) == reference
+
+
+def test_recording_keeps_no_tracked_object_per_query():
+    # A transcript record made of GC-tracked objects would count towards the
+    # next collection; 10,000 of them trigger about 14 gen-0 passes.
+    order = TotalOrder.shuffled(50, random.Random(6))
+    stream = random_query_stream(random.Random(7), 50, 10_000)
+    oracle = TriggeredLiarOracle(order, 2, [3, 9_000])
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        answers = [oracle.query(a, b) for a, b in stream]
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert grown < 100
+    expected = [(a, b, answer) for (a, b), answer in zip(stream, answers)]
+    assert oracle.transcript.records == expected
+    assert len(oracle.transcript) == oracle.queries == 10_000
+    assert all(isinstance(answer, Answer) for _, _, answer in oracle.transcript)
+    assert oracle.lies_told == 2
 
 
 @pytest.mark.parametrize(
