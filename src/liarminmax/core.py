@@ -81,7 +81,12 @@ class TotalOrder:
 
     @classmethod
     def from_ascending(cls, elements) -> "TotalOrder":
-        """Build the order in which ``elements[0]`` is smallest, ``elements[-1]`` largest."""
+        """Build the order in which ``elements[0]`` is smallest, ``elements[-1]`` largest.
+
+        Raises ``ValueError`` unless ``elements`` is a permutation of 0..n-1.
+        """
+        if sorted(elements) != list(range(len(elements))):
+            raise ValueError("elements must be a permutation of 0..n-1")
         rank = [0] * len(elements)
         for position, element in enumerate(elements):
             rank[element] = position

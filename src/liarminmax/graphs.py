@@ -69,15 +69,24 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     the input degrees.  When every input degree is at most k+1 (a sort of at
     most k+2 elements), the sweep leaves twice the thickness of the input
     and the result has at most (k+1)(s-1) + thickness(graph) edges in total.
+
+    At s = 2 the sweep raises the one pair (1, 2) to k+1 copies when it has
+    fewer and adds nothing else, whatever the input multiplicity; that is
+    computed directly, without the profile.
     """
     s = graph.s
     if s < 2:
         raise ValueError("completion needs at least two positions")
+    cap = k + 1
+    if s == 2:
+        edges = dict(graph.edges)
+        if edges.get((1, 2), 0) < cap:
+            edges[(1, 2)] = cap
+        return OrderedMultigraph(2, edges)
     # The profile's degrees are raised in place as edges are added; a
     # position's slack is k+1 minus its current degree.  Plain comparisons
     # stand in for min() and max(), whose calls cost more than a pair's sweep.
     left, right = graph.degree_profile()
-    cap = k + 1
     edges = dict(graph.edges)
     j = 2
     for i in range(1, s):

@@ -379,15 +379,19 @@ SORTERS = {"mergesort": mergesort, "balanced-quicksort": balanced_quicksort}
 
 
 def measure_thickness(sorter: str, s_values, trials: int, seed: int) -> list[ThicknessRow]:
-    """Thickness statistics over seeded random inputs, one row per size."""
+    """Thickness statistics over seeded random inputs, one row per size.
+
+    Every size is checked before the first trial runs.
+    """
     if sorter not in SORTERS:
         raise ValueError(f"unknown sorter {sorter!r}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    s_values = list(s_values)
+    if any(s < 1 for s in s_values):
+        raise ValueError("s must be at least 1")
     rows = []
     for s in s_values:
-        if s < 1:
-            raise ValueError("s must be at least 1")
         observed = []
         for trial in range(trials):
             rng = random.Random(_child_seed(seed, s * 100_000 + trial))

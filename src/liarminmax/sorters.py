@@ -166,9 +166,21 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
     :class:`SortInconsistency` on a wrong partition size at any level, which
     a truthful oracle never causes.  Never asks a pair twice, so it spends
     at most s(s-1)/2 queries on any answers.
+
+    Two items cost one query, asked as (smaller id, larger id) like every
+    memoized query; the outcome is then built directly, with no session.
     """
+    seq = list(items)
+    if len(seq) == 2:
+        a, b = seq
+        if a < b:
+            b_first = oracle.query(a, b) is not SMALLER
+        else:
+            b_first = oracle.query(b, a) is SMALLER
+        output = [b, a] if b_first else seq
+        return SortOutcome(output, OrderedMultigraph(2, {(1, 2): 1}), 1, True)
     session = _Session(oracle)
-    output = _bqsort(list(items), session)
+    output = _bqsort(seq, session)
     return _make_outcome(output, session)
 
 

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liarminmax import algorithms
 from liarminmax.algorithms import (
     BudgetViolation,
     _blocks,
@@ -328,6 +330,31 @@ class TestImproved:
         for report in log:
             assert report.completed and report.restart_reason is None
             assert (report.sort_comparisons, report.added_comparisons) == (1, 0)
+
+    def test_every_pair_attempt_calls_the_patched_layers(self, monkeypatch):
+        # The benchmark's tracer wraps these three names; a pair certified
+        # without them would leave the sort and graph layers dark.
+        calls = Counter()
+        for name in ("balanced_quicksort", "complete_edges", "added_edge_pairs"):
+
+            def counting(*args, name=name, inner=getattr(algorithms, name)):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(algorithms, name, counting)
+        n = 9
+        order = TotalOrder.shuffled(n, random.Random(5))
+        result = pohl_minmax(list(range(n)), TruthfulOracle(order))
+        assert result.stats.restarts == 0
+        # One attempt per pair: a truthful run never restarts.
+        assert set(calls.values()) == {n // 2} and len(calls) == 3
+        calls.clear()
+        log = []
+        # Query 1 is the first added comparison of group 0: a lie there restarts it.
+        oracle = TriggeredLiarOracle(order, 2, triggers={1})
+        result = improved_minmax(list(range(n)), 2, oracle, group_log=log)
+        assert result.stats.restarts == 1
+        assert set(calls.values()) == {len(log)} and len(calls) == 3
 
     def test_two_elements_spend_k_plus_one(self):
         k = 3

@@ -60,6 +60,11 @@ class TestTotalOrder:
         assert order.min_element() == 2
         assert order.max_element() == 1
 
+    @pytest.mark.parametrize("elements", [[1, 1], [-1, 0], [0, 5]])
+    def test_from_ascending_rejects_non_permutation(self, elements):
+        with pytest.raises(ValueError, match="permutation"):
+            TotalOrder.from_ascending(elements)
+
     def test_identity_extrema(self):
         order = TotalOrder.identity(4)
         assert order.min_element() == 0

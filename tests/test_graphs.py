@@ -198,13 +198,16 @@ class TestCompleteEdges:
         assert full.edges == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
         assert sum(full.edges.values()) == 3  # exactly (k+1)(s-1) + t
 
-    def test_already_complete_pair(self):
-        full = complete_edges(OrderedMultigraph(2, {(1, 2): 1}), 0)
-        assert full.edges == {(1, 2): 1}
-
-    def test_two_positions_k1(self):
-        full = complete_edges(OrderedMultigraph(2), 1)
-        assert full.edges == {(1, 2): 2}
+    @pytest.mark.parametrize("k, m", [(k, m) for k in range(4) for m in range(k + 3)])
+    def test_pair_completion(self, k, m):
+        # Every multiplicity of the one pair, over-degree inputs (m > k+1)
+        # included, which the flow self-test skips.
+        edges = {(1, 2): m} if m else {}
+        base = OrderedMultigraph(2, dict(edges))
+        full = complete_edges(base, k)
+        assert full.edges == {(1, 2): max(m, k + 1)}
+        assert base.edges == edges
+        assert added_edge_pairs(base, full) == [(1, 2)] * max(0, k + 1 - m)
 
     def test_needs_two_positions(self):
         with pytest.raises(ValueError):

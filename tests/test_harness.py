@@ -429,6 +429,18 @@ class TestMeasureThickness:
         with pytest.raises(ValueError):
             measure_thickness("bogosort", [4], trials=1, seed=0)
 
+    def test_every_size_checked_before_the_first_trial(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return TruthfulOracle(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "TruthfulOracle", counting)
+        with pytest.raises(ValueError, match="s must be at least 1"):
+            measure_thickness("mergesort", [8, 0], trials=5, seed=0)
+        assert built == []
+
 
 class TestCli:
     def test_run_to_stdout(self, capsys):
