@@ -126,7 +126,9 @@ def _certify_by_reasking(group, k: int, oracle):
     outcome = mergesort(group, oracle)
     order = outcome.output
     m = len(order)
-    checks = [pair for pair in zip(range(1, m), range(2, m + 1)) for _ in range(k + 1)]
+    checks = []
+    for pair in zip(range(1, m), range(2, m + 1)):
+        checks += [pair] * (k + 1)
     return order, None, outcome.comparisons, checks, None
 
 
@@ -173,9 +175,10 @@ def _extrema(
             sorted_total += sort_comparisons
             asked = 0
             if reason is None:
+                at = [None, *order]
                 for i, j in checks:
                     asked += 1
-                    if query(order[i - 1], order[j - 1]) is LARGER:
+                    if query(at[i], at[j]) is LARGER:
                         reason = "verification contradicted the claimed order"
                         break
                 verified_total += asked

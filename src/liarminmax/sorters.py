@@ -1,11 +1,15 @@
-"""Oracle-driven sorting with comparison memoization and graph extraction.
+"""Oracle-driven sorting with graph extraction.
 
 A sorter never queries the same unordered pair twice within one attempt, so
 the comparison graph is simple and every degree is at most s-1; at a group
 size of at most k+2 that keeps every degree within k+1, where the completed
 graph has at most (k+1)(s-1) + thickness edges.
-Memoization also bounds an attempt at s(s-1)/2 queries whatever the answers,
-so no comparison cap is needed.  Lies are not hunted down here beyond the
+Quicksort gets this from its memo (``_Session``): median selection and the
+partitions meet some pairs again, and then re-read the recorded answer.
+Mergesort needs no memo: top-down, two elements are compared only in the one
+merge where they sit in opposite runs, and from then on they share a run.
+Either way an attempt asks at most s(s-1)/2 queries whatever the answers, so
+no comparison cap is needed.  Lies are not hunted down here beyond the
 partition-size check -- callers decide what an inconsistent attempt means.
 """
 
@@ -70,7 +74,9 @@ class SortOutcome:
     consistent: bool
 
 
-def _make_outcome(output: list[int], session: _Session) -> SortOutcome:
+def _make_outcome(output: list[int], answers: dict[tuple[int, int], bool]) -> SortOutcome:
+    """Build the outcome from ``answers``, which maps each asked pair
+    (lo, hi), lo < hi, to whether ``lo`` was answered smaller."""
     # A loop, not a comprehension: on CPython 3.11 a comprehension runs in a
     # frame of its own, which costs more than the work for a group of two.
     position = {}
@@ -78,39 +84,58 @@ def _make_outcome(output: list[int], session: _Session) -> SortOutcome:
         position[element] = index
     edges = {}
     consistent = True
-    for (lo, hi), lo_smaller in session.memo.items():
+    for (lo, hi), lo_smaller in answers.items():
         p, q = position[lo], position[hi]
         if (p < q) != lo_smaller:
             consistent = False
         edges[(p, q) if p < q else (q, p)] = 1
     graph = OrderedMultigraph(len(output), edges)
-    return SortOutcome(output, graph, len(session.memo), consistent)
+    return SortOutcome(output, graph, len(answers), consistent)
 
 
 def mergesort(items, oracle) -> SortOutcome:
     """Plain top-down mergesort: at most s * ceil(log2 s) comparisons, never
     repeats a pair, and survives arbitrary answers (the output is then just
-    some permutation)."""
-    session = _Session(oracle)
-    output = _msort(list(items), session)
-    return _make_outcome(output, session)
+    some permutation).
+
+    Each query is asked as (smaller id, larger id), like every memoized
+    query of quicksort, and its answer is recorded for the outcome.
+    """
+    answers: dict[tuple[int, int], bool] = {}
+    output = _msort(list(items), oracle.query, answers)
+    return _make_outcome(output, answers)
 
 
-def _msort(seq: list, session: _Session) -> list:
-    if len(seq) <= 1:
+def _msort(seq: list, query, answers: dict) -> list:
+    m = len(seq)
+    if m == 2:
+        # A run of two is settled by its one query, right[0] against left[0].
+        a, b = seq
+        if a < b:
+            a_smaller = answers[(a, b)] = query(a, b) is SMALLER
+            return seq if a_smaller else [b, a]
+        b_smaller = answers[(b, a)] = query(b, a) is SMALLER
+        return [b, a] if b_smaller else seq
+    if m < 2:
         return seq
-    mid = len(seq) // 2
-    left = _msort(seq[:mid], session)
-    right = _msort(seq[mid:], session)
+    mid = m // 2
+    left = _msort(seq[:mid], query, answers)
+    right = _msort(seq[mid:], query, answers)
     merged = []
     i = j = 0
-    less = session.less
-    while i < len(left) and j < len(right):
-        if less(right[j], left[i]):
-            merged.append(right[j])
+    nl, nr = mid, m - mid
+    while i < nl and j < nr:
+        x, y = left[i], right[j]
+        if y < x:
+            y_first = answers[(y, x)] = query(y, x) is SMALLER
+        else:
+            x_smaller = answers[(x, y)] = query(x, y) is SMALLER
+            y_first = not x_smaller
+        if y_first:
+            merged.append(y)
             j += 1
         else:
-            merged.append(left[i])
+            merged.append(x)
             i += 1
     merged.extend(left[i:])
     merged.extend(right[j:])
@@ -181,7 +206,7 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
         return SortOutcome(output, OrderedMultigraph(2, {(1, 2): 1}), 1, True)
     session = _Session(oracle)
     output = _bqsort(seq, session)
-    return _make_outcome(output, session)
+    return _make_outcome(output, session.memo)
 
 
 def _bqsort(seq: list, session: _Session) -> list:

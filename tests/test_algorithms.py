@@ -255,6 +255,53 @@ class TestSimple:
         assert oracle.lies_told == 1
         assert result.stats.comparisons == baseline.stats.comparisons + 2
 
+    def test_checks_reask_each_adjacent_pair_in_position_order(self):
+        # After each group's sort come its adjacent output pairs, in position
+        # order, each asked k+1 times in a row and answered truthfully.
+        k, n = 4, 21  # groups of four, then a lone element that asks nothing
+        order = TotalOrder.shuffled(n, random.Random(3))
+        oracle = TruthfulOracle(order)
+        simple_minmax(list(range(n)), k, oracle)
+        records = oracle.transcript.records
+        start = 0
+        for group in _blocks(list(range(n)), _group_size(k)):
+            sort = mergesort(group, TruthfulOracle(order))
+            start += sort.comparisons
+            out = sort.output
+            reasks = [
+                (a, b, Answer.FIRST_SMALLER) for a, b in zip(out, out[1:]) for _ in range(k + 1)
+            ]
+            assert records[start : start + len(reasks)] == reasks
+            start += len(reasks)
+        assert start < len(records)  # the final selections follow
+
+    # Into the second group's 15 checks: the first re-ask, the last of the
+    # first pair, one in the middle and the group's last.
+    @pytest.mark.parametrize("offset", [0, 4, 7, 14])
+    def test_lie_on_a_reask_restarts_the_group_at_that_query(self, offset):
+        k, n = 4, 12
+        order = TotalOrder.shuffled(n, random.Random(8))
+        items = list(range(n))
+        truthful = TruthfulOracle(order)
+        baseline = simple_minmax(items, k, truthful)
+        pairs = [(a, b) for a, b, _ in truthful.transcript]
+        first_group, second_group = _blocks(items, _group_size(k))[:2]
+        first_sort = mergesort(first_group, TruthfulOracle(order)).comparisons
+        group_start = first_sort + (k + 1) * (len(first_group) - 1)
+        sort_cost = mergesort(second_group, TruthfulOracle(order)).comparisons
+        trigger = group_start + sort_cost + offset
+        oracle = TriggeredLiarOracle(order, k, triggers={trigger})
+        result = simple_minmax(items, k, oracle)
+        assert result.stats.restarts == oracle.lies_told == 1
+        assert oracle.transcript.records[trigger][2] is Answer.FIRST_LARGER
+        # The failed attempt asks nothing after the lie; the group restarts
+        # with the same sort and checks.
+        asked = [(a, b) for a, b, _ in oracle.transcript]
+        assert asked == pairs[: trigger + 1] + pairs[group_start:]
+        breakdown, before = result.stats.phase_breakdown, baseline.stats.phase_breakdown
+        assert breakdown["group-sort"] == before["group-sort"] + sort_cost
+        assert breakdown["group-verify"] == before["group-verify"] + offset + 1
+
     def test_accounting_identity_on_identity_order(self):
         k, n = 4, 40
         order = TotalOrder.identity(n)

@@ -605,11 +605,23 @@ class TestCli:
             assert err.splitlines()[-1] == f"liarminmax: error: {message}"
 
 
-def test_bounds_sweep_writes_only_csv_to_stdout(monkeypatch, capsys):
+def load_bounds_sweep():
     path = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
     spec = importlib.util.spec_from_file_location("run_bounds_sweep", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_bounds_sweep_stays_within_every_bound():
+    rows = load_bounds_sweep().sweep(0)
+    assert len(rows) == 741
+    assert {row.algorithm for row in rows} >= {"pohl", "simple", "improved"}
+    assert [row.as_csv() for row in rows if not row.within_bound] == []
+
+
+def test_bounds_sweep_writes_only_csv_to_stdout(monkeypatch, capsys):
+    script = load_bounds_sweep()
     rows = run_experiments(ExperimentConfig("pohl", n=6, k=0, trials=3, seed=2))
     monkeypatch.setattr(script, "sweep", lambda seed: rows)
     monkeypatch.setattr(sys, "argv", ["run_bounds_sweep.py"])

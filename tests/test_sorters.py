@@ -421,3 +421,63 @@ def test_quicksort_asks_like_the_reference_on_seeded_orders(s):
             )
     # The larger sizes raise on some seeds, so the inconsistency path is compared too.
     assert s < 32 or inconsistent > 0
+
+
+# --- mergesort as it stood with a memoized comparison session ----------------
+
+
+class ReferenceMergesort(ReferenceQuicksort):
+    """Top-down mergesort through the memo and outcome of
+    ``ReferenceQuicksort``: the reference for ``mergesort``'s queries and
+    outcome, which asks each pair directly and keeps no memo."""
+
+    def sort(self, seq):
+        if len(seq) <= 1:
+            return seq
+        mid = len(seq) // 2
+        left, right = self.sort(seq[:mid]), self.sort(seq[mid:])
+        merged = []
+        i = j = 0
+        while i < len(left) and j < len(right):
+            if self.less(right[j], left[i]):
+                merged.append(right[j])
+                j += 1
+            else:
+                merged.append(left[i])
+                i += 1
+        return merged + left[i:] + right[j:]
+
+
+def assert_mergesort_asks_like_the_reference(items, make_oracle):
+    """Same transcript, output, graph edges, comparisons and verdict."""
+    oracle = make_oracle()
+    out = mergesort(items, oracle)
+    reference_oracle = make_oracle()
+    expected = ReferenceMergesort(reference_oracle).outcome(items)
+    assert oracle.transcript.records == reference_oracle.transcript.records, items
+    assert (out.output, out.graph.edges, out.comparisons, out.consistent) == expected, items
+
+
+def test_mergesort_asks_like_the_reference_on_every_small_order():
+    for s in range(1, 7):
+        items = list(range(s))
+        for index, rank in enumerate(permutations(range(s))):
+            order = TotalOrder(rank)
+            assert_mergesort_asks_like_the_reference(items, lambda: TruthfulOracle(order))
+            assert_mergesort_asks_like_the_reference(
+                items, lambda: RandomLiarOracle(order, 2, 0.3, seed=index)
+            )
+
+
+@pytest.mark.parametrize("s", [2, 3, 7, 8, 9, 33, 64])
+def test_mergesort_asks_like_the_reference_on_seeded_orders(s):
+    for seed in range(20):
+        rng = random.Random(seed)
+        order = TotalOrder.shuffled(s, rng)
+        items = list(range(s))
+        rng.shuffle(items)
+        assert_mergesort_asks_like_the_reference(items, lambda: TruthfulOracle(order))
+        for k, p in ((1, 0.5), (4, 0.2)):
+            assert_mergesort_asks_like_the_reference(
+                items, lambda: RandomLiarOracle(order, k, p, seed=seed)
+            )
