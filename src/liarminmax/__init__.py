@@ -37,13 +37,11 @@ from .harness import (
     verify_exhaustive,
 )
 from .oracles import (
-    AdaptiveAdversary,
     AnswersExhausted,
     RandomLiarOracle,
     ScriptedOracle,
     TriggeredLiarOracle,
     TruthfulOracle,
-    adversary_consistent_orders,
 )
 from .sorters import (
     SortInconsistency,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
+from itertools import permutations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -19,8 +20,6 @@ from .oracles import (
     ScriptedOracle,
     TriggeredLiarOracle,
     TruthfulOracle,
-    _every_order,
-    _split,
 )
 from .algorithms import (
     _blocks,
@@ -36,6 +35,7 @@ from .sorters import balanced_quicksort, mergesort
 __all__ = [
     "CSV_HEADER",
     "Counterexample",
+    "EXHAUSTIVE_CAP",
     "ExperimentConfig",
     "ExperimentRow",
     "ThicknessRow",
@@ -270,6 +270,29 @@ def write_text(text: str, out: str | Path | None) -> None:
 
 # --- exhaustive adversary verification -------------------------------------
 
+# The walk starts from all n! orders; keep that desk-sized.
+EXHAUSTIVE_CAP = 6
+
+
+def _split(candidates: dict, a: int, b: int, k: int) -> tuple[dict, dict]:
+    """The explanations left by each answer to ``(a, b)``: (smaller, larger).
+
+    ``candidates`` maps each ranking that explains the answers so far to the
+    lies it spends on them.  A ranking keeps its count on the side it agrees
+    with, and spends a lie on the other side while it has one of its ``k`` left.
+    """
+    smaller, larger = {}, {}
+    for rank, lies in candidates.items():
+        if rank[a] < rank[b]:
+            smaller[rank] = lies
+            if lies < k:
+                larger[rank] = lies + 1
+        else:
+            larger[rank] = lies
+            if lies < k:
+                smaller[rank] = lies + 1
+    return smaller, larger
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -301,6 +324,8 @@ def _algorithm_runner(algorithm, items: list[int], k: int, s_override: int | Non
     if callable(algorithm):
         if s_override is not None:
             raise ValueError("a custom algorithm has no group size to override")
+        if k < 0:
+            raise ValueError("lie budget must be non-negative")
         return lambda oracle: algorithm(items, k, oracle)
     _check_algorithm(algorithm, k, s_override)
     run = REGISTRY[algorithm].run
@@ -321,15 +346,18 @@ def verify_exhaustive(
     depth first.  At each leaf the reported extrema must match the extrema of
     every surviving order, and ``worst_comparisons`` keeps the longest answer
     list.  The first violation is returned as a counterexample.  The walk
-    starts from all n! orders, so n is capped at :data:`oracles.EXHAUSTIVE_CAP`.
+    starts from all n! orders, each with no lie spent, so n is capped at
+    :data:`EXHAUSTIVE_CAP`.
     """
     items = list(range(n))
     runner = _algorithm_runner(algorithm, items, k, s_override)
+    if n > EXHAUSTIVE_CAP:
+        raise ValueError(f"exhaustive order enumeration needs n <= {EXHAUSTIVE_CAP}, got {n}")
     name = algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "custom")
     report = VerifyReport(name, n, k)
     siblings: list[tuple[int, dict]] = []
     answers: list[Answer] = []
-    candidates = _every_order(n, k)
+    candidates = dict.fromkeys(permutations(items), 0)
     ids = range(n)
 
     def branch(a: int, b: int) -> Answer:

@@ -4,67 +4,24 @@ All oracles share one contract: ``query(a, b)`` returns an :class:`Answer`
 for the ordered pair and never gives more than ``k`` false answers relative
 to the hidden order.  A recording oracle also appends one transcript record
 per call; the scripted replay keeps none, as its answer list is the record.
-The adaptive adversary has no fixed hidden order; it keeps every (order,
-lies-spent) explanation alive, split by :func:`_split` into the sides each
-answer leaves, and commits as late as possible.  The scripted replay may
-``extend`` its script, as the exhaustive verifier does.
+It may ``extend`` its script, as the exhaustive verifier does.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
 from .core import LARGER, SMALLER, Answer, InvalidQuery, TotalOrder, Transcript
 
 __all__ = [
-    "AdaptiveAdversary",
     "AnswersExhausted",
-    "EXHAUSTIVE_CAP",
     "LyingOracle",
     "RandomLiarOracle",
     "ScriptedOracle",
     "TriggeredLiarOracle",
     "TruthfulOracle",
-    "adversary_consistent_orders",
 ]
-
-# All n! orders get enumerated by the exhaustive backends; keep that desk-sized.
-EXHAUSTIVE_CAP = 6
-
-
-def _check_budget(k: int) -> None:
-    if k < 0:
-        raise ValueError("lie budget must be non-negative")
-
-
-def _every_order(n: int, k: int) -> dict:
-    """Every ranking of ``n`` elements, none with any of its ``k`` lies spent yet."""
-    _check_budget(k)
-    if n > EXHAUSTIVE_CAP:
-        raise ValueError(f"exhaustive order enumeration needs n <= {EXHAUSTIVE_CAP}, got {n}")
-    return dict.fromkeys(permutations(range(n)), 0)
-
-
-def _split(candidates: dict, a: int, b: int, k: int) -> tuple[dict, dict]:
-    """The explanations left by each answer to ``(a, b)``: (smaller, larger).
-
-    ``candidates`` maps each ranking that explains the answers so far to the
-    lies it spends on them.  A ranking keeps its count on the side it agrees
-    with, and spends a lie on the other side while it has one of its ``k`` left.
-    """
-    smaller, larger = {}, {}
-    for rank, lies in candidates.items():
-        if rank[a] < rank[b]:
-            smaller[rank] = lies
-            if lies < k:
-                larger[rank] = lies + 1
-        else:
-            larger[rank] = lies
-            if lies < k:
-                smaller[rank] = lies + 1
-    return smaller, larger
 
 
 class LyingOracle:
@@ -82,7 +39,8 @@ class LyingOracle:
     """
 
     def __init__(self, order: TotalOrder, k: int = 0, record: bool = True) -> None:
-        _check_budget(k)
+        if k < 0:
+            raise ValueError("lie budget must be non-negative")
         self.order = order
         self.k = k
         self.lies_told = 0
@@ -160,43 +118,6 @@ class TriggeredLiarOracle(LyingOracle):
         return True
 
 
-class AdaptiveAdversary:
-    """Commits to no single order; answers to keep the explanation set large.
-
-    The candidate set maps each still-viable ranking to the lies it would have
-    to charge against the transcript so far.  The answer rule picks whichever
-    answer keeps the larger surviving set, breaking ties toward FIRST_SMALLER.
-    This is a heuristic; the harness's exhaustive verifier explores the full
-    answer tree instead of trusting it.
-    """
-
-    def __init__(self, n: int, k: int) -> None:
-        self.n = n
-        self.k = k
-        self.transcript = Transcript()
-        self._candidates = _every_order(n, k)
-
-    def query(self, a: int, b: int) -> Answer:
-        if a == b:
-            raise InvalidQuery(f"cannot compare element {a} with itself")
-        smaller, larger = _split(self._candidates, a, b, self.k)
-        # Every candidate survives the answer matching its own truth, so the
-        # larger side is never empty.
-        if len(smaller) >= len(larger):
-            answer, self._candidates = SMALLER, smaller
-        else:
-            answer, self._candidates = LARGER, larger
-        self.transcript.append(a, b, answer)
-        return answer
-
-    @property
-    def candidate_count(self) -> int:
-        return len(self._candidates)
-
-    def surviving_orders(self) -> list[TotalOrder]:
-        return [TotalOrder(rank) for rank in sorted(self._candidates)]
-
-
 class AnswersExhausted(Exception):
     """Raised by :class:`ScriptedOracle` when a script without ``extend`` runs out.
 
@@ -233,16 +154,3 @@ class ScriptedOracle:
         answer = self.answers[self.position]
         self.position += 1
         return answer
-
-
-def adversary_consistent_orders(transcript: Transcript, n: int, k: int) -> list[TotalOrder]:
-    """Every order an honest-but-lying oracle could still be hiding.
-
-    Narrows all n! permutations to the side of each recorded answer and keeps
-    those the transcript contradicts at most ``k`` times, in permutation
-    order; refuses when ``n`` exceeds :data:`EXHAUSTIVE_CAP`.
-    """
-    candidates = _every_order(n, k)
-    for a, b, answer in transcript:
-        candidates = _split(candidates, a, b, k)[answer is LARGER]
-    return [TotalOrder(rank) for rank in candidates]

@@ -19,12 +19,10 @@ from liarminmax.algorithms import (
 )
 from liarminmax.core import Answer, TotalOrder, Transcript, count_lies
 from liarminmax.oracles import (
-    AdaptiveAdversary,
     RandomLiarOracle,
     ScriptedOracle,
     TriggeredLiarOracle,
     TruthfulOracle,
-    adversary_consistent_orders,
 )
 from liarminmax.sorters import mergesort
 
@@ -100,17 +98,6 @@ class TestFindMin:
         assert el == order.min_element()
         assert comparisons <= (k + 1) * n - 1
         assert count_lies(oracle.transcript, order) <= k
-
-    def test_adaptive_adversary_small_instances(self):
-        for n in range(2, 6):
-            for k in range(0, 3):
-                adversary = AdaptiveAdversary(n, k)
-                el, comparisons = find_min_k_lies(list(range(n)), k, adversary)
-                assert comparisons <= (k + 1) * n - 1
-                survivors = adversary_consistent_orders(adversary.transcript, n, k)
-                assert survivors
-                for order in survivors:
-                    assert order.min_element() == el
 
 
 class TestFindMax:

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from liarminmax.harness import (
     run_experiments,
     simple_comparison_bound,
     thickness_rows_to_csv,
+    _split,
     verify_exhaustive,
 )
 from liarminmax.oracles import ScriptedOracle, TruthfulOracle
@@ -155,6 +157,18 @@ WALK_SHAPES = {
     ("find-max", 2, 1): (11, 6),
     ("find-max", 3, 1): (43, 20),
     ("find-max", 4, 1): (135, 56),
+    ("find-min", 2, 2): (39, 20),
+    ("find-min", 3, 2): (253, 106),
+    ("find-min", 4, 2): (1143, 410),
+    ("find-min", 5, 0): (31, 16),
+    ("find-min", 5, 1): (379, 144),
+    ("find-min", 5, 2): (4261, 1354),
+    ("find-max", 2, 2): (39, 20),
+    ("find-max", 3, 2): (253, 106),
+    ("find-max", 4, 2): (1143, 410),
+    ("find-max", 5, 0): (31, 16),
+    ("find-max", 5, 1): (379, 144),
+    ("find-max", 5, 2): (4261, 1354),
     ("pohl", 6, 0): (255, 128),
     ("improved", 6, 0): (255, 128),
     ("improved", 6, 1): (6275, 1920),
@@ -278,12 +292,19 @@ class TestVerifyExhaustive:
             for n in range(entry.min_n, 5)
         ]
         + [("simple", 5, 1), ("simple", 4, 2), ("improved", 5, 1), ("improved", 4, 2)]
+        + [
+            (name, n, k)
+            for name in ("find-min", "find-max")
+            for n, k in ((2, 2), (3, 2), (4, 2), (5, 0), (5, 1), (5, 2))
+        ]
         + SIX_ELEMENT_WALKS,
     )
     def test_every_registered_algorithm_passes(self, algorithm, n, k):
         report = verify_exhaustive(n, k, algorithm)
         assert report.passed, report.counterexample
         assert (report.nodes, report.leaves) == WALK_SHAPES[(algorithm, n, k)]
+        # The registry's cap, with a restart for every lie, holds at every leaf.
+        assert report.worst_comparisons <= REGISTRY[algorithm].bound(n, k, k)
         if n == 6:
             assert_worst_case(report, algorithm, n, k)
 
@@ -322,6 +343,34 @@ class TestVerifyExhaustive:
         assert report.passed, report.counterexample
         shape = (report.nodes, report.leaves, report.worst_comparisons)
         assert shape == BEYOND_K_PLUS_2[(n, k, s)]
+
+
+def _narrow(candidates, a, b, said_smaller, k):
+    """One side of an answer, narrowed on its own: the reference for ``_split``."""
+    survivors = {}
+    for rank, lies in candidates.items():
+        if (rank[a] < rank[b]) == said_smaller:
+            survivors[rank] = lies
+        elif lies < k:
+            survivors[rank] = lies + 1
+    return survivors
+
+
+def test_split_matches_one_sided_reference():
+    rng = random.Random(2024)
+    for n in range(2, 5):
+        ranks = list(permutations(range(n)))
+        for k in range(3):
+            for _ in range(20):
+                chosen = rng.sample(ranks, rng.randint(0, len(ranks)))
+                candidates = {rank: rng.randint(0, k) for rank in chosen}
+                for a, b in permutations(range(n), 2):
+                    sides = _split(candidates, a, b, k)
+                    reference = [_narrow(candidates, a, b, said, k) for said in (True, False)]
+                    # Items, not dicts, so the order of each side is compared too.
+                    assert [list(side.items()) for side in sides] == [
+                        list(side.items()) for side in reference
+                    ]
 
 
 def one_query_then_guess(items, k, oracle):
