@@ -1,9 +1,11 @@
 """Oracle-driven sorting with graph extraction.
 
+A sort returns its output and the answers it read; the comparison graph over
+output positions is derived from those answers the first time it is read.
 A sorter never queries the same unordered pair twice within one attempt, so
-the comparison graph is simple and every degree is at most s-1; at a group
-size of at most k+2 that keeps every degree within k+1, where the completed
-graph has at most (k+1)(s-1) + thickness edges.
+that graph is simple and every degree is at most s-1; at a group size of at
+most k+2 that keeps every degree within k+1, where the completed graph has
+at most (k+1)(s-1) + thickness edges.
 Quicksort gets this from its memo (``_Session``): median selection and the
 partitions meet some pairs again, and then re-read the recorded answer.
 Mergesort needs no memo: top-down, two elements are compared only in the one
@@ -15,7 +17,7 @@ partition-size check -- callers decide what an inconsistent attempt means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 from .core import SMALLER
 from .graphs import OrderedMultigraph
@@ -26,6 +28,12 @@ __all__ = [
     "balanced_quicksort",
     "mergesort",
 ]
+
+
+# The graph of every two-item sort.  One instance serves them all: nothing
+# mutates a sort's graph (completion copies its edges), and a fresh graph per
+# pair would cost a pair attempt about as much again as its answers dict.
+_PAIR_GRAPH = OrderedMultigraph(2, {(1, 2): 1})
 
 
 class SortInconsistency(Exception):
@@ -59,38 +67,47 @@ class _Session:
         return lo_smaller != flip
 
 
-@dataclass
 class SortOutcome:
-    """Result of one sort attempt.
+    """Result of one sort attempt: the claimed ascending ``output`` and the
+    ``answers`` the sort read, mapping each asked pair (lo, hi), lo < hi, to
+    whether ``lo`` was answered smaller; ``comparisons`` is their number.
 
-    ``graph`` holds each compared pair once, in output coordinates; it is
-    simple because of memoization.  ``consistent`` is True when every recorded
-    answer agrees with the claimed output order.
+    ``graph`` holds each compared pair once, in output coordinates, and
+    ``consistent`` is True when every answer agrees with the output order.
+    Both are derived together, in one pass, the first time either is read;
+    the re-asking certifier reads neither.
     """
 
-    output: list[int]
-    graph: OrderedMultigraph
-    comparisons: int
-    consistent: bool
+    def __init__(self, output: list[int], answers: dict[tuple[int, int], bool]) -> None:
+        self.output = output
+        self.answers = answers
+        self.comparisons = len(answers)
 
+    @cached_property
+    def graph(self) -> OrderedMultigraph:
+        self._derive()
+        return self.graph
 
-def _make_outcome(output: list[int], answers: dict[tuple[int, int], bool]) -> SortOutcome:
-    """Build the outcome from ``answers``, which maps each asked pair
-    (lo, hi), lo < hi, to whether ``lo`` was answered smaller."""
-    # A loop, not a comprehension: on CPython 3.11 a comprehension runs in a
-    # frame of its own, which costs more than the work for a group of two.
-    position = {}
-    for index, element in enumerate(output, 1):
-        position[element] = index
-    edges = {}
-    consistent = True
-    for (lo, hi), lo_smaller in answers.items():
-        p, q = position[lo], position[hi]
-        if (p < q) != lo_smaller:
-            consistent = False
-        edges[(p, q) if p < q else (q, p)] = 1
-    graph = OrderedMultigraph(len(output), edges)
-    return SortOutcome(output, graph, len(answers), consistent)
+    @cached_property
+    def consistent(self) -> bool:
+        self._derive()
+        return self.consistent
+
+    def _derive(self) -> None:
+        # A loop, not a comprehension: on CPython 3.11 a comprehension runs in a
+        # frame of its own, which costs more than the work for a small group.
+        position = {}
+        for index, element in enumerate(self.output, 1):
+            position[element] = index
+        edges = {}
+        consistent = True
+        for (lo, hi), lo_smaller in self.answers.items():
+            p, q = position[lo], position[hi]
+            if (p < q) != lo_smaller:
+                consistent = False
+            edges[(p, q) if p < q else (q, p)] = 1
+        self.graph = OrderedMultigraph(len(self.output), edges)
+        self.consistent = consistent
 
 
 def mergesort(items, oracle) -> SortOutcome:
@@ -102,8 +119,7 @@ def mergesort(items, oracle) -> SortOutcome:
     query of quicksort, and its answer is recorded for the outcome.
     """
     answers: dict[tuple[int, int], bool] = {}
-    output = _msort(list(items), oracle.query, answers)
-    return _make_outcome(output, answers)
+    return SortOutcome(_msort(list(items), oracle.query, answers), answers)
 
 
 def _msort(seq: list, query, answers: dict) -> list:
@@ -193,20 +209,20 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
     at most s(s-1)/2 queries on any answers.
 
     Two items cost one query, asked as (smaller id, larger id) like every
-    memoized query; the outcome is then built directly, with no session.
+    memoized query; the outcome then takes the one-edge graph directly, with
+    no session.
     """
     seq = list(items)
     if len(seq) == 2:
         a, b = seq
-        if a < b:
-            b_first = oracle.query(a, b) is not SMALLER
-        else:
-            b_first = oracle.query(b, a) is SMALLER
-        output = [b, a] if b_first else seq
-        return SortOutcome(output, OrderedMultigraph(2, {(1, 2): 1}), 1, True)
+        lo, hi = (a, b) if a < b else (b, a)
+        lo_smaller = oracle.query(lo, hi) is SMALLER
+        outcome = SortOutcome([lo, hi] if lo_smaller else [hi, lo], {(lo, hi): lo_smaller})
+        outcome.graph = _PAIR_GRAPH
+        outcome.consistent = True
+        return outcome
     session = _Session(oracle)
-    output = _bqsort(seq, session)
-    return _make_outcome(output, session.memo)
+    return SortOutcome(_bqsort(seq, session), session.memo)
 
 
 def _bqsort(seq: list, session: _Session) -> list:

@@ -1,8 +1,11 @@
 import importlib.util
+import json
 import random
 import sys
+import tarfile
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -654,23 +657,23 @@ class TestCli:
             assert err.splitlines()[-1] == f"liarminmax: error: {message}"
 
 
-def load_bounds_sweep():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_bounds_sweep.py"
-    spec = importlib.util.spec_from_file_location("run_bounds_sweep", path)
+def load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
 
 
 def test_bounds_sweep_stays_within_every_bound():
-    rows = load_bounds_sweep().sweep(0)
+    rows = load_script("run_bounds_sweep").sweep(0)
     assert len(rows) == 741
     assert {row.algorithm for row in rows} >= {"pohl", "simple", "improved"}
     assert [row.as_csv() for row in rows if not row.within_bound] == []
 
 
 def test_bounds_sweep_writes_only_csv_to_stdout(monkeypatch, capsys):
-    script = load_bounds_sweep()
+    script = load_script("run_bounds_sweep")
     rows = run_experiments(ExperimentConfig("pohl", n=6, k=0, trials=3, seed=2))
     monkeypatch.setattr(script, "sweep", lambda seed: rows)
     monkeypatch.setattr(sys, "argv", ["run_bounds_sweep.py"])
@@ -678,3 +681,90 @@ def test_bounds_sweep_writes_only_csv_to_stdout(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == rows_to_csv(rows)
     assert "all within bounds" in captured.err
+
+
+def canned_run(trial_ms, elements_per_s, verdict="match", failed=0):
+    """The stdout of one ``perfbench/run.py --trace 0`` run, cut down."""
+    metrics = {
+        "trial_ms_p50": {"value": trial_ms, "unit": "ms"},
+        "elements_per_s": {"value": elements_per_s, "unit": "1/s"},
+    }
+    return "\n".join([
+        f"workload restart-recorded  seed 1  trace 0  seconds 30  attempted 9  failed {failed}",
+        f"  trial_ms_p50                         {trial_ms:>16.6f} ms           9 trials",
+        f"  fingerprint {'csv_sha256':<24} {verdict}",
+        f"  fingerprint {'comparisons':<24} match",
+        json.dumps({"correct": not failed, "attempted": 9, "failed": failed, "metrics": metrics}),
+    ])
+
+
+def test_bench_pairs_reads_a_run():
+    script = load_script("bench_pairs")
+    values, problems = script.read_run(canned_run(24.5, 80000.0), 0)
+    assert values == {"trial_ms_p50": 24.5, "elements_per_s": 80000.0}
+    assert problems == []
+    mismatch = "MISMATCH (golden 1f, got 2e)"
+    _, problems = script.read_run(canned_run(24.5, 80000.0, mismatch, failed=2), 1)
+    assert problems == [
+        f"fingerprint csv_sha256 {mismatch}",
+        "exit status 1",
+        "2 of 9 trials failed",
+    ]
+    assert script.read_run("Traceback (most recent call last):", 1) == (
+        {},
+        ["exit status 1", "no result line"],
+    )
+
+
+def test_bench_pairs_summary():
+    script = load_script("bench_pairs")
+    run = [
+        {side: script.read_run(canned_run(*numbers), 0)[0] for side, numbers in pair.items()}
+        for pair in [
+            {"parent": (24.0, 80.0), "change": (22.0, 90.0)},
+            {"parent": (25.0, 81.0), "change": (25.0, 80.0)},
+            {"parent": (23.0, 79.0), "change": (21.0, 85.0)},
+        ]
+    ]
+    metrics = [
+        {"name": "trial_ms_p50", "unit": "ms", "better": "lower"},
+        {"name": "elements_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+    ]
+    # Quartiles as perfbench/sweep.py takes them (exclusive, so two values
+    # spread past their range); the tie on the second pair counts for
+    # neither side; a metric no run reports is left out.
+    assert script.summary(run[:2], [(562, run[2])], metrics) == [
+        "trial_ms_p50             ms           parent 24.5 [23.75, 25.25] change 23.5 [21.25, 25.75]"
+        "  won 1/2  seed 562: 23 -> 21",
+        "elements_per_s           1/s          parent 80.5 [79.75, 81.25] change 85 [77.5, 92.5]"
+        "  won 1/2  seed 562: 79 -> 85",
+    ]
+
+
+def test_bench_pairs_alternates_and_fails_on_a_mismatch(monkeypatch, capsys, tmp_path):
+    script = load_script("bench_pairs")
+    empty = tmp_path / "empty.tar"
+    with tarfile.open(empty, "w"):
+        pass
+    monkeypatch.setattr(
+        script.subprocess, "run", lambda *args, **kwargs: SimpleNamespace(stdout=empty.read_bytes())
+    )
+    order = []
+
+    def fake_run(tree, workload, seed, seconds):
+        side = "change" if tree == script.ROOT else "parent"
+        order.append((side, seed))
+        verdict = "MISMATCH (golden 1f, got 2e)" if (side, seed) == ("change", 562) else "match"
+        return script.read_run(canned_run(20.0 + seed % 7, 80.0, verdict), 0)
+
+    monkeypatch.setattr(script, "run_once", fake_run)
+    argv = ["--parent", "HEAD~1", "--workload", "restart-recorded", "--seeds", "1-2"]
+    assert script.main(argv) == 0
+    assert order == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    order.clear()
+    assert script.main([*argv, "--held-out", "562"]) == 1
+    assert order[4:] == [("parent", 562), ("change", 562)]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "PROBLEM change seed 562: fingerprint csv_sha256 MISMATCH (golden 1f, got 2e)"
+    )

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liarminmax import algorithms, sorters
+from liarminmax.algorithms import improved_minmax, simple_minmax
 from liarminmax.core import Answer, TotalOrder
+from liarminmax.harness import mergesort_comparison_cap
 from liarminmax.oracles import (
     RandomLiarOracle,
     ScriptedOracle,
@@ -210,9 +213,9 @@ def test_graph_covers_every_compared_pair_in_output_coordinates():
     st.integers(0, 2**31),
 )
 def test_outcome_matches_its_transcript(sort, s, k, p, seed):
-    # The outcome is rebuilt from the recorded answers alone: the verdict
-    # against the output order, and each compared pair once in output
-    # coordinates.
+    # The outcome is rebuilt from the recorded answers alone: the answers by
+    # pair, the verdict against the output order, and each compared pair once
+    # in output coordinates.
     rng = random.Random(seed)
     order = TotalOrder.shuffled(s, rng)
     items = list(range(s))
@@ -225,10 +228,13 @@ def test_outcome_matches_its_transcript(sort, s, k, p, seed):
     position = {e: i + 1 for i, e in enumerate(out.output)}
     consistent = True
     pairs = []
+    answers = {}
     for a, b, answer in oracle.transcript:
         pa, pb = position[a], position[b]
         consistent = consistent and (pa < pb) == (answer is Answer.FIRST_SMALLER)
         pairs.append((min(pa, pb), max(pa, pb)))
+        answers[min(a, b), max(a, b)] = (answer is Answer.FIRST_SMALLER) == (a < b)
+    assert out.answers == answers
     assert out.consistent == consistent
     assert out.graph.edges == dict.fromkeys(pairs, 1)
     assert len(set(pairs)) == out.comparisons == len(oracle.transcript)
@@ -481,3 +487,91 @@ def test_mergesort_asks_like_the_reference_on_seeded_orders(s):
             assert_mergesort_asks_like_the_reference(
                 items, lambda: RandomLiarOracle(order, k, p, seed=seed)
             )
+
+
+# --- the graph and the verdict are derived on first read -----------------------
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Counts the comparison graphs that ``sorters`` constructs."""
+    built = []
+
+    class CountingGraph(sorters.OrderedMultigraph):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sorters, "OrderedMultigraph", CountingGraph)
+    return built
+
+
+def test_simple_builds_no_sort_graph_through_restarts(graph_builds):
+    order = TotalOrder.shuffled(64, random.Random(3))
+    oracle = TriggeredLiarOracle(order, 3, [5, 60, 140])
+    result = simple_minmax(list(range(64)), 3, oracle)
+    assert (result.min, result.max) == (order.min_element(), order.max_element())
+    assert result.stats.restarts == 3
+    assert graph_builds == []
+
+
+def test_improved_derives_once_per_returned_sort(graph_builds, monkeypatch):
+    returned, raised = [], []
+
+    def counting_quicksort(items, oracle):
+        try:
+            outcome = balanced_quicksort(items, oracle)
+        except SortInconsistency as exc:
+            raised.append(exc)
+            raise
+        returned.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(algorithms, "balanced_quicksort", counting_quicksort)
+    order = TotalOrder.shuffled(100, random.Random(6))
+    oracle = RandomLiarOracle(order, 8, 0.05, seed=6)
+    result = improved_minmax(list(range(100)), 8, oracle)
+    assert (result.min, result.max) == (order.min_element(), order.max_element())
+    # 13 groups: some attempts restart after their sort returned, some
+    # inside it.
+    assert (result.stats.restarts, len(returned), len(raised)) == (7, 18, 2)
+    assert len(graph_builds) == len(returned)
+
+
+@pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
+def test_graph_and_verdict_derive_together_once(graph_builds, sort):
+    order = TotalOrder.shuffled(9, random.Random(6))
+    out = sort(list(range(9)), TruthfulOracle(order))
+    assert graph_builds == []
+    assert out.consistent
+    graph = out.graph
+    assert (out.consistent, out.graph) == (True, graph)
+    assert graph_builds == [(9, graph.edges)]
+
+
+def every_mergesort_run(items):
+    """(outcome, answers) for every answer script mergesort can meet on
+    ``items``: a depth-first walk that tries both answers at each query."""
+    scripts = [[]]
+    while scripts:
+
+        def extend(a, b):
+            scripts.append([*oracle.answers, Answer.FIRST_LARGER])
+            return Answer.FIRST_SMALLER
+
+        oracle = ScriptedOracle(scripts.pop(), extend)
+        yield mergesort(items, oracle), oracle.answers
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_mergesort_is_consistent_under_any_answers(s):
+    # The re-asking certifier never reads ``consistent``: this is why.  Two
+    # runs part at an answer on one pair and order it both ways, so the
+    # walk has exactly one leaf per permutation.
+    outputs = set()
+    for out, answers in every_mergesort_run(list(range(s))):
+        assert out.consistent
+        assert sorted(out.output) == list(range(s))
+        assert out.comparisons == len(answers) <= mergesort_comparison_cap(s)
+        outputs.add(tuple(out.output))
+    assert outputs == set(permutations(range(s)))
