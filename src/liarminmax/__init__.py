@@ -9,6 +9,7 @@ from .algorithms import (
     find_min_k_lies,
     improved_minmax,
     pohl_minmax,
+    simple_comparison_bound,
     simple_minmax,
 )
 from .core import (
@@ -33,7 +34,6 @@ from .harness import (
     measure_thickness,
     rows_to_csv,
     run_experiments,
-    simple_comparison_bound,
     verify_exhaustive,
 )
 from .oracles import (

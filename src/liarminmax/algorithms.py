@@ -25,7 +25,9 @@ __all__ = [
     "find_max_k_lies",
     "find_min_k_lies",
     "improved_minmax",
+    "mergesort_comparison_cap",
     "pohl_minmax",
+    "simple_comparison_bound",
     "simple_minmax",
 ]
 
@@ -63,6 +65,28 @@ def _group_size(k: int) -> int:
     # Either way sort degrees (<= s-1) stay within k+1, where the completed
     # graph has at most (k+1)(s-1) + thickness edges.
     return k if k >= 4 else 2
+
+
+def mergesort_comparison_cap(m: int) -> int:
+    """An upper bound on mergesort's comparisons for m elements: m times
+    ceil(log2 m).  It is not tight (24 at m = 8, where top-down mergesort
+    asks at most 17), but it feeds the CSV ``bound`` column as it stands."""
+    return m * (m - 1).bit_length() if m > 1 else 0
+
+
+def simple_comparison_bound(n: int, k: int, restarts: int) -> int:
+    """Instrumented closed-form cap for the simple algorithm.
+
+    Per-group worst case (mergesort cap plus (k+1)(s-1) verification), one
+    extra per-group worst case per observed restart, plus the loss-counter
+    bounds for the two final selections over the group extrema.
+    """
+    s = _group_size(k)
+    full, rest = divmod(n, s)
+    sizes = [s] * full + [rest] * (rest > 0)
+    per_group = [mergesort_comparison_cap(m) + (k + 1) * (m - 1) for m in sizes]
+    final = 2 * ((k + 1) * len(sizes) - 1)
+    return sum(per_group) + restarts * max(per_group) + final
 
 
 def _select_k_lies(items, k: int, oracle, eliminating: Answer) -> tuple[int, int]:
@@ -112,40 +136,29 @@ def find_max_k_lies(items, k: int, oracle) -> tuple[int, int]:
     return _select_k_lies(items, k, oracle, LARGER)
 
 
-# A certifier sorts a group: certify(group, k, oracle) returns (order, reason,
-# sort_comparisons, checks, graph) and charges nothing; the group driver does
-# the accounting.  ``order`` is the claimed ascending order and ``checks`` the
-# position pairs (i, j), i < j and 1-based in ``order``, whose answers
-# certify it; ``reason`` names a lie the sort already proved, or is None.
-# ``graph`` is the sort's comparison graph where there is one, for the
-# thickness in a group report.
+# A certifier sorts a group: certify(group, k, oracle) returns (outcome,
+# checks) or raises SortInconsistency, and charges nothing; the group driver
+# does the accounting.  ``outcome`` is the sort's SortOutcome, whose answers
+# all agree with its output, and ``checks`` the position pairs (i, j), i < j
+# and 1-based in that output, whose answers certify it.
 
 
 def _certify_by_reasking(group, k: int, oracle):
     """Mergesort, then re-ask every adjacent pair k+1 times."""
     outcome = mergesort(group, oracle)
-    order = outcome.output
-    m = len(order)
+    m = len(outcome.output)
     checks = []
     for pair in zip(range(1, m), range(2, m + 1)):
         checks += [pair] * (k + 1)
-    return order, None, outcome.comparisons, checks, None
+    return outcome, checks
 
 
 def _certify_by_completion(group, k: int, oracle):
     """Balanced quicksort, then only the comparisons that complete the sort's
-    graph to k+1 certified neighbors per side.  A sort inconsistency, or sort
-    answers against the claimed order, prove a lie before any check."""
-    try:
-        outcome = balanced_quicksort(group, oracle)
-    except SortInconsistency as exc:
-        return None, exc.reason, exc.comparisons, (), None
-    order = outcome.output
-    if not outcome.consistent:
-        return order, "sort answers contradict the claimed order", outcome.comparisons, (), None
+    graph to k+1 certified neighbors per side."""
+    outcome = balanced_quicksort(group, oracle)
     graph = outcome.graph
-    checks = added_edge_pairs(graph, complete_edges(graph, k))
-    return order, None, outcome.comparisons, checks, graph
+    return outcome, added_edge_pairs(graph, complete_edges(graph, k))
 
 
 def _extrema(
@@ -171,19 +184,24 @@ def _extrema(
     for group_index, group in enumerate(_blocks(items, size)):
         order = group
         while len(group) > 1:
-            order, reason, sort_comparisons, checks, graph = certify(group, k, oracle)
-            sorted_total += sort_comparisons
+            outcome = reason = None
             asked = 0
-            if reason is None:
+            try:
+                outcome, checks = certify(group, k, oracle)
+            except SortInconsistency as exc:
+                reason, sort_comparisons = exc.reason, exc.comparisons
+            else:
+                order, sort_comparisons = outcome.output, outcome.comparisons
                 at = [None, *order]
                 for i, j in checks:
                     asked += 1
                     if query(at[i], at[j]) is LARGER:
                         reason = "verification contradicted the claimed order"
                         break
-                verified_total += asked
+            sorted_total += sort_comparisons
+            verified_total += asked
             if group_log is not None:
-                thickness = None if graph is None else graph.thickness()
+                thickness = None if outcome is None else outcome.graph.thickness()
                 report = (sort_comparisons, asked, thickness, reason is None, reason)
                 group_log.append(GroupReport(group_index, len(group), *report))
             if reason is None:
@@ -241,10 +259,10 @@ def improved_minmax(
     Per group: balanced quicksort (restart on inconsistency), then complete
     the sort's comparison graph so every position has k+1 certified neighbors
     per side, and perform only the added comparisons.  An added comparison
-    contradicting the claimed order restarts the group.  The sort answers are
-    also checked against the claimed order -- a contradiction there would
-    leave some position short of its k+1 certificates, so it forces a restart
-    too (it costs no queries and is likewise proof of a lie).
+    contradicting the claimed order restarts the group.  The sort counts as
+    inconsistent when its answers contradict its own output, too -- such an
+    answer would leave some position short of its k+1 certificates, and it
+    is likewise proof of a lie.
 
     For k = 0 the group size can only be 2: each pair costs one sort
     comparison and needs no added ones, which is Pohl's pairing scheme

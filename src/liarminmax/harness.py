@@ -22,12 +22,11 @@ from .oracles import (
     TruthfulOracle,
 )
 from .algorithms import (
-    _blocks,
-    _group_size,
     find_max_k_lies,
     find_min_k_lies,
     improved_minmax,
     pohl_minmax,
+    simple_comparison_bound,
     simple_minmax,
 )
 from .sorters import balanced_quicksort, mergesort
@@ -41,10 +40,8 @@ __all__ = [
     "ThicknessRow",
     "VerifyReport",
     "measure_thickness",
-    "mergesort_comparison_cap",
     "rows_to_csv",
     "run_experiments",
-    "simple_comparison_bound",
     "thickness_rows_to_csv",
     "verify_exhaustive",
     "write_text",
@@ -115,27 +112,6 @@ class ExperimentRow:
             f"{self.comparisons},{self.restarts},{self.bound},"
             f"{'true' if self.within_bound else 'false'}"
         )
-
-
-def mergesort_comparison_cap(m: int) -> int:
-    """An upper bound on mergesort's comparisons for m elements: m times
-    ceil(log2 m).  It is not tight (24 at m = 8, where top-down mergesort
-    asks at most 17), but it feeds the CSV ``bound`` column as it stands."""
-    return m * (m - 1).bit_length() if m > 1 else 0
-
-
-def simple_comparison_bound(n: int, k: int, restarts: int) -> int:
-    """Instrumented closed-form cap for the simple algorithm.
-
-    Per-group worst case (mergesort cap plus (k+1)(s-1) verification), one
-    extra per-group worst case per observed restart, plus the loss-counter
-    bounds for the two final selections over the group extrema.
-    """
-    s = _group_size(k)
-    sizes = [len(block) for block in _blocks(list(range(n)), s)]
-    per_group = [mergesort_comparison_cap(m) + (k + 1) * (m - 1) for m in sizes]
-    final = 2 * ((k + 1) * len(sizes) - 1)
-    return sum(per_group) + restarts * max(per_group) + final
 
 
 class Algorithm(NamedTuple):

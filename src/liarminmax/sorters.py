@@ -1,7 +1,8 @@
 """Oracle-driven sorting with graph extraction.
 
-A sort returns its output and the answers it read; the comparison graph over
-output positions is derived from those answers the first time it is read.
+A sort returns its output, the answers it read and their comparison graph
+over output positions: quicksort builds the graph while it checks its
+answers, mergesort's is derived the first time it is read.
 A sorter never queries the same unordered pair twice within one attempt, so
 that graph is simple and every degree is at most s-1; at a group size of at
 most k+2 that keeps every degree within k+1, where the completed graph has
@@ -11,8 +12,9 @@ partitions meet some pairs again, and then re-read the recorded answer.
 Mergesort needs no memo: top-down, two elements are compared only in the one
 merge where they sit in opposite runs, and from then on they share a run.
 Either way an attempt asks at most s(s-1)/2 queries whatever the answers, so
-no comparison cap is needed.  Lies are not hunted down here beyond the
-partition-size check -- callers decide what an inconsistent attempt means.
+no comparison cap is needed.  A sort either returns an outcome whose every
+answer agrees with its output, or raises :class:`SortInconsistency`, its
+proof of a lie; callers decide what a proven lie means.
 """
 
 from __future__ import annotations
@@ -71,43 +73,43 @@ class SortOutcome:
     """Result of one sort attempt: the claimed ascending ``output`` and the
     ``answers`` the sort read, mapping each asked pair (lo, hi), lo < hi, to
     whether ``lo`` was answered smaller; ``comparisons`` is their number.
+    Every answer agrees with ``output``.
 
-    ``graph`` holds each compared pair once, in output coordinates, and
-    ``consistent`` is True when every answer agrees with the output order.
-    Both are derived together, in one pass, the first time either is read;
-    the re-asking certifier reads neither.
+    ``graph`` holds each compared pair once, in output coordinates.  A sort
+    that builds it while checking its answers hands it in; otherwise it is
+    derived the first time it is read, and the re-asking certifier never
+    reads it.
     """
 
-    def __init__(self, output: list[int], answers: dict[tuple[int, int], bool]) -> None:
+    def __init__(
+        self, output: list[int], answers: dict[tuple[int, int], bool], graph=None
+    ) -> None:
         self.output = output
         self.answers = answers
         self.comparisons = len(answers)
+        if graph is not None:
+            self.graph = graph
 
     @cached_property
     def graph(self) -> OrderedMultigraph:
-        self._derive()
-        return self.graph
+        return _checked_graph(self.output, self.answers)
 
-    @cached_property
-    def consistent(self) -> bool:
-        self._derive()
-        return self.consistent
 
-    def _derive(self) -> None:
-        # A loop, not a comprehension: on CPython 3.11 a comprehension runs in a
-        # frame of its own, which costs more than the work for a small group.
-        position = {}
-        for index, element in enumerate(self.output, 1):
-            position[element] = index
-        edges = {}
-        consistent = True
-        for (lo, hi), lo_smaller in self.answers.items():
-            p, q = position[lo], position[hi]
-            if (p < q) != lo_smaller:
-                consistent = False
-            edges[(p, q) if p < q else (q, p)] = 1
-        self.graph = OrderedMultigraph(len(self.output), edges)
-        self.consistent = consistent
+def _checked_graph(output: list[int], answers: dict[tuple[int, int], bool]) -> OrderedMultigraph:
+    """The comparison graph of ``answers`` over the positions of ``output``;
+    raises :class:`SortInconsistency` on an answer against the output order."""
+    # A loop, not a comprehension: on CPython 3.11 a comprehension runs in a
+    # frame of its own, which costs more than the work for a small group.
+    position = {}
+    for index, element in enumerate(output, 1):
+        position[element] = index
+    edges = {}
+    for (lo, hi), lo_smaller in answers.items():
+        p, q = position[lo], position[hi]
+        if (p < q) != lo_smaller:
+            raise SortInconsistency("sort answers contradict the claimed order", len(answers))
+        edges[(p, q) if lo_smaller else (q, p)] = 1
+    return OrderedMultigraph(len(output), edges)
 
 
 def mergesort(items, oracle) -> SortOutcome:
@@ -204,9 +206,10 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
 
     The even split keeps the comparison graph shallow over every position
     (each level's comparisons mostly stay inside one half).  Raises
-    :class:`SortInconsistency` on a wrong partition size at any level, which
-    a truthful oracle never causes.  Never asks a pair twice, so it spends
-    at most s(s-1)/2 queries on any answers.
+    :class:`SortInconsistency` on a wrong partition size at any level, or,
+    after the last query, on an answer against the output order; a truthful
+    oracle causes neither.  The graph is built in that same last pass.  Never
+    asks a pair twice, so it spends at most s(s-1)/2 queries on any answers.
 
     Two items cost one query, asked as (smaller id, larger id) like every
     memoized query; the outcome then takes the one-edge graph directly, with
@@ -217,12 +220,11 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
         a, b = seq
         lo, hi = (a, b) if a < b else (b, a)
         lo_smaller = oracle.query(lo, hi) is SMALLER
-        outcome = SortOutcome([lo, hi] if lo_smaller else [hi, lo], {(lo, hi): lo_smaller})
-        outcome.graph = _PAIR_GRAPH
-        outcome.consistent = True
-        return outcome
+        output = [lo, hi] if lo_smaller else [hi, lo]
+        return SortOutcome(output, {(lo, hi): lo_smaller}, _PAIR_GRAPH)
     session = _Session(oracle)
-    return SortOutcome(_bqsort(seq, session), session.memo)
+    output = _bqsort(seq, session)
+    return SortOutcome(output, session.memo, _checked_graph(output, session.memo))
 
 
 def _bqsort(seq: list, session: _Session) -> list:

@@ -146,6 +146,11 @@ def test_negative_k_rejected_before_any_query(run):
         run(ScriptedOracle([]))
 
 
+def test_selection_from_an_empty_set_rejected():
+    with pytest.raises(ValueError, match="cannot select from an empty set"):
+        find_min_k_lies([], 1, ScriptedOracle([]))
+
+
 class TestPohl:
     @pytest.mark.parametrize("n, expected", [(2, 1), (4, 4), (5, 6)])
     def test_exact_counts(self, n, expected):
@@ -431,6 +436,10 @@ class TestImproved:
         order = TotalOrder.identity(12)
         with pytest.raises(ValueError):
             improved_minmax(list(range(12)), 4, TruthfulOracle(order), s=7)
+
+    def test_group_size_below_two_rejected(self):
+        with pytest.raises(ValueError, match="group size must be at least 2"):
+            improved_minmax(list(range(4)), 1, ScriptedOracle([]), s=1)
 
     def test_contract_breaking_oracle_raises(self):
         order = TotalOrder.identity(8)

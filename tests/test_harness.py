@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tarfile
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,10 +19,8 @@ from liarminmax.harness import (
     Counterexample,
     ExperimentConfig,
     measure_thickness,
-    mergesort_comparison_cap,
     rows_to_csv,
     run_experiments,
-    simple_comparison_bound,
     thickness_rows_to_csv,
     _split,
     verify_exhaustive,
@@ -30,7 +29,10 @@ from liarminmax.oracles import ScriptedOracle, TruthfulOracle
 from liarminmax.algorithms import (
     _certify_by_completion,
     _extrema,
+    find_min_k_lies,
     improved_minmax,
+    mergesort_comparison_cap,
+    simple_comparison_bound,
     simple_minmax,
 )
 
@@ -86,6 +88,30 @@ class TestRunExperiments:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             run_experiments(ExperimentConfig("quickselect", n=4, k=0))
+
+    def test_unknown_oracle_rejected(self):
+        with pytest.raises(ValueError, match="unknown oracle 'psychic'"):
+            run_experiments(ExperimentConfig("simple", n=4, k=1, oracle="psychic"))
+
+    def test_wrong_extrema_rejected(self, monkeypatch):
+        def swapped(items, k, oracle, **_):
+            result = improved_minmax(items, k, oracle)
+            return replace(result, min=result.max, max=result.min)
+
+        monkeypatch.setattr(harness, "improved_minmax", swapped)
+        cfg = ExperimentConfig("improved", n=16, k=4)
+        with pytest.raises(RuntimeError, match=r"^improved returned wrong extrema \(seed \d+\)$"):
+            run_experiments(cfg)
+
+    def test_wrong_element_rejected(self, monkeypatch):
+        def off_by_one(items, k, oracle):
+            low, comparisons = find_min_k_lies(items, k, oracle)
+            return (low + 1) % len(items), comparisons
+
+        monkeypatch.setattr(harness, "find_min_k_lies", off_by_one)
+        cfg = ExperimentConfig("find-min", n=8, k=1)
+        with pytest.raises(RuntimeError, match=r"^find-min returned a wrong element \(seed \d+\)$"):
+            run_experiments(cfg)
 
     def test_restarts_audited_without_transcripts(self, monkeypatch):
         # A truthful run proves no lie, so any reported restart is a bug,
@@ -535,6 +561,23 @@ class TestCli:
             "pass: find-min n=3 k=1 (20 leaves, 43 nodes, worst_comparisons=5)\n"
         )
 
+    def test_verify_counterexample(self, monkeypatch, capsys):
+        # A find-min that asks one pair and reports its first item whatever
+        # the answer: the walk's second leaf proves it wrong.
+        def first_item(items, k, oracle, s):
+            oracle.query(items[0], items[1])
+            return items[0], None, 1, 0
+
+        entry = REGISTRY["find-min"]._replace(run=first_item)
+        monkeypatch.setitem(harness.REGISTRY, "find-min", entry)
+        assert main(["verify", "--algorithm", "find-min", "--n", "2"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "COUNTEREXAMPLE: find-min n=2 k=0",
+            "  answers: ['first-larger']",
+            "  reported min=0 max=None",
+            "  consistent order: rank=(1, 0)",
+        ]
+
     def test_thickness(self, capsys):
         code = main(
             ["thickness", "--sorter", "mergesort", "--s", "16", "--trials", "3", "--seed", "1"]
@@ -565,6 +608,16 @@ class TestCli:
         "argv, message",
         [
             (["run", "--algorithm", "improved", "--n", "1"], "improved needs at least two elements"),
+            (["run", "--algorithm", "find-min", "--n", "0"], "n must be at least 1"),
+            (
+                ["run", "--algorithm", "find-min", "--n", "4", "--trials", "0"],
+                "trials must be at least 1",
+            ),
+            (
+                ["run", "--algorithm", "find-min", "--n", "4", "--k", "1"]
+                + ["--oracle", "random-liar", "--p", "1.5"],
+                "p must lie in [0, 1]",
+            ),
             (
                 ["verify", "--algorithm", "pohl", "--n", "3", "--k", "1"],
                 "the pairing algorithm is a k=0 algorithm",
@@ -629,6 +682,9 @@ class TestCli:
         ],
         ids=[
             "run-n-1",
+            "run-n-0",
+            "run-trials-0",
+            "run-p-above-1",
             "verify-pohl-k-1",
             "run-pohl-k-3",
             "verify-n-7",

@@ -1,5 +1,6 @@
 """Every import in the package, its tests, its scripts and the benchmark's
-scripts (``perfbench/*.py``) is used, and every export exists.
+scripts (``perfbench/*.py``) is used, every export exists, and no package
+module imports another module's ``_``-prefixed name.
 
 A stdlib-only lint: leftovers such as a helper imported for a deleted code
 path fail here.  Relative imports in ``__init__.py`` are re-exports, and
@@ -106,6 +107,33 @@ def test_lint_flags_a_stale_export():
     assert undefined_exports(source + "def kept(): pass\n") == ["gone"]
     init = "from .graphs import kept, gone\n"
     assert unexported_reexports(init, lambda module: ["kept"]) == ["graphs.gone"]
+
+
+def private_imports(source: str) -> list[str]:
+    """``_``-prefixed names imported from another module: a name a module
+    keeps private is not another module's to lean on."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_lint_flags_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from .algorithms import _blocks, find_min_k_lies\n"
+        "def f():\n"
+        "    from .harness import _split\n"
+    )
+    assert private_imports(source) == ["_blocks (line 2)", "_split (line 4)"]
 
 
 def answer_lookups_in_functions(source: str) -> list[str]:

@@ -72,6 +72,11 @@ def test_triggered_liar_rejects_negative_trigger():
         TriggeredLiarOracle(TotalOrder.identity(3), 1, [-1, 0])
 
 
+def test_random_liar_rejects_probability_above_one():
+    with pytest.raises(ValueError, match=r"lie probability must lie in \[0, 1\]"):
+        RandomLiarOracle(TotalOrder.identity(3), 1, 1.5, seed=1)
+
+
 def test_random_liar_same_seed_identical_transcript():
     rng = random.Random(9)
     order = TotalOrder.shuffled(10, rng)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liarminmax import algorithms, sorters
-from liarminmax.algorithms import improved_minmax, simple_minmax
+from liarminmax.algorithms import improved_minmax, mergesort_comparison_cap, simple_minmax
 from liarminmax.core import Answer, TotalOrder
-from liarminmax.harness import mergesort_comparison_cap
 from liarminmax.oracles import (
     RandomLiarOracle,
     ScriptedOracle,
@@ -21,6 +20,24 @@ from test_acceptance import THICKNESS_CT
 
 def mergesort_cap(s):
     return s * (s - 1).bit_length() if s > 1 else 0
+
+
+def quicksort_result(items, oracle):
+    """(output, graph edges, comparisons) of a returned quicksort, or its
+    inconsistency's (reason, comparisons)."""
+    try:
+        out = balanced_quicksort(items, oracle)
+    except SortInconsistency as exc:
+        return exc.reason, exc.comparisons
+    return out.output, out.graph.edges, out.comparisons
+
+
+def answers_agree(out):
+    """Whether every answer a returned sort read agrees with its output."""
+    position = {element: index for index, element in enumerate(out.output)}
+    return all(
+        (position[lo] < position[hi]) == lo_smaller for (lo, hi), lo_smaller in out.answers.items()
+    )
 
 
 class TestMergesort:
@@ -52,7 +69,7 @@ class TestMergesort:
         out = mergesort(items, TruthfulOracle(order))
         assert out.output == order.ascending()
         assert out.comparisons <= mergesort_cap(s)
-        assert out.consistent
+        assert answers_agree(out)
 
     def test_no_pair_queried_twice(self):
         rng = random.Random(11)
@@ -92,7 +109,7 @@ class TestMedianSelect:
         order = TotalOrder((3, 1, 4, 0, 2))
         out = balanced_quicksort([0, 1, 2, 3, 4], TruthfulOracle(order))
         assert [order.rank[x] for x in out.output] == [0, 1, 2, 3, 4]
-        assert out.consistent
+        assert answers_agree(out)
 
     def test_partition_lie_detected(self):
         # A lie on some query must eventually produce wrong side sizes for m=4.
@@ -128,7 +145,7 @@ class TestBalancedQuicksort:
         rng.shuffle(items)
         out = balanced_quicksort(items, TruthfulOracle(order))
         assert out.output == order.ascending()
-        assert out.consistent
+        assert answers_agree(out)
         assert out.comparisons <= s * (s - 1) // 2
 
     def test_eight_items_thickness_within_threshold(self):
@@ -166,19 +183,19 @@ class TestBalancedQuicksort:
         assert all(m == 1 for m in out.graph.edges.values())
 
     def test_replay_reproduces_identical_outcome(self):
+        # A replay of the answers returns the same outcome, or raises the
+        # same inconsistency: p=0.4 contradicts the output, and p=0.02 tells
+        # one lie that the sort returns on.
         order = TotalOrder.shuffled(15, random.Random(21))
-        oracle = RandomLiarOracle(order, k=3, p=0.4, seed=4)
         items = list(range(15))
-        try:
-            original = balanced_quicksort(items, oracle)
-        except SortInconsistency:
-            pytest.skip("this seed trips the size checks before finishing")
-        replay = ScriptedOracle([answer for _, _, answer in oracle.transcript])
-        repeated = balanced_quicksort(items, replay)
-        assert repeated.output == original.output
-        assert repeated.comparisons == original.comparisons
-        assert repeated.graph.edges == original.graph.edges
-        assert repeated.consistent == original.consistent
+        results = []
+        for p, seed in ((0.4, 4), (0.02, 8)):
+            oracle = RandomLiarOracle(order, k=3, p=p, seed=seed)
+            original = quicksort_result(items, oracle)
+            replay = ScriptedOracle([answer for _, _, answer in oracle.transcript])
+            assert quicksort_result(items, replay) == original
+            results.append(original if len(original) == 2 else oracle.lies_told)
+        assert results == [("sort answers contradict the claimed order", 63), 1]
 
 
 def test_mergesort_replay_reproduces_identical_outcome():
@@ -214,8 +231,8 @@ def test_graph_covers_every_compared_pair_in_output_coordinates():
 )
 def test_outcome_matches_its_transcript(sort, s, k, p, seed):
     # The outcome is rebuilt from the recorded answers alone: the answers by
-    # pair, the verdict against the output order, and each compared pair once
-    # in output coordinates.
+    # pair, their agreement with the output order, and each compared pair
+    # once in output coordinates.
     rng = random.Random(seed)
     order = TotalOrder.shuffled(s, rng)
     items = list(range(s))
@@ -235,21 +252,27 @@ def test_outcome_matches_its_transcript(sort, s, k, p, seed):
         pairs.append((min(pa, pb), max(pa, pb)))
         answers[min(a, b), max(a, b)] = (answer is Answer.FIRST_SMALLER) == (a < b)
     assert out.answers == answers
-    assert out.consistent == consistent
+    assert consistent
     assert out.graph.edges == dict.fromkeys(pairs, 1)
     assert len(set(pairs)) == out.comparisons == len(oracle.transcript)
 
 
-def test_quicksort_can_return_an_inconsistent_order():
-    # Two lies that the partition sizes do not catch: the sort returns, and
-    # the answer "0 larger than 1" contradicts 0 coming first.
+def test_quicksort_raises_on_answers_against_its_output():
+    # Two lies that the partition sizes do not catch: the sort would output
+    # [0, 4, 3, 2, 1], and the answer "0 larger than 1" contradicts 0 coming
+    # first, so it raises after its ninth and last query.
     order = TotalOrder.shuffled(5, random.Random(45))
     oracle = RandomLiarOracle(order, k=2, p=0.3, seed=45)
-    out = balanced_quicksort(list(range(5)), oracle)
+    with pytest.raises(SortInconsistency) as exc:
+        balanced_quicksort(list(range(5)), oracle)
     assert oracle.lies_told == 2
-    assert out.output == [0, 4, 3, 2, 1] != order.ascending()
-    assert out.comparisons == 9
-    assert not out.consistent
+    assert (exc.value.reason, exc.value.comparisons) == (
+        "sort answers contradict the claimed order",
+        9,
+    )
+    replay = ReferenceQuicksort(ScriptedOracle([a for _, _, a in oracle.transcript]))
+    assert replay.sort(list(range(5))) == [0, 4, 3, 2, 1] != order.ascending()
+    assert (replay.memo[(0, 1)], len(replay.memo)) == (False, 9)
 
 
 class ConstantOracle:
@@ -369,8 +392,8 @@ class ReferenceQuicksort:
         return self.sort(smaller) + [median] + self.sort(larger)
 
     def outcome(self, items):
-        """(output, edges, comparisons, consistent), or the inconsistency's
-        (reason, comparisons)."""
+        """(output, edges, comparisons), or the inconsistency's (reason,
+        comparisons), where answers against the output are one too."""
         try:
             output = self.sort(list(items))
         except SortInconsistency as exc:
@@ -382,18 +405,16 @@ class ReferenceQuicksort:
             p, q = position[lo], position[hi]
             consistent = consistent and (p < q) == lo_smaller
             edges[(min(p, q), max(p, q))] = 1
-        return output, edges, len(self.memo), consistent
+        if not consistent:
+            return "sort answers contradict the claimed order", len(self.memo)
+        return output, edges, len(self.memo)
 
 
 def assert_quicksort_asks_like_the_reference(items, make_oracle):
     """Same transcript, and the same outcome or the same inconsistency;
     returns whether the sort raised."""
     oracle = make_oracle()
-    try:
-        out = balanced_quicksort(items, oracle)
-        got = out.output, out.graph.edges, out.comparisons, out.consistent
-    except SortInconsistency as exc:
-        got = exc.reason, exc.comparisons
+    got = quicksort_result(items, oracle)
     reference_oracle = make_oracle()
     expected = ReferenceQuicksort(reference_oracle).outcome(items)
     assert oracle.transcript.records == reference_oracle.transcript.records, items
@@ -455,13 +476,14 @@ class ReferenceMergesort(ReferenceQuicksort):
 
 
 def assert_mergesort_asks_like_the_reference(items, make_oracle):
-    """Same transcript, output, graph edges, comparisons and verdict."""
+    """Same transcript, output, graph edges and comparisons; the reference's
+    answers agree with its output too."""
     oracle = make_oracle()
     out = mergesort(items, oracle)
     reference_oracle = make_oracle()
     expected = ReferenceMergesort(reference_oracle).outcome(items)
     assert oracle.transcript.records == reference_oracle.transcript.records, items
-    assert (out.output, out.graph.edges, out.comparisons, out.consistent) == expected, items
+    assert (out.output, out.graph.edges, out.comparisons) == expected, items
 
 
 def test_mergesort_asks_like_the_reference_on_every_small_order():
@@ -489,7 +511,7 @@ def test_mergesort_asks_like_the_reference_on_seeded_orders(s):
             )
 
 
-# --- the graph and the verdict are derived on first read -----------------------
+# --- quicksort derives its graph with its verdict, mergesort on first read -----
 
 
 @pytest.fixture
@@ -540,12 +562,14 @@ def test_improved_derives_once_per_returned_sort(graph_builds, monkeypatch):
 
 @pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
 def test_graph_and_verdict_derive_together_once(graph_builds, sort):
+    # Quicksort builds its graph in the pass that checks its answers, before
+    # it returns; mergesort builds its graph when it is first read.
     order = TotalOrder.shuffled(9, random.Random(6))
     out = sort(list(range(9)), TruthfulOracle(order))
-    assert graph_builds == []
-    assert out.consistent
+    assert len(graph_builds) == (sort is balanced_quicksort)
+    assert answers_agree(out)
     graph = out.graph
-    assert (out.consistent, out.graph) == (True, graph)
+    assert out.graph is graph
     assert graph_builds == [(9, graph.edges)]
 
 
@@ -565,12 +589,12 @@ def every_mergesort_run(items):
 
 @pytest.mark.parametrize("s", range(1, 6))
 def test_mergesort_is_consistent_under_any_answers(s):
-    # The re-asking certifier never reads ``consistent``: this is why.  Two
-    # runs part at an answer on one pair and order it both ways, so the
-    # walk has exactly one leaf per permutation.
+    # Mergesort never raises, and the re-asking certifier checks none of its
+    # answers: this is why.  Two runs part at an answer on one pair and order
+    # it both ways, so the walk has exactly one leaf per permutation.
     outputs = set()
     for out, answers in every_mergesort_run(list(range(s))):
-        assert out.consistent
+        assert answers_agree(out)
         assert sorted(out.output) == list(range(s))
         assert out.comparisons == len(answers) <= mergesort_comparison_cap(s)
         outputs.add(tuple(out.output))
