@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ValueError("triggers apply only to the triggered-liar oracle")
         if any(trigger < 0 for trigger in self.triggers):
             raise ValueError("trigger indices must be non-negative")
+        if len(set(self.triggers)) != len(self.triggers):
+            raise ValueError("trigger indices must be distinct")
         if not self.record_transcripts and self.oracle != "truthful":
             raise ValueError("a lying oracle always records its transcript")
 

@@ -89,6 +89,13 @@ class TestRunExperiments:
         with pytest.raises(ValueError):
             run_experiments(ExperimentConfig("quickselect", n=4, k=0))
 
+    def test_repeated_triggers_rejected(self):
+        # The oracle keeps its triggers as a set, so a repeat would lie fewer
+        # times than the row's label lists.
+        cfg = ExperimentConfig("simple", n=3, k=5, oracle="triggered-liar", triggers=(17, 3, 3))
+        with pytest.raises(ValueError, match="trigger indices must be distinct"):
+            run_experiments(cfg)
+
     def test_unknown_oracle_rejected(self):
         with pytest.raises(ValueError, match="unknown oracle 'psychic'"):
             run_experiments(ExperimentConfig("simple", n=4, k=1, oracle="psychic"))
@@ -679,6 +686,12 @@ class TestCli:
                 + ["--oracle", "triggered-liar", "--trigger", "-5"],
                 "trigger indices must be non-negative",
             ),
+            (
+                ["run", "--algorithm", "simple", "--n", "3", "--k", "5"]
+                + ["--oracle", "triggered-liar"]
+                + ["--trigger", "17", "--trigger", "3", "--trigger", "3"],
+                "trigger indices must be distinct",
+            ),
         ],
         ids=[
             "run-n-1",
@@ -701,6 +714,7 @@ class TestCli:
             "run-trigger-random-liar",
             "run-no-transcripts-liar",
             "run-trigger-negative",
+            "run-trigger-repeated",
         ],
     )
     def test_invalid_arguments_are_a_usage_error(self, argv, message, capsys):
