@@ -2,7 +2,6 @@
 at most k times, with instrumentation to check the comparison-count bounds."""
 
 from .algorithms import (
-    BudgetViolation,
     GroupReport,
     MinMaxResult,
     find_max_k_lies,
@@ -37,7 +36,6 @@ from .harness import (
     verify_exhaustive,
 )
 from .oracles import (
-    AnswersExhausted,
     RandomLiarOracle,
     ScriptedOracle,
     TriggeredLiarOracle,

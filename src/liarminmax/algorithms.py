@@ -7,19 +7,19 @@ completion (the improved algorithm).  Pohl's pairing scheme for a reliable
 oracle is the completion certifier at k = 0: a pair takes one sort
 comparison and its completion adds none.  Restarts stay local to one group,
 and every restart is evidence of at least one lie, so a contract-honoring
-oracle can force at most k of them in a whole run.
+oracle can force at most k of them in a whole run; restart k+1 raises
+:class:`~liarminmax.core.LieBudgetViolation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LARGER, SMALLER, Answer, RunStats
+from .core import LARGER, SMALLER, Answer, LieBudgetViolation, RunStats
 from .graphs import added_edge_pairs, complete_edges
 from .sorters import SortInconsistency, balanced_quicksort, mergesort
 
 __all__ = [
-    "BudgetViolation",
     "GroupReport",
     "MinMaxResult",
     "find_max_k_lies",
@@ -30,10 +30,6 @@ __all__ = [
     "simple_comparison_bound",
     "simple_minmax",
 ]
-
-
-class BudgetViolation(RuntimeError):
-    """More restarts than the lie budget allows: the oracle broke its contract."""
 
 
 @dataclass(frozen=True)
@@ -208,9 +204,7 @@ def _extrema(
                 break
             stats.restarts += 1
             if stats.restarts > k:
-                raise BudgetViolation(
-                    f"{stats.restarts} group restarts already exceed the lie budget {k}"
-                )
+                raise LieBudgetViolation(stats.restarts, k)
         minima.append(order[0])
         maxima.append(order[-1])
     stats.add("group-sort", sorted_total)

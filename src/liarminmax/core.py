@@ -33,13 +33,16 @@ class InvalidQuery(ValueError):
 
 
 class LieBudgetViolation(RuntimeError):
-    """An oracle produced more false answers than its budget allows.
+    """An oracle gave more false answers than its budget allows: it broke
+    its contract, which is not an algorithm bug.
 
-    This signals a broken oracle implementation, not an algorithm bug.
+    ``lies`` is a lower bound on the lies told: the transcript audit counts
+    them exactly, while a selection run that restarts more than ``budget``
+    times reports its restarts, each the proof of at least one lie.
     """
 
     def __init__(self, lies: int, budget: int) -> None:
-        super().__init__(f"transcript contains {lies} lies but the budget is {budget}")
+        super().__init__(f"at least {lies} lies against a lie budget of {budget}")
         self.lies = lies
         self.budget = budget
 

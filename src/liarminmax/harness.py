@@ -282,7 +282,6 @@ class Counterexample:
 
 @dataclass
 class VerifyReport:
-    algorithm: str
     n: int
     k: int
     nodes: int = 0
@@ -331,8 +330,7 @@ def verify_exhaustive(
     runner = _algorithm_runner(algorithm, items, k, s_override)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive order enumeration needs n <= {EXHAUSTIVE_CAP}, got {n}")
-    name = algorithm if isinstance(algorithm, str) else getattr(algorithm, "__name__", "custom")
-    report = VerifyReport(name, n, k)
+    report = VerifyReport(n, k)
     siblings: list[tuple[int, dict]] = []
     answers: list[Answer] = []
     candidates = dict.fromkeys(permutations(items), 0)

@@ -3,8 +3,8 @@
 All oracles share one contract: ``query(a, b)`` returns an :class:`Answer`
 for the ordered pair and never gives more than ``k`` false answers relative
 to the hidden order.  A recording oracle also appends one transcript record
-per call; the scripted replay keeps none, as its answer list is the record.
-It may ``extend`` its script, as the exhaustive verifier does.
+per call; the scripted replay keeps none, as its answer list is the record,
+and asks its ``extend`` callback for every answer past its script.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Callable, Iterable, Sequence
 from .core import LARGER, SMALLER, Answer, InvalidQuery, TotalOrder, Transcript
 
 __all__ = [
-    "AnswersExhausted",
     "LyingOracle",
     "RandomLiarOracle",
     "ScriptedOracle",
@@ -118,27 +117,14 @@ class TriggeredLiarOracle(LyingOracle):
         return True
 
 
-class AnswersExhausted(Exception):
-    """Raised by :class:`ScriptedOracle` when a script without ``extend`` runs out.
-
-    ``a`` and ``b`` are the query the replayed run asked after its last
-    scripted answer: the pair that a longer script would have to answer
-    next.
-    """
-
-    def __init__(self, a: int, b: int) -> None:
-        super().__init__(f"answer script exhausted at query ({a}, {b})")
-        self.a = a
-        self.b = b
-
-
 class ScriptedOracle:
     """Replays a fixed answer sequence; the backbone of transcript replay
     and of the exhaustive game-tree verifier.  Past the end of the script,
-    ``extend(a, b)`` supplies the next answer, which joins ``answers``.  It
-    records nothing: the answer list already is the record."""
+    ``extend(a, b)`` supplies the next answer, which joins ``answers``.  A
+    caller that expects no query past the script passes an ``extend`` that
+    fails.  It records nothing: the answer list already is the record."""
 
-    def __init__(self, answers: Sequence[Answer], extend: Callable | None = None) -> None:
+    def __init__(self, answers: Sequence[Answer], extend: Callable[[int, int], Answer]) -> None:
         self.answers = list(answers)
         self.extend = extend
         self.position = 0
@@ -148,8 +134,6 @@ class ScriptedOracle:
         if a == b:
             raise InvalidQuery(f"cannot compare element {a} with itself")
         if self.position == len(self.answers):
-            if self.extend is None:
-                raise AnswersExhausted(a, b)
             self.answers.append(self.extend(a, b))
         answer = self.answers[self.position]
         self.position += 1

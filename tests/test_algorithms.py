@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from liarminmax import algorithms
 from liarminmax.algorithms import (
-    BudgetViolation,
     _blocks,
+    _certify_by_reasking,
     _group_size,
     find_max_k_lies,
     find_min_k_lies,
@@ -17,7 +17,8 @@ from liarminmax.algorithms import (
     pohl_minmax,
     simple_minmax,
 )
-from liarminmax.core import Answer, TotalOrder, Transcript, count_lies
+from liarminmax.core import Answer, LieBudgetViolation, TotalOrder, Transcript, count_lies
+from liarminmax.graphs import OrderedMultigraph, added_edge_pairs, complete_edges
 from liarminmax.oracles import (
     RandomLiarOracle,
     ScriptedOracle,
@@ -29,6 +30,11 @@ from liarminmax.sorters import mergesort
 
 def pohl_count(n):
     return (3 * n + 1) // 2 - 2
+
+
+def unexpected_query(a, b):
+    """``extend`` for a script that must not run out: fails the test."""
+    pytest.fail(f"unexpected query ({a}, {b}) past the script")
 
 
 class FlipFlopOracle:
@@ -141,14 +147,14 @@ class TestFindMax:
     ids=["find-min", "find-max", "simple", "improved"],
 )
 def test_negative_k_rejected_before_any_query(run):
-    # An empty script raises AnswersExhausted on the first query.
+    # An empty script fails the test on the first query.
     with pytest.raises(ValueError, match="k must be non-negative"):
-        run(ScriptedOracle([]))
+        run(ScriptedOracle([], unexpected_query))
 
 
 def test_selection_from_an_empty_set_rejected():
     with pytest.raises(ValueError, match="cannot select from an empty set"):
-        find_min_k_lies([], 1, ScriptedOracle([]))
+        find_min_k_lies([], 1, ScriptedOracle([], unexpected_query))
 
 
 class TestPohl:
@@ -267,6 +273,17 @@ class TestSimple:
             start += len(reasks)
         assert start < len(records)  # the final selections follow
 
+    def test_checks_are_the_completion_of_the_empty_graph(self):
+        # Re-asking is completing a graph with no edges: the k+1 copies of
+        # each adjacent pair, in the same order.  A certifier that completes
+        # mergesort's graph without crediting its edges would ask the same.
+        for m in range(2, 40):
+            oracle = TruthfulOracle(TotalOrder.identity(m), record=False)
+            for k in range(12):
+                empty = OrderedMultigraph(m)
+                _, checks = _certify_by_reasking(list(range(m)), k, oracle)
+                assert added_edge_pairs(empty, complete_edges(empty, k)) == checks, (m, k)
+
     # Into the second group's 15 checks: the first re-ask, the last of the
     # first pair, one in the middle and the group's last.
     @pytest.mark.parametrize("offset", [0, 4, 7, 14])
@@ -324,9 +341,11 @@ class TestSimple:
         assert result.stats.restarts <= oracle.lies_told <= k
 
     def test_contract_breaking_oracle_raises(self):
+        # Restart k + 1 raises, each restart the proof of one lie.
         order = TotalOrder.identity(6)
-        with pytest.raises(BudgetViolation):
+        with pytest.raises(LieBudgetViolation) as exc:
             simple_minmax(list(range(6)), 1, FlipFlopOracle(order))
+        assert (exc.value.lies, exc.value.budget) == (2, 1)
 
     def test_records_every_query_through_the_patch_point(self, monkeypatch):
         # The benchmark's tracer wraps ``core.Transcript.append``; an oracle
@@ -439,12 +458,13 @@ class TestImproved:
 
     def test_group_size_below_two_rejected(self):
         with pytest.raises(ValueError, match="group size must be at least 2"):
-            improved_minmax(list(range(4)), 1, ScriptedOracle([]), s=1)
+            improved_minmax(list(range(4)), 1, ScriptedOracle([], unexpected_query), s=1)
 
     def test_contract_breaking_oracle_raises(self):
         order = TotalOrder.identity(8)
-        with pytest.raises(BudgetViolation):
+        with pytest.raises(LieBudgetViolation) as exc:
             improved_minmax(list(range(8)), 2, FlipFlopOracle(order))
+        assert (exc.value.lies, exc.value.budget) == (3, 2)
 
     def test_phase_accounting_matches_transcript(self):
         k, n = 5, 23

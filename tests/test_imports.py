@@ -8,10 +8,13 @@ path fail here.  Relative imports in ``__init__.py`` are re-exports, and
 unused-import check.  Instead, every name in a module's ``__all__`` must be
 defined in that module, and every name ``__init__.py`` re-exports must be in
 its source module's ``__all__``, so a deletion cannot leave a stale export.
-The names the benchmark's tracer patches must stay in their modules too.
+The names the benchmark's tracer patches must stay in their modules too,
+and every exception class the package defines must be raised somewhere in
+it, so an error type cannot outlive its last ``raise``.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -134,6 +137,55 @@ def test_lint_flags_a_private_import():
         "    from .harness import _split\n"
     )
     assert private_imports(source) == ["_blocks (line 2)", "_split (line 4)"]
+
+
+def unraised_errors(sources: list[str]) -> list[str]:
+    """Exception classes that ``sources`` define and none of them raises.
+
+    A class is an exception class when one of its bases is a builtin
+    exception or another exception class defined there.  ``raise X``,
+    ``raise X(...)`` and ``raise module.X(...)`` all raise ``X``.
+    """
+    bases: dict[str, list[str]] = {}
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+                elif isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+
+    def is_error(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(is_error(base) for base in bases.get(name, ()))
+
+    return sorted(name for name in bases if is_error(name) and name not in raised)
+
+
+def test_every_error_type_is_raised():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unraised_errors(sources) == []
+
+
+def test_lint_flags_an_unraised_error_type():
+    source = (
+        "class Broken(ValueError): pass\n"
+        "class Worse(Broken): pass\n"
+        "class Raised(RuntimeError): pass\n"
+        "class Gone(Exception): pass\n"
+        "class Plain: pass\n"
+        "def f():\n"
+        "    raise Raised('x') from None\n"
+        "    raise errors.Worse\n"
+    )
+    assert unraised_errors([source]) == ["Broken", "Gone"]
+    assert unraised_errors([source, "raise Broken\n"]) == ["Gone"]
 
 
 def answer_lookups_in_functions(source: str) -> list[str]:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from liarminmax.core import Answer, InvalidQuery, TotalOrder, Transcript, count_lies, truth_compare
 from liarminmax.harness import _split
 from liarminmax.oracles import (
-    AnswersExhausted,
     RandomLiarOracle,
     ScriptedOracle,
     TriggeredLiarOracle,
@@ -229,17 +228,6 @@ class TestConsistentOrders:
         assert [TotalOrder(rank) for rank in candidates] == expected
 
 
-def test_scripted_oracle_replays_then_signals():
-    oracle = ScriptedOracle([Answer.FIRST_SMALLER, Answer.FIRST_LARGER])
-    assert oracle.query(0, 1) is Answer.FIRST_SMALLER
-    assert oracle.query(1, 2) is Answer.FIRST_LARGER
-    with pytest.raises(AnswersExhausted) as exc:
-        oracle.query(0, 2)
-    assert (exc.value.a, exc.value.b) == (0, 2)
-    assert oracle.position == 2
-    assert oracle.transcript is None
-
-
 def test_scripted_oracle_extends_past_its_script():
     script = [Answer.FIRST_SMALLER]
     asked = []
@@ -255,6 +243,7 @@ def test_scripted_oracle_extends_past_its_script():
     assert asked == [(1, 2)]
     assert oracle.answers == [Answer.FIRST_SMALLER, Answer.FIRST_LARGER]
     assert oracle.position == 2
+    assert oracle.transcript is None
     assert script == [Answer.FIRST_SMALLER]
     # A self-comparison is refused before the script can grow.
     with pytest.raises(InvalidQuery):

@@ -33,6 +33,16 @@ def quicksort_result(items, oracle):
     return out.output, out.graph.edges, out.comparisons
 
 
+def replaying(oracle):
+    """A scripted oracle that replays ``oracle``'s transcript and fails the
+    test on any query past its end."""
+
+    def past_the_end(a, b):
+        pytest.fail(f"the replay asked ({a}, {b}) past the recorded transcript")
+
+    return ScriptedOracle([answer for _, _, answer in oracle.transcript], past_the_end)
+
+
 def answers_agree(out):
     """Whether every answer a returned sort read agrees with its output."""
     position = {element: index for index, element in enumerate(out.output)}
@@ -193,7 +203,7 @@ class TestBalancedQuicksort:
         for p, seed in ((0.4, 4), (0.02, 8)):
             oracle = RandomLiarOracle(order, k=3, p=p, seed=seed)
             original = quicksort_result(items, oracle)
-            replay = ScriptedOracle([answer for _, _, answer in oracle.transcript])
+            replay = replaying(oracle)
             assert quicksort_result(items, replay) == original
             results.append(original if len(original) == 2 else oracle.lies_told)
         assert results == [("sort answers contradict the claimed order", 63), 1]
@@ -204,7 +214,7 @@ def test_mergesort_replay_reproduces_identical_outcome():
     oracle = RandomLiarOracle(order, k=2, p=0.5, seed=8)
     items = list(range(13))
     original = mergesort(items, oracle)
-    replay = ScriptedOracle([answer for _, _, answer in oracle.transcript])
+    replay = replaying(oracle)
     repeated = mergesort(items, replay)
     assert repeated.output == original.output
     assert repeated.graph.edges == original.graph.edges
@@ -271,7 +281,7 @@ def test_quicksort_raises_on_answers_against_its_output():
         "sort answers contradict the claimed order",
         9,
     )
-    replay = ReferenceQuicksort(ScriptedOracle([a for _, _, a in oracle.transcript]))
+    replay = ReferenceQuicksort(replaying(oracle))
     assert replay.sort(list(range(5))) == [0, 4, 3, 2, 1] != order.ascending()
     assert (replay.memo[(0, 1)], len(replay.memo)) == (False, 9)
 
@@ -512,7 +522,7 @@ def test_mergesort_asks_like_the_reference_on_seeded_orders(s):
             )
 
 
-# --- quicksort derives its graph with its verdict, mergesort on first read -----
+# --- quicksort builds its graph before it returns, mergesort on first read ---
 
 
 @pytest.fixture
@@ -575,7 +585,7 @@ def test_two_item_quicksort_builds_no_graph(graph_builds):
 
 
 @pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
-def test_graph_and_verdict_derive_together_once(graph_builds, sort):
+def test_quicksort_builds_graph_before_return_mergesort_on_first_read(graph_builds, sort):
     # Quicksort builds its graph in the pass that checks its answers, before
     # it returns; mergesort builds its graph when it is first read.
     order = TotalOrder.shuffled(9, random.Random(6))
