@@ -11,8 +11,9 @@ appends under ``perfbench/out/``.  Each seed runs ``perfbench/run.py --trace
 first on the next, alternating.  For every end-to-end metric that
 ``BENCHMARK.json`` lists, the summary gives each side's median and quartiles
 over the seeds (as ``perfbench/sweep.py`` computes them), the pairs the
-checkout won (ties count for neither) and the held-out seeds' pairs, then
-every problem a run reported.  The exit status is 1 when a run failed, a
+checkout won (ties count for neither) and the held-out seeds' pairs.  Then
+come every pair's values, parent -> change, one line per metric, and every
+problem a run reported.  The exit status is 1 when a run failed, a
 trial failed or a fingerprint verdict was anything but ``match``.
 """
 
@@ -82,6 +83,22 @@ def summary(pairs: list[dict], held_out: list[tuple[int, dict]], metrics: list[d
     return lines
 
 
+def pair_lines(runs: list[tuple[int, dict]], metrics: list[dict]) -> list[str]:
+    """One line per end-to-end metric with every pair's values, parent ->
+    change, in run order.  ``runs`` holds (seed, {side: values})."""
+    lines = []
+    for metric in metrics:
+        name = metric["name"]
+        values = [
+            f"seed {seed}: {pair['parent'][name]:.5g} -> {pair['change'][name]:.5g}"
+            for seed, pair in runs
+            if all(name in pair[side] for side in SIDES)
+        ]
+        if values:
+            lines.append(f"{name:<24} " + "  ".join(values))
+    return lines
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float):
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -120,6 +137,8 @@ def main(argv=None) -> int:
     pairs = [pair for _, pair in runs[: len(args.seeds)]]
     print(f"{args.workload}: parent {args.parent} against the checkout, {args.seconds:g} s runs")
     print("\n".join(summary(pairs, runs[len(args.seeds) :], spec["end_to_end"])))
+    print("every pair, parent -> change:")
+    print("\n".join(pair_lines(runs, spec["end_to_end"])))
     for problem in problems:
         print(f"PROBLEM {problem}")
     return 1 if problems else 0

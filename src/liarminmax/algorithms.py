@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass
 class MinMaxResult:
     min: int
     max: int
@@ -50,10 +50,6 @@ class GroupReport:
     thickness: int | None
     completed: bool
     restart_reason: str | None = None
-
-
-def _blocks(items: list, s: int) -> list[list]:
-    return [items[i : i + s] for i in range(0, len(items), s)]
 
 
 def _group_size(k: int) -> int:
@@ -94,19 +90,21 @@ def _select_k_lies(items, k: int, oracle, eliminating: Answer) -> tuple[int, int
     Correct whenever the oracle lies at most k times (eliminating the true
     extremum would take k+1 lies), and never uses more than (k+1)n - 1
     comparisons, since every comparison hands out exactly one loss and the
-    survivor ends with at most k.  Returns (winner, comparisons).
+    survivor ends with at most k.  Reads ``items`` once, so any iterable
+    serves.  Returns (winner, comparisons).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    items = list(items)
-    if not items:
+    challengers = iter(items)
+    for candidate in challengers:
+        break
+    else:
         raise ValueError("cannot select from an empty set")
     out = k + 1
-    candidate = items[0]
     candidate_losses = 0
     comparisons = 0
     query = oracle.query
-    for challenger in items[1:]:
+    for challenger in challengers:
         challenger_losses = 0
         while True:
             comparisons += 1
@@ -170,15 +168,14 @@ def _extrema(
     items = list(items)
     if len(items) < 2:
         raise ValueError("need at least two elements")
-    stats = RunStats()
     query = oracle.query
+    restarts = 0
     minima: list[int] = []
     maxima: list[int] = []
-    # The group phases are summed and charged once, after the last group.
-    # ``phase_breakdown`` keeps its key order: the first group always sorts.
+    # The phases are summed over the run and charged once, at its end.
     sorted_total = verified_total = 0
-    for group_index, group in enumerate(_blocks(items, size)):
-        order = group
+    for group_index, start in enumerate(range(0, len(items), size)):
+        group = order = items[start : start + size]
         while len(group) > 1:
             outcome = reason = None
             asked = 0
@@ -202,18 +199,23 @@ def _extrema(
                 group_log.append(GroupReport(group_index, len(group), *report))
             if reason is None:
                 break
-            stats.restarts += 1
-            if stats.restarts > k:
-                raise LieBudgetViolation(stats.restarts, k)
+            restarts += 1
+            if restarts > k:
+                raise LieBudgetViolation(restarts, k)
         minima.append(order[0])
         maxima.append(order[-1])
-    stats.add("group-sort", sorted_total)
-    stats.add("group-verify", verified_total)
-    low, c = find_min_k_lies(minima, k, oracle)
-    stats.add("final-min", c)
-    high, c = find_max_k_lies(maxima, k, oracle)
-    stats.add("final-max", c)
-    return MinMaxResult(low, high, stats)
+    low, low_count = find_min_k_lies(minima, k, oracle)
+    high, high_count = find_max_k_lies(maxima, k, oracle)
+    # Only the phases that asked a query get a key, in ``PHASES`` order; the
+    # first group always sorts.
+    phases = {"group-sort": sorted_total}
+    if verified_total:
+        phases["group-verify"] = verified_total
+    if low_count:
+        phases["final-min"] = low_count
+    if high_count:
+        phases["final-max"] = high_count
+    return MinMaxResult(low, high, RunStats(restarts, phases))
 
 
 def pohl_minmax(items, oracle) -> MinMaxResult:

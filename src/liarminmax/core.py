@@ -173,7 +173,9 @@ PHASES = ("group-sort", "group-verify", "final-min", "final-max")
 
 @dataclass
 class RunStats:
-    """Comparison accounting for one full selection run."""
+    """Comparison accounting for one full selection run: ``phase_breakdown``
+    maps each phase of :data:`PHASES` that asked a query to its count, in
+    ``PHASES`` order."""
 
     restarts: int = 0
     phase_breakdown: dict[str, int] = field(default_factory=dict)
@@ -181,7 +183,3 @@ class RunStats:
     @property
     def comparisons(self) -> int:
         return sum(self.phase_breakdown.values())
-
-    def add(self, phase: str, count: int) -> None:
-        if count:
-            self.phase_breakdown[phase] = self.phase_breakdown.get(phase, 0) + count

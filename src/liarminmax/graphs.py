@@ -79,10 +79,8 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
         raise ValueError("completion needs at least two positions")
     cap = k + 1
     if s == 2:
-        edges = dict(graph.edges)
-        if edges.get((1, 2), 0) < cap:
-            edges[(1, 2)] = cap
-        return OrderedMultigraph(2, edges)
+        m = graph.edges.get((1, 2), 0)
+        return OrderedMultigraph(2, {(1, 2): m if m > cap else cap})
     # The profile's degrees are raised in place as edges are added; a
     # position's slack is k+1 minus its current degree.  Plain comparisons
     # stand in for min() and max(), whose calls cost more than a pair's sweep.
@@ -123,9 +121,16 @@ def added_edge_pairs(
 
     Raises ``ValueError`` unless ``base`` is a sub-multigraph of
     ``completed``: each of its pairs must be there with at least its
-    multiplicity.  Only the pairs whose multiplicity grew are sorted.
+    multiplicity.  Only the pairs whose multiplicity grew are sorted, and a
+    ``completed`` of one pair (any graph on two positions) needs no sort.
     """
     old, new = base.edges, completed.edges
+    if len(new) == 1:
+        ((pair, m),) = new.items()
+        before = old.get(pair, 0)
+        if m < before or len(old) != (pair in old):
+            raise ValueError("base graph is not contained in the completed graph")
+        return [pair] * (m - before)
     get = old.get
     grown = []
     fresh = 0

@@ -294,19 +294,17 @@ class VerifyReport:
         return self.counterexample is None
 
 
-Runner = Callable[[object], tuple[int | None, int | None]]
-
-
-def _algorithm_runner(algorithm, items: list[int], k: int, s_override: int | None) -> Runner:
+def _algorithm_runner(algorithm, k: int, s_override: int | None) -> Callable:
+    """A registry ``run(items, k, oracle, s)`` whose result starts with (min,
+    max): the entry's own, or a custom ``algorithm(items, k, oracle)``."""
     if callable(algorithm):
         if s_override is not None:
             raise ValueError("a custom algorithm has no group size to override")
         if k < 0:
             raise ValueError("lie budget must be non-negative")
-        return lambda oracle: algorithm(items, k, oracle)
+        return lambda items, k, oracle, s: algorithm(items, k, oracle)
     _check_algorithm(algorithm, k, s_override)
-    run = REGISTRY[algorithm].run
-    return lambda oracle: run(items, k, oracle, s_override)[:2]
+    return REGISTRY[algorithm].run
 
 
 def verify_exhaustive(
@@ -327,7 +325,7 @@ def verify_exhaustive(
     :data:`EXHAUSTIVE_CAP`.
     """
     items = list(range(n))
-    runner = _algorithm_runner(algorithm, items, k, s_override)
+    run = _algorithm_runner(algorithm, k, s_override)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive order enumeration needs n <= {EXHAUSTIVE_CAP}, got {n}")
     report = VerifyReport(n, k)
@@ -338,7 +336,6 @@ def verify_exhaustive(
 
     def branch(a: int, b: int) -> Answer:
         nonlocal candidates
-        report.nodes += 1
         smaller, larger = _split(candidates, a, b, k)
         if smaller and larger:
             siblings.append((len(oracle.answers), larger))
@@ -347,11 +344,14 @@ def verify_exhaustive(
 
     while True:
         oracle = ScriptedOracle(answers, branch)
-        low, high = runner(oracle)
-        answers = oracle.answers
-        report.nodes += 1
+        low, high = run(items, k, oracle, s_override)[:2]
+        # Every answer past the replayed prefix is a node, and so is the leaf.
+        asked = len(oracle.answers)
+        report.nodes += asked - len(answers) + 1
         report.leaves += 1
-        report.worst_comparisons = max(report.worst_comparisons, len(answers))
+        if asked > report.worst_comparisons:
+            report.worst_comparisons = asked
+        answers = oracle.answers
         # An id outside 0..n-1 matches no order; checking it first keeps
         # ``rank[low]`` from failing, or from reading a negative index.
         valid = (low is None or low in ids) and (high is None or high in ids)
@@ -364,8 +364,10 @@ def verify_exhaustive(
                 return report
         if not siblings:
             return report
+        # The leaf's answers, cut to the sibling's depth, script the next run.
         depth, candidates = siblings.pop()
-        answers = answers[:depth] + [LARGER]
+        del answers[depth:]
+        answers.append(LARGER)
 
 
 # --- thickness measurement ---------------------------------------------------

@@ -133,8 +133,9 @@ class ScriptedOracle:
     def query(self, a: int, b: int) -> Answer:
         if a == b:
             raise InvalidQuery(f"cannot compare element {a} with itself")
-        if self.position == len(self.answers):
-            self.answers.append(self.extend(a, b))
-        answer = self.answers[self.position]
-        self.position += 1
-        return answer
+        position = self.position
+        answers = self.answers
+        if position == len(answers):
+            answers.append(self.extend(a, b))
+        self.position = position + 1
+        return answers[position]

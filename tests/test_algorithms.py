@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from liarminmax import algorithms
 from liarminmax.algorithms import (
-    _blocks,
     _certify_by_reasking,
+    _extrema,
     _group_size,
     find_max_k_lies,
     find_min_k_lies,
@@ -17,7 +17,14 @@ from liarminmax.algorithms import (
     pohl_minmax,
     simple_minmax,
 )
-from liarminmax.core import Answer, LieBudgetViolation, TotalOrder, Transcript, count_lies
+from liarminmax.core import (
+    PHASES,
+    Answer,
+    LieBudgetViolation,
+    TotalOrder,
+    Transcript,
+    count_lies,
+)
 from liarminmax.graphs import OrderedMultigraph, added_edge_pairs, complete_edges
 from liarminmax.oracles import (
     RandomLiarOracle,
@@ -157,6 +164,61 @@ def test_selection_from_an_empty_set_rejected():
         find_min_k_lies([], 1, ScriptedOracle([], unexpected_query))
 
 
+def as_generator(items):
+    return (item for item in items)
+
+
+@pytest.mark.parametrize("select", [find_min_k_lies, find_max_k_lies])
+def test_selection_reads_any_iterable_once(select):
+    # A list, a tuple and a generator give the same winner, count and
+    # queries; empty or with k < 0, each is rejected before any query.
+    items = [5, 1, 7, 0, 8, 2, 6, 3, 4]
+    order = TotalOrder.shuffled(len(items), random.Random(4))
+    seen = []
+    for make in (list, tuple, as_generator):
+        oracle = TriggeredLiarOracle(order, 2, triggers={2, 5})
+        seen.append((select(make(items), 2, oracle), oracle.transcript.records))
+        with pytest.raises(ValueError, match="cannot select from an empty set"):
+            select(make([]), 2, ScriptedOracle([], unexpected_query))
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            select(make(items), -1, ScriptedOracle([], unexpected_query))
+    assert seen[0] == seen[1] == seen[2]
+    (winner, _), _ = seen[0]
+    extreme = order.min_element() if select is find_min_k_lies else order.max_element()
+    assert winner == extreme
+
+
+@pytest.mark.parametrize("name", ["pohl", "simple", "improved"])
+def test_phase_breakdown_keys_the_phases_that_asked(name):
+    # Keys in PHASES order, none for a phase without a query, and the counts
+    # add up to every query the oracle answered, restarts included.
+    drivers = {
+        "pohl": lambda items, k, oracle: pohl_minmax(items, oracle),
+        "simple": simple_minmax,
+        "improved": improved_minmax,
+    }
+    sort_only, no_verify = ("group-sort",), ("group-sort", "final-min", "final-max")
+    # n = 2 is one group, whose run selects nothing; pohl and improved at
+    # k = 0 certify a pair by its sort alone.
+    expected = {
+        "pohl": {sort_only, no_verify},
+        "simple": {("group-sort", "group-verify"), PHASES},
+        "improved": {sort_only, no_verify, ("group-sort", "group-verify"), PHASES},
+    }
+    seen = set()
+    for n in range(2, 10):
+        for k in [0] if name == "pohl" else [0, 1, 2]:
+            order = TotalOrder.shuffled(n, random.Random(10 * n + k))
+            for oracle in (TruthfulOracle(order), TriggeredLiarOracle(order, k, {1, 4})):
+                stats = drivers[name](list(range(n)), k, oracle).stats
+                phases = stats.phase_breakdown
+                assert list(phases) == [phase for phase in PHASES if phase in phases]
+                assert all(phases.values())
+                assert sum(phases.values()) == stats.comparisons == oracle.queries
+                seen.add(tuple(phases))
+    assert seen == expected[name]
+
+
 class TestPohl:
     @pytest.mark.parametrize("n, expected", [(2, 1), (4, 4), (5, 6)])
     def test_exact_counts(self, n, expected):
@@ -204,8 +266,19 @@ class TestPohl:
 
 
 def group_plan(n, k):
-    """The groups the drivers certify for n elements at lie budget k."""
-    return _blocks(list(range(n)), _group_size(k))
+    """The groups the group driver splits 0..n-1 into at lie budget k: the
+    blocks a truthful run hands its certifier, then the elements it passes
+    through uncertified."""
+    certified = []
+
+    def recording(group, k, oracle):
+        certified.append(group)
+        return _certify_by_reasking(group, k, oracle)
+
+    oracle = TruthfulOracle(TotalOrder.identity(n), record=False)
+    _extrema(recording, range(n), k, oracle, _group_size(k))
+    seen = {e for group in certified for e in group}
+    return certified + [[e] for e in range(n) if e not in seen]
 
 
 class TestGroupPlan:
@@ -262,7 +335,7 @@ class TestSimple:
         simple_minmax(list(range(n)), k, oracle)
         records = oracle.transcript.records
         start = 0
-        for group in _blocks(list(range(n)), _group_size(k)):
+        for group in group_plan(n, k):
             sort = mergesort(group, TruthfulOracle(order))
             start += sort.comparisons
             out = sort.output
@@ -294,7 +367,7 @@ class TestSimple:
         truthful = TruthfulOracle(order)
         baseline = simple_minmax(items, k, truthful)
         pairs = [(a, b) for a, b, _ in truthful.transcript]
-        first_group, second_group = _blocks(items, _group_size(k))[:2]
+        first_group, second_group = group_plan(n, k)[:2]
         first_sort = mergesort(first_group, TruthfulOracle(order)).comparisons
         group_start = first_sort + (k + 1) * (len(first_group) - 1)
         sort_cost = mergesort(second_group, TruthfulOracle(order)).comparisons

@@ -131,13 +131,10 @@ def test_transcript_indices_are_dense():
 
 
 def test_runstats_comparisons_equal_phase_sum():
-    stats = RunStats()
-    stats.add("group-sort", 7)
-    stats.add("group-verify", 5)
-    stats.add("group-sort", 3)
-    stats.add("final-min", 0)
+    assert RunStats().comparisons == 0
+    stats = RunStats(2, {"group-sort": 10, "group-verify": 5})
     assert stats.comparisons == 15
-    assert stats.phase_breakdown == {"group-sort": 10, "group-verify": 5}
+    assert stats.restarts == 2
 
 
 def test_answer_flipped_is_involution():

@@ -812,6 +812,29 @@ def test_bench_pairs_summary():
     ]
 
 
+def test_bench_pairs_lists_every_pair():
+    script = load_script("bench_pairs")
+    runs = [
+        (seed, {side: script.read_run(canned_run(*pair[side]), 0)[0] for side in pair})
+        for seed, pair in [
+            (1, {"parent": (24.0, 80.0), "change": (22.5, 90.0)}),
+            (2, {"parent": (25.0, 81.0), "change": (25.0, 80.0)}),
+            (562, {"parent": (23.0, 79.0), "change": (21.0, 85.0)}),
+        ]
+    ]
+    metrics = [
+        {"name": "trial_ms_p50", "unit": "ms", "better": "lower"},
+        {"name": "elements_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+    ]
+    # Every seed in run order, held-out seeds included; a metric no run
+    # reports is left out, as in the summary.
+    assert script.pair_lines(runs, metrics) == [
+        "trial_ms_p50             seed 1: 24 -> 22.5  seed 2: 25 -> 25  seed 562: 23 -> 21",
+        "elements_per_s           seed 1: 80 -> 90  seed 2: 81 -> 80  seed 562: 79 -> 85",
+    ]
+
+
 def test_bench_pairs_alternates_and_fails_on_a_mismatch(monkeypatch, capsys, tmp_path):
     script = load_script("bench_pairs")
     empty = tmp_path / "empty.tar"
