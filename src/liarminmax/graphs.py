@@ -126,6 +126,7 @@ def added_edge_pairs(
     """
     old, new = base.edges, completed.edges
     if len(new) == 1:
+        # Contained: ``base`` holds this pair at most m times, and no other.
         ((pair, m),) = new.items()
         before = old.get(pair, 0)
         if m < before or len(old) != (pair in old):

@@ -234,6 +234,8 @@ class TestCompleteEdges:
             (OrderedMultigraph(3, {(1, 3): 1}), OrderedMultigraph(3, {(1, 2): 1})),
             # A base pair whose multiplicity shrank.
             (OrderedMultigraph(2, {(1, 2): 2}), OrderedMultigraph(2, {(1, 2): 1})),
+            # A base pair beside the completed graph's only pair.
+            (OrderedMultigraph(3, {(1, 2): 1, (2, 3): 1}), OrderedMultigraph(3, {(1, 2): 2})),
         ],
     )
     def test_added_pairs_need_the_base_contained(self, base, completed):
