@@ -53,8 +53,7 @@ def main() -> int:
     write_text(rows_to_csv(rows), args.out)
     if out_of_bound:
         print(f"{len(out_of_bound)} rows exceeded their bound:", file=sys.stderr)
-        for row in out_of_bound[:10]:
-            print(" ", row.as_csv(), file=sys.stderr)
+        print(rows_to_csv(out_of_bound[:10]), end="", file=sys.stderr)
         return 1
     print(f"# {len(rows)} rows, all within bounds ({CSV_HEADER})", file=sys.stderr)
     return 0

@@ -34,8 +34,8 @@ __all__ = [
 
 @dataclass
 class MinMaxResult:
-    min: int
-    max: int
+    min: int | None
+    max: int | None
     stats: RunStats
 
 

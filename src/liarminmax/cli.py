@@ -17,7 +17,6 @@ from .harness import (
     measure_thickness,
     rows_to_csv,
     run_experiments,
-    thickness_rows_to_csv,
     verify_exhaustive,
     write_text,
 )
@@ -107,7 +106,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_thickness(args) -> int:
     rows = measure_thickness(args.sorter, args.s, args.trials, args.seed)
-    write_text(thickness_rows_to_csv(rows), args.out)
+    write_text(rows_to_csv(rows), args.out)
     return 0
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .core import LARGER, SMALLER, Answer, TotalOrder, assert_lie_budget
+from .core import LARGER, SMALLER, Answer, RunStats, TotalOrder, assert_lie_budget
 from .oracles import (
     RandomLiarOracle,
     ScriptedOracle,
@@ -22,6 +22,7 @@ from .oracles import (
     TruthfulOracle,
 )
 from .algorithms import (
+    MinMaxResult,
     find_max_k_lies,
     find_min_k_lies,
     improved_minmax,
@@ -42,14 +43,11 @@ __all__ = [
     "measure_thickness",
     "rows_to_csv",
     "run_experiments",
-    "thickness_rows_to_csv",
     "verify_exhaustive",
     "write_text",
 ]
 
 ORACLES = ("truthful", "random-liar", "triggered-liar")
-
-CSV_HEADER = "algorithm,n,k,oracle,seed,comparisons,restarts,bound,within_bound"
 
 
 def _child_seed(root: int, index: int) -> int:
@@ -71,19 +69,15 @@ class ExperimentConfig:
     record_transcripts: bool = True
 
     def validate(self) -> None:
-        _check_algorithm(self.algorithm, self.k, self.s_override)
+        _check_algorithm(self.algorithm, self.n, self.k, self.s_override)
         if self.oracle not in ORACLES:
             raise ValueError(f"unknown oracle {self.oracle!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.algorithm == "pohl" and self.oracle != "truthful":
             raise ValueError("the pairing algorithm assumes a reliable oracle")
-        if self.n < REGISTRY[self.algorithm].min_n:  # n >= 1 holds, so min_n is 2 here
-            raise ValueError(f"{self.algorithm} needs at least two elements")
         if self.p and self.oracle != "random-liar":
             raise ValueError("p applies only to the random-liar oracle")
         if self.triggers and self.oracle != "triggered-liar":
@@ -108,20 +102,17 @@ class ExperimentRow:
     bound: int
     within_bound: bool
 
-    def as_csv(self) -> str:
-        return (
-            f"{self.algorithm},{self.n},{self.k},{self.oracle},{self.seed},"
-            f"{self.comparisons},{self.restarts},{self.bound},"
-            f"{'true' if self.within_bound else 'false'}"
-        )
+
+CSV_HEADER = ",".join(field.name for field in fields(ExperimentRow))
 
 
 class Algorithm(NamedTuple):
-    """A registry entry.  ``run(items, k, oracle, s)`` returns (min or None,
-    max or None, comparisons, restarts), where only a ``sized`` algorithm
-    takes a group size ``s``; ``bound(n, k, restarts)`` caps the comparisons
-    of one run; ``min_n`` is the fewest elements it accepts.  Runners name
-    the drivers at call time, so a caller may swap a driver out."""
+    """A registry entry.  ``run(items, k, oracle, s)`` returns the run's
+    :class:`MinMaxResult`, whose ``min`` or ``max`` is None for a one-sided
+    selection; only a ``sized`` algorithm takes a group size ``s``.
+    ``bound(n, k, restarts)`` caps the comparisons of one run; ``min_n`` is
+    the fewest elements it accepts.  Runners name the drivers at call time,
+    so a caller may swap a driver out."""
 
     run: Callable
     bound: Callable[[int, int, int], int]
@@ -129,31 +120,27 @@ class Algorithm(NamedTuple):
     sized: bool = False
 
 
-def _minmax(result) -> tuple[int, int, int, int]:
-    return result.min, result.max, result.stats.comparisons, result.stats.restarts
-
-
-def _run_find_min(items, k, oracle, s):
+def _run_find_min(items, k, oracle, s) -> MinMaxResult:
     low, comparisons = find_min_k_lies(items, k, oracle)
-    return low, None, comparisons, 0
+    return MinMaxResult(low, None, RunStats(0, {"final-min": comparisons} if comparisons else {}))
 
 
-def _run_find_max(items, k, oracle, s):
+def _run_find_max(items, k, oracle, s) -> MinMaxResult:
     high, comparisons = find_max_k_lies(items, k, oracle)
-    return None, high, comparisons, 0
+    return MinMaxResult(None, high, RunStats(0, {"final-max": comparisons} if comparisons else {}))
 
 
 REGISTRY = {
     "pohl": Algorithm(
-        lambda items, k, oracle, s: _minmax(pohl_minmax(items, oracle)),
+        lambda items, k, oracle, s: pohl_minmax(items, oracle),
         lambda n, k, restarts: (3 * n + 1) // 2 - 2,
     ),
     "simple": Algorithm(
-        lambda items, k, oracle, s: _minmax(simple_minmax(items, k, oracle)),
+        lambda items, k, oracle, s: simple_minmax(items, k, oracle),
         simple_comparison_bound,
     ),
     "improved": Algorithm(
-        lambda items, k, oracle, s: _minmax(improved_minmax(items, k, oracle, s=s)),
+        lambda items, k, oracle, s: improved_minmax(items, k, oracle, s=s),
         # Regression thresholds: constant 10 on n, cubic slack on k.
         lambda n, k, restarts: (k + 1 + 10) * n + 1000 * k**3,
         sized=True,
@@ -164,7 +151,7 @@ REGISTRY = {
 ALGORITHMS = tuple(REGISTRY)
 
 
-def _check_algorithm(name: str, k: int, s_override: int | None) -> None:
+def _check_algorithm(name: str, n: int, k: int, s_override: int | None) -> None:
     """The checks that ``run`` and ``verify`` share for a registry entry."""
     if name not in REGISTRY:
         raise ValueError(f"unknown algorithm {name!r}")
@@ -174,26 +161,25 @@ def _check_algorithm(name: str, k: int, s_override: int | None) -> None:
         raise ValueError(f"{name} has no group size to override")
     if k < 0:
         raise ValueError("k must be non-negative")
-
-
-def _oracle_label(cfg: ExperimentConfig, triggers: tuple[int, ...]) -> str:
-    if cfg.oracle == "random-liar":
-        return f"random-liar(p={cfg.p})"
-    if cfg.oracle == "triggered-liar":
-        return "triggered-liar(" + ";".join(str(t) for t in triggers) + ")"
-    return "truthful"
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n < REGISTRY[name].min_n:  # n >= 1 holds, so min_n is 2 here
+        raise ValueError(f"{name} needs at least two elements")
 
 
 def _build_oracle(cfg: ExperimentConfig, order: TotalOrder, rng: random.Random):
+    """A fresh oracle for one trial and its CSV label."""
     if cfg.oracle == "truthful":
-        return TruthfulOracle(order, record=cfg.record_transcripts), ()
+        return TruthfulOracle(order, record=cfg.record_transcripts), "truthful"
     if cfg.oracle == "random-liar":
-        return RandomLiarOracle(order, cfg.k, cfg.p, seed=rng.randrange(2**62)), ()
+        oracle = RandomLiarOracle(order, cfg.k, cfg.p, seed=rng.randrange(2**62))
+        return oracle, f"random-liar(p={cfg.p})"
     triggers = cfg.triggers
     if not triggers:
         horizon = max(1, (cfg.k + 1) * cfg.n)
         triggers = tuple(sorted(rng.sample(range(horizon), min(cfg.k, horizon))))
-    return TriggeredLiarOracle(order, cfg.k, triggers), triggers
+    label = "triggered-liar(" + ";".join(str(t) for t in triggers) + ")"
+    return TriggeredLiarOracle(order, cfg.k, triggers), label
 
 
 def run_experiments(cfg: ExperimentConfig) -> list[ExperimentRow]:
@@ -206,8 +192,9 @@ def run_experiments(cfg: ExperimentConfig) -> list[ExperimentRow]:
         trial_seed = _child_seed(cfg.seed, trial)
         rng = random.Random(trial_seed)
         order = TotalOrder.shuffled(cfg.n, rng)
-        oracle, triggers = _build_oracle(cfg, order, rng)
-        low, high, comparisons, restarts = algorithm.run(items, cfg.k, oracle, cfg.s_override)
+        oracle, label = _build_oracle(cfg, order, rng)
+        result = algorithm.run(items, cfg.k, oracle, cfg.s_override)
+        low, high, restarts = result.min, result.max, result.stats.restarts
         if (low is not None and low != order.min_element()) or (
             high is not None and high != order.max_element()
         ):
@@ -218,12 +205,13 @@ def run_experiments(cfg: ExperimentConfig) -> list[ExperimentRow]:
         if restarts > oracle.lies_told:
             raise RuntimeError("more restarts than lies told; restart logic is broken")
         bound = algorithm.bound(cfg.n, cfg.k, restarts)
+        comparisons = result.stats.comparisons
         rows.append(
             ExperimentRow(
                 cfg.algorithm,
                 cfg.n,
                 cfg.k,
-                _oracle_label(cfg, triggers),
+                label,
                 trial_seed,
                 comparisons,
                 restarts,
@@ -234,8 +222,23 @@ def run_experiments(cfg: ExperimentConfig) -> list[ExperimentRow]:
     return rows
 
 
-def rows_to_csv(rows: list[ExperimentRow]) -> str:
-    return "\n".join([CSV_HEADER] + [row.as_csv() for row in rows]) + "\n"
+def _csv_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return str(value)
+
+
+def rows_to_csv(rows: list) -> str:
+    """CSV of rows of one dataclass: a header of its field names, then one
+    line per row, with booleans as true/false and floats to three places."""
+    if not rows:
+        raise ValueError("no rows to write")
+    names = [field.name for field in fields(rows[0])]
+    lines = [",".join(names)]
+    lines += [",".join(_csv_value(getattr(row, name)) for name in names) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_text(text: str, out: str | Path | None) -> None:
@@ -294,16 +297,16 @@ class VerifyReport:
         return self.counterexample is None
 
 
-def _algorithm_runner(algorithm, k: int, s_override: int | None) -> Callable:
-    """A registry ``run(items, k, oracle, s)`` whose result starts with (min,
-    max): the entry's own, or a custom ``algorithm(items, k, oracle)``."""
+def _algorithm_runner(algorithm, n: int, k: int, s_override: int | None) -> Callable:
+    """A registry ``run(items, k, oracle, s)``: the entry's own, or a custom
+    ``algorithm(items, k, oracle)`` returning (min, max), wrapped."""
     if callable(algorithm):
         if s_override is not None:
             raise ValueError("a custom algorithm has no group size to override")
         if k < 0:
-            raise ValueError("lie budget must be non-negative")
-        return lambda items, k, oracle, s: algorithm(items, k, oracle)
-    _check_algorithm(algorithm, k, s_override)
+            raise ValueError("k must be non-negative")
+        return lambda items, k, oracle, s: MinMaxResult(*algorithm(items, k, oracle), RunStats())
+    _check_algorithm(algorithm, n, k, s_override)
     return REGISTRY[algorithm].run
 
 
@@ -325,7 +328,7 @@ def verify_exhaustive(
     :data:`EXHAUSTIVE_CAP`.
     """
     items = list(range(n))
-    run = _algorithm_runner(algorithm, k, s_override)
+    run = _algorithm_runner(algorithm, n, k, s_override)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive order enumeration needs n <= {EXHAUSTIVE_CAP}, got {n}")
     report = VerifyReport(n, k)
@@ -344,7 +347,8 @@ def verify_exhaustive(
 
     while True:
         oracle = ScriptedOracle(answers, branch)
-        low, high = run(items, k, oracle, s_override)[:2]
+        result = run(items, k, oracle, s_override)
+        low, high = result.min, result.max
         # Every answer past the replayed prefix is a node, and so is the leaf.
         asked = len(oracle.answers)
         report.nodes += asked - len(answers) + 1
@@ -413,13 +417,3 @@ def measure_thickness(sorter: str, s_values, trials: int, seed: int) -> list[Thi
             )
         )
     return rows
-
-
-def thickness_rows_to_csv(rows: list[ThicknessRow]) -> str:
-    lines = ["sorter,s,trials,min_thickness,mean_thickness,max_thickness"]
-    for r in rows:
-        lines.append(
-            f"{r.sorter},{r.s},{r.trials},{r.min_thickness},"
-            f"{r.mean_thickness:.3f},{r.max_thickness}"
-        )
-    return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ import pytest
 
 from liarminmax import harness
 from liarminmax.cli import main
-from liarminmax.core import Answer, TotalOrder
+from liarminmax.core import Answer, RunStats, TotalOrder
 from liarminmax.harness import (
     CSV_HEADER,
     REGISTRY,
@@ -21,12 +21,12 @@ from liarminmax.harness import (
     measure_thickness,
     rows_to_csv,
     run_experiments,
-    thickness_rows_to_csv,
     _split,
     verify_exhaustive,
 )
 from liarminmax.oracles import ScriptedOracle, TruthfulOracle
 from liarminmax.algorithms import (
+    MinMaxResult,
     _certify_by_completion,
     _extrema,
     find_min_k_lies,
@@ -309,7 +309,7 @@ class TestVerifyExhaustive:
         def first_element_is_min(items, k, oracle):
             return items[0], None
 
-        with pytest.raises(ValueError, match="lie budget must be non-negative"):
+        with pytest.raises(ValueError, match="k must be non-negative"):
             verify_exhaustive(3, -1, first_element_is_min)
 
     def test_custom_algorithm_takes_no_group_size(self):
@@ -365,6 +365,21 @@ class TestVerifyExhaustive:
         report = verify_exhaustive(4, 2, "improved", s_override=2)
         assert (report.nodes, report.leaves) == (6211, 1584)
         assert len(built) == report.leaves
+
+    def test_walk_reads_no_comparison_count(self, monkeypatch):
+        # The walk needs each leaf's extrema only; summing a leaf run's phase
+        # counts would cost one call per leaf for a value it drops.
+        reads = []
+        counted = RunStats.comparisons
+
+        def counting(stats):
+            reads.append(stats)
+            return counted.fget(stats)
+
+        monkeypatch.setattr(RunStats, "comparisons", property(counting))
+        report = verify_exhaustive(4, 2, "improved", s_override=2)
+        assert report.leaves == 1584
+        assert reads == []
 
     @pytest.mark.parametrize("n, k, s", BEYOND_K_PLUS_2)
     def test_completion_certifies_groups_beyond_k_plus_2(self, n, k, s):
@@ -505,10 +520,15 @@ class TestMeasureThickness:
 
     def test_csv_shape(self):
         rows = measure_thickness("mergesort", [16, 32], trials=3, seed=1)
-        text = thickness_rows_to_csv(rows)
+        text = rows_to_csv(rows)
         lines = text.strip().splitlines()
         assert lines[0].startswith("sorter,s,")
         assert len(lines) == 3
+
+    def test_no_rows_is_no_csv(self):
+        # With no row there is no dataclass to take the header from.
+        with pytest.raises(ValueError, match="no rows to write"):
+            rows_to_csv(measure_thickness("mergesort", [], trials=1, seed=0))
 
     def test_unknown_sorter(self):
         with pytest.raises(ValueError):
@@ -573,7 +593,7 @@ class TestCli:
         # the answer: the walk's second leaf proves it wrong.
         def first_item(items, k, oracle, s):
             oracle.query(items[0], items[1])
-            return items[0], None, 1, 0
+            return MinMaxResult(items[0], None, RunStats(0, {"final-min": 1}))
 
         entry = REGISTRY["find-min"]._replace(run=first_item)
         monkeypatch.setitem(harness.REGISTRY, "find-min", entry)
@@ -590,7 +610,22 @@ class TestCli:
             ["thickness", "--sorter", "mergesort", "--s", "16", "--trials", "3", "--seed", "1"]
         )
         assert code == 0
-        assert capsys.readouterr().out.startswith("sorter,")
+        assert capsys.readouterr().out == (
+            "sorter,s,trials,min_thickness,mean_thickness,max_thickness\n"
+            "mergesort,16,3,9,10.333,12\n"
+        )
+
+    def test_thickness_bytes_are_pinned(self, capsys):
+        code = main(
+            ["thickness", "--sorter", "balanced-quicksort", "--s", "8", "--s", "16"]
+            + ["--trials", "3", "--seed", "1"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "sorter,s,trials,min_thickness,mean_thickness,max_thickness\n"
+            "balanced-quicksort,8,3,7,8.000,9\n"
+            "balanced-quicksort,16,3,17,18.000,20\n"
+        )
 
     def test_s_override_flows_through(self, capsys):
         code = main(
@@ -667,6 +702,11 @@ class TestCli:
                 ["verify", "--algorithm", "find-min", "--n", "3", "--k", "-1"],
                 "k must be non-negative",
             ),
+            (["verify", "--algorithm", "find-min", "--n", "0"], "n must be at least 1"),
+            (
+                ["verify", "--algorithm", "improved", "--n", "1"],
+                "improved needs at least two elements",
+            ),
             (
                 ["run", "--algorithm", "simple", "--n", "10", "--k", "1", "--p", "0.5"],
                 "p applies only to the random-liar oracle",
@@ -710,6 +750,8 @@ class TestCli:
             "run-improved-k-0-s-override",
             "verify-improved-k-0-s-override",
             "verify-k-negative",
+            "verify-find-min-n-0",
+            "verify-improved-n-1",
             "run-p-truthful",
             "run-trigger-random-liar",
             "run-no-transcripts-liar",
@@ -739,7 +781,7 @@ def test_bounds_sweep_stays_within_every_bound():
     rows = load_script("run_bounds_sweep").sweep(0)
     assert len(rows) == 741
     assert {row.algorithm for row in rows} >= {"pohl", "simple", "improved"}
-    assert [row.as_csv() for row in rows if not row.within_bound] == []
+    assert [row for row in rows if not row.within_bound] == []
 
 
 def test_bounds_sweep_writes_only_csv_to_stdout(monkeypatch, capsys):
@@ -751,6 +793,22 @@ def test_bounds_sweep_writes_only_csv_to_stdout(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == rows_to_csv(rows)
     assert "all within bounds" in captured.err
+
+
+def test_bounds_sweep_fails_on_a_row_beyond_its_bound(monkeypatch, capsys):
+    script = load_script("run_bounds_sweep")
+    rows = run_experiments(ExperimentConfig("pohl", n=6, k=0, trials=2, seed=2))
+    rows[1] = replace(rows[1], comparisons=rows[1].bound + 1, within_bound=False)
+    monkeypatch.setattr(script, "sweep", lambda seed: rows)
+    monkeypatch.setattr(sys, "argv", ["run_bounds_sweep.py"])
+    assert script.main() == 1
+    captured = capsys.readouterr()
+    assert captured.out == rows_to_csv(rows)
+    assert captured.err.splitlines() == [
+        "1 rows exceeded their bound:",
+        CSV_HEADER,
+        f"pohl,6,0,truthful,{rows[1].seed},8,0,7,false",
+    ]
 
 
 def canned_run(trial_ms, elements_per_s, verdict="match", failed=0):
