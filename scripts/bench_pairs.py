@@ -11,10 +11,16 @@ appends under ``perfbench/out/``.  Each seed runs ``perfbench/run.py --trace
 first on the next, alternating.  For every end-to-end metric that
 ``BENCHMARK.json`` lists, the summary gives each side's median and quartiles
 over the seeds (as ``perfbench/sweep.py`` computes them), the pairs the
-checkout won (ties count for neither) and the held-out seeds' pairs.  Then
+checkout won (ties count for neither) and the held-out seeds' pairs, and
+ends with a verdict against the metric's ``bound``: ``better``, ``same``,
+``worse by P% (bound B%)``, or ``unresolved`` when the parent's own quartile
+distance over its median exceeds the bound and not every change run reads
+better than every parent run.  A metric with no bound gets no verdict.  Then
 come every pair's values, parent -> change, one line per metric, and every
-problem a run reported.  The exit status is 1 when a run failed, a
-trial failed or a fingerprint verdict was anything but ``match``.
+problem: a change median worse than the parent's by more than its bound, and
+whatever a run reported.  The exit status is 1 when there is a problem: a
+median beyond its bound, a failed run or trial, or a fingerprint verdict
+other than ``match``.
 """
 
 from __future__ import annotations
@@ -56,31 +62,52 @@ def read_run(stdout: str, returncode: int) -> tuple[dict[str, float], list[str]]
     return {name: metric["value"] for name, metric in result["metrics"].items()}, problems
 
 
-def summary(pairs: list[dict], held_out: list[tuple[int, dict]], metrics: list[dict]) -> list[str]:
-    """One line per end-to-end metric.  ``pairs`` holds one {side: values}
-    per seed; ``held_out`` holds (seed, {side: values})."""
+def summary(
+    pairs: list[dict], held_out: list[tuple[int, dict]], metrics: list[dict]
+) -> tuple[list[str], list[str]]:
+    """(lines, problems): one line per end-to-end metric, and one problem
+    per metric whose change median is worse than the parent's by more than
+    its bound.  ``pairs`` holds one {side: values} per seed; ``held_out``
+    holds (seed, {side: values})."""
     lines = []
+    problems = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         complete = [pair for pair in pairs if all(name in pair[side] for side in SIDES)]
         if not complete:
             continue
         line = f"{name:<24} {metric['unit']:<12}"
+        stats = {}
         for side in SIDES:
-            stats = summarise([pair[side][name] for pair in complete])
-            line += f" {side} {stats['median']:.5g} [{stats['q1']:.5g}, {stats['q3']:.5g}]"
-        won = sum(
-            (pair["change"][name] < pair["parent"][name])
-            if lower
-            else (pair["change"][name] > pair["parent"][name])
-            for pair in complete
-        )
+            stats[side] = got = summarise([pair[side][name] for pair in complete])
+            line += f" {side} {got['median']:.5g} [{got['q1']:.5g}, {got['q3']:.5g}]"
+        # Signed so that a positive difference is always the change doing worse.
+        sign = 1 if lower else -1
+        won = sum(sign * (pair["change"][name] - pair["parent"][name]) < 0 for pair in complete)
         line += f"  won {won}/{len(complete)}"
         for seed, pair in held_out:
             if all(name in pair[side] for side in SIDES):
                 line += f"  seed {seed}: {pair['parent'][name]:.5g} -> {pair['change'][name]:.5g}"
+        if "bound" in metric:
+            bound, parent, change = metric["bound"], stats["parent"], stats["change"]
+            worse = sign * (change["median"] - parent["median"]) / (abs(parent["median"]) or 1)
+            # Every change run better than every parent run.
+            apart = max(sign * v for v in change["values"]) < min(
+                sign * v for v in parent["values"]
+            )
+            limit = f"(bound {100 * bound:g}%)"
+            if parent["spread"] > bound and not apart:
+                line += "  unresolved"
+            elif worse < 0:
+                line += "  better"
+            elif worse == 0:
+                line += "  same"
+            else:
+                line += f"  worse by {100 * worse:.1f}% {limit}"
+            if worse > bound:
+                problems.append(f"{name} median worse by {100 * worse:.1f}% {limit}")
         lines.append(line)
-    return lines
+    return lines, problems
 
 
 def pair_lines(runs: list[tuple[int, dict]], metrics: list[dict]) -> list[str]:
@@ -136,7 +163,9 @@ def main(argv=None) -> int:
             runs.append((seed, pair))
     pairs = [pair for _, pair in runs[: len(args.seeds)]]
     print(f"{args.workload}: parent {args.parent} against the checkout, {args.seconds:g} s runs")
-    print("\n".join(summary(pairs, runs[len(args.seeds) :], spec["end_to_end"])))
+    lines, regressions = summary(pairs, runs[len(args.seeds) :], spec["end_to_end"])
+    print("\n".join(lines))
+    problems = regressions + problems
     print("every pair, parent -> change:")
     print("\n".join(pair_lines(runs, spec["end_to_end"])))
     for problem in problems:

@@ -151,8 +151,7 @@ def _certify_by_completion(group, k: int, oracle):
     """Balanced quicksort, then only the comparisons that complete the sort's
     graph to k+1 certified neighbors per side."""
     outcome = balanced_quicksort(group, oracle)
-    graph = outcome.graph
-    return outcome, added_edge_pairs(graph, complete_edges(graph, k))
+    return outcome, added_edge_pairs(complete_edges(outcome.graph, k))
 
 
 def _extrema(

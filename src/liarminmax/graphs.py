@@ -1,11 +1,14 @@
 """Ordered multigraphs over sorted positions and the greedy edge completion.
 
 A sort of ``s`` elements leaves behind a graph on positions ``1..s`` (one edge
-per compared pair, drawn in output order).  The verification step must extend
-that graph so every position other than the first has at least ``k+1``
-neighbors to its left and every position other than the last at least ``k+1``
-to its right, adding as few edges as possible.  Picking those edges is a
-max-flow problem on a convex bipartite graph, which one greedy sweep solves.
+per compared pair, drawn in output order).  The verification step adds as
+few edges as possible so that, in the graph plus the added edges, every
+position other than the first has at least ``k+1`` neighbors to its left and
+every position other than the last at least ``k+1`` to its right; together
+they have at most ``(k+1)(s-1)`` edges plus the graph's thickness when no
+degree of the graph exceeds ``k+1``.  Picking those edges is a max-flow
+problem on a convex bipartite graph, which one greedy sweep solves; the
+completion returns only the added edges and leaves the graph as it is.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ class OrderedMultigraph:
 
 
 def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
-    """Extend the graph so every position has at least k+1 certified
-    neighbors per side.
+    """The edges that give every position of the graph at least k+1
+    certified neighbors per side, as a graph of their own.
 
     Position i can take k+1 minus its right degree more right neighbors and
     position j k+1 minus its left degree more left neighbors; a degree of
@@ -64,15 +67,15 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     position 1, right shortfalls to position s, each pass in ascending
     position order.
 
-    The graph is profiled once.  The result contains the input as a
-    sub-multigraph and satisfies the degree floor on both sides, whatever
-    the input degrees.  When every input degree is at most k+1 (a sort of at
-    most k+2 elements), the sweep leaves twice the thickness of the input
-    and the result has at most (k+1)(s-1) + thickness(graph) edges in total.
+    The graph is profiled once and never written.  The input plus the
+    result satisfies the degree floor on both sides, whatever the input
+    degrees.  When every input degree is at most k+1 (a sort of at most k+2
+    elements), the sweep leaves twice the thickness T of the input, and the
+    input and the result together have at most (k+1)(s-1) + T edges.
 
-    At s = 2 the sweep raises the one pair (1, 2) to k+1 copies when it has
-    fewer and adds nothing else, whatever the input multiplicity; that is
-    computed directly, without the profile.
+    At s = 2 the sweep adds k+1-m copies of the one pair (1, 2) when the
+    input has m < k+1 of them, and nothing otherwise; that is computed
+    directly, without the profile.
     """
     s = graph.s
     if s < 2:
@@ -80,12 +83,13 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     cap = k + 1
     if s == 2:
         m = graph.edges.get((1, 2), 0)
-        return OrderedMultigraph(2, {(1, 2): m if m > cap else cap})
-    # The profile's degrees are raised in place as edges are added; a
-    # position's slack is k+1 minus its current degree.  Plain comparisons
-    # stand in for min() and max(), whose calls cost more than a pair's sweep.
+        return OrderedMultigraph(2, {(1, 2): cap - m} if m < cap else {})
+    # The profile is a fresh pair of lists, so its degrees are raised in
+    # place as edges are added; a position's slack is k+1 minus its current
+    # degree.  Plain comparisons stand in for min() and max(), whose calls
+    # cost more than a pair's sweep.
     left, right = graph.degree_profile()
-    edges = dict(graph.edges)
+    edges: dict[tuple[int, int], int] = {}
     j = 2
     for i in range(1, s):
         slack = cap - right[i]
@@ -96,7 +100,7 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
             if take > 0:
                 if take > slack:
                     take = slack
-                edges[(i, j)] = edges.get((i, j), 0) + take
+                edges[(i, j)] = take  # the sweep meets each pair once
                 slack -= take
                 left[j] += take
             if left[j] >= cap:
@@ -114,43 +118,17 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     return OrderedMultigraph(s, edges)
 
 
-def added_edge_pairs(
-    base: OrderedMultigraph, completed: OrderedMultigraph
-) -> list[tuple[int, int]]:
-    """Edges of ``completed`` beyond ``base``, one entry per copy, ascending.
+def added_edge_pairs(added: OrderedMultigraph) -> list[tuple[int, int]]:
+    """The edges of ``added``, one entry per copy, in ascending order.
 
-    Raises ``ValueError`` unless ``base`` is a sub-multigraph of
-    ``completed``: each of its pairs must be there with at least its
-    multiplicity.  Only the pairs whose multiplicity grew are sorted, and a
-    ``completed`` of one pair (any graph on two positions) needs no sort.
+    A graph of one pair (any completion on two positions that adds an edge)
+    needs no sort.
     """
-    old, new = base.edges, completed.edges
-    if len(new) == 1:
-        # Contained: ``base`` holds this pair at most m times, and no other.
-        ((pair, m),) = new.items()
-        before = old.get(pair, 0)
-        if m < before or len(old) != (pair in old):
-            raise ValueError("base graph is not contained in the completed graph")
-        return [pair] * (m - before)
-    get = old.get
-    grown = []
-    fresh = 0
-    for pair, m in new.items():
-        before = get(pair)
-        if before is None:
-            fresh += 1
-            grown.append(pair)
-        elif m != before:
-            grown.append(pair)
-    # Every pair of ``completed`` that is not fresh is a pair of ``base``, so
-    # the counts agree exactly when no pair of ``base`` is missing.
-    if len(new) - fresh != len(old):
-        raise ValueError("base graph is not contained in the completed graph")
-    grown.sort()
+    edges = added.edges
+    if len(edges) == 1:
+        ((pair, m),) = edges.items()
+        return [pair] * m
     pairs: list[tuple[int, int]] = []
-    for pair in grown:
-        extra = new[pair] - get(pair, 0)
-        if extra < 0:
-            raise ValueError("base graph is not contained in the completed graph")
-        pairs += [pair] * extra
+    for pair in sorted(edges):
+        pairs += [pair] * edges[pair]
     return pairs

@@ -305,6 +305,8 @@ def _algorithm_runner(algorithm, n: int, k: int, s_override: int | None) -> Call
             raise ValueError("a custom algorithm has no group size to override")
         if k < 0:
             raise ValueError("k must be non-negative")
+        if n < 1:
+            raise ValueError("n must be at least 1")
         return lambda items, k, oracle, s: MinMaxResult(*algorithm(items, k, oracle), RunStats())
     _check_algorithm(algorithm, n, k, s_override)
     return REGISTRY[algorithm].run

@@ -33,8 +33,8 @@ __all__ = [
 
 
 # The graph of every two-item sort.  One instance serves them all: nothing
-# mutates a sort's graph (completion copies its edges), and a fresh graph per
-# pair would cost a pair attempt about as much again as its answers dict.
+# mutates a sort's graph (completion only reads its edges), and a fresh graph
+# per pair would cost a pair attempt about as much again as its answers dict.
 _PAIR_GRAPH = OrderedMultigraph(2, {(1, 2): 1})
 
 

@@ -262,6 +262,15 @@ def flow_completion(
     return OrderedMultigraph(graph.s, edges)
 
 
+def union(graph: OrderedMultigraph, added: OrderedMultigraph) -> OrderedMultigraph:
+    """``graph`` with the edges of ``added`` on top: the completed graph, from
+    the input and what :func:`liarminmax.graphs.complete_edges` returns."""
+    edges = dict(graph.edges)
+    for pair, m in added.edges.items():
+        edges[pair] = edges.get(pair, 0) + m
+    return OrderedMultigraph(graph.s, edges)
+
+
 def reference_complete_edges(
     graph: OrderedMultigraph, k: int, flows: dict[tuple, int] | None = None
 ) -> OrderedMultigraph:
@@ -325,12 +334,15 @@ def _check_completion_instance(graph: OrderedMultigraph, k: int) -> str | None:
         return "flow completion overshot a degree bound"
     if defect(star, k) != 2 * t:
         return f"flow completion defect {defect(star, k)} != 2t = {2 * t}"
-    full = complete_edges(graph, k)
+    before = dict(graph.edges)
+    added = complete_edges(graph, k)
+    if graph.edges != before:
+        return "complete_edges changed its input"
+    if any(m <= 0 for m in added.edges.values()):
+        return "complete_edges returned an edge with no copies"
+    full = union(graph, added)
     if full.edges != reference_complete_edges(graph, k, flows).edges:
         return "complete_edges differs from the max-flow completion"
-    for pair, mult in graph.edges.items():
-        if full.edges.get(pair, 0) < mult:
-            return f"completed graph dropped edge {pair}"
     left, right = full.degree_profile()
     if any(left[j] < cap for j in range(2, s + 1)):
         return "a non-first position is short of left neighbors"

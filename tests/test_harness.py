@@ -319,6 +319,12 @@ class TestVerifyExhaustive:
         with pytest.raises(ValueError, match="no group size to override"):
             verify_exhaustive(2, 0, first_element_is_min, s_override=2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_custom_algorithm_needs_an_element(self, n):
+        # Run on an empty item list, this one would end in an IndexError.
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            verify_exhaustive(n, 0, lambda items, k, oracle: (items[0], items[-1]))
+
     @pytest.mark.parametrize(
         "algorithm, n, k",
         [
@@ -855,19 +861,50 @@ def test_bench_pairs_summary():
         ]
     ]
     metrics = [
-        {"name": "trial_ms_p50", "unit": "ms", "better": "lower"},
+        {"name": "trial_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
         {"name": "elements_per_s", "unit": "1/s", "better": "higher"},
-        {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
     ]
     # Quartiles as perfbench/sweep.py takes them (exclusive, so two values
     # spread past their range); the tie on the second pair counts for
-    # neither side; a metric no run reports is left out.
-    assert script.summary(run[:2], [(562, run[2])], metrics) == [
-        "trial_ms_p50             ms           parent 24.5 [23.75, 25.25] change 23.5 [21.25, 25.75]"
-        "  won 1/2  seed 562: 23 -> 21",
-        "elements_per_s           1/s          parent 80.5 [79.75, 81.25] change 85 [77.5, 92.5]"
-        "  won 1/2  seed 562: 79 -> 85",
-    ]
+    # neither side; a metric no run reports is left out, and one with no
+    # bound gets no verdict.
+    assert script.summary(run[:2], [(562, run[2])], metrics) == (
+        [
+            "trial_ms_p50             ms           parent 24.5 [23.75, 25.25] change 23.5 [21.25, 25.75]"
+            "  won 1/2  seed 562: 23 -> 21  better",
+            "elements_per_s           1/s          parent 80.5 [79.75, 81.25] change 85 [77.5, 92.5]"
+            "  won 1/2  seed 562: 79 -> 85",
+        ],
+        [],
+    )
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, verdict, problem",
+    [
+        ("lower", (100, 100, 100), (95, 96, 97), "better", None),
+        ("lower", (100, 100, 100), (99, 100, 101), "same", None),
+        ("lower", (100, 100, 100), (104, 105, 106), "worse by 5.0% (bound 10%)", None),
+        ("lower", (100, 100, 100), (119, 120, 121), "worse by 20.0% (bound 10%)", 20),
+        ("higher", (100, 100, 100), (79, 80, 81), "worse by 20.0% (bound 10%)", 20),
+        ("higher", (100, 100, 100), (104, 105, 106), "better", None),
+        # The parent's quartiles span 40% of its median, past the bound, so
+        # the verdict is open; a median beyond the bound is still a problem...
+        ("lower", (80, 100, 120), (95, 96, 97), "unresolved", None),
+        ("lower", (80, 100, 120), (119, 120, 121), "unresolved", 20),
+        # ...and every change run reading better than every parent run settles it.
+        ("lower", (80, 100, 120), (50, 60, 70), "better", None),
+        ("higher", (80, 100, 120), (130, 140, 150), "better", None),
+    ],
+)
+def test_bench_pairs_summary_verdict(better, parent, change, verdict, problem):
+    script = load_script("bench_pairs")
+    pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+    metric = {"name": "m", "unit": "ms", "better": better, "bound": 0.1}
+    (line,), problems = script.summary(pairs, [], [metric])
+    assert line.endswith(f"/3  {verdict}")
+    assert problems == ([] if problem is None else [f"m median worse by {problem}.0% (bound 10%)"])
 
 
 def test_bench_pairs_lists_every_pair():
@@ -918,4 +955,14 @@ def test_bench_pairs_alternates_and_fails_on_a_mismatch(monkeypatch, capsys, tmp
     assert order[4:] == [("parent", 562), ("change", 562)]
     assert capsys.readouterr().out.splitlines()[-1] == (
         "PROBLEM change seed 562: fingerprint csv_sha256 MISMATCH (golden 1f, got 2e)"
+    )
+    # A change median beyond its bound fails the run, with no run problem.
+    def slow_change(tree, workload, seed, seconds):
+        slow = 1.5 if tree == script.ROOT else 1.0
+        return script.read_run(canned_run(20.0 * slow, 80.0), 0)
+
+    monkeypatch.setattr(script, "run_once", slow_change)
+    assert script.main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "PROBLEM trial_ms_p50 median worse by 50.0% (bound 25%)"
     )
