@@ -20,7 +20,6 @@ from .core import (
     Transcript,
     assert_lie_budget,
     count_lies,
-    truth_compare,
 )
 from .graphs import (
     OrderedMultigraph,

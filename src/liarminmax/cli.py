@@ -7,6 +7,7 @@ argparse usage error (exit status 2), not a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -20,6 +21,16 @@ from .harness import (
     verify_exhaustive,
     write_text,
 )
+
+
+def _writable(path: str) -> str:
+    """An ``--out`` path, checked when the arguments are parsed, so an
+    unwritable one is a usage error before the first trial runs."""
+    directory = os.path.dirname(path) or "."
+    existing = path if os.path.exists(path) else directory
+    if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(existing, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {path}")
+    return path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--trials", type=int, default=1)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out", default=None, help="CSV output path (default: stdout)")
+    run.add_argument("--out", type=_writable, help="CSV output path (default: stdout)")
     run.add_argument("--s-override", type=int, default=None, help="force the group size")
     run.add_argument(
         "--no-transcripts",
@@ -64,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     thickness.add_argument("--s", type=int, action="append", required=True, help="repeatable")
     thickness.add_argument("--trials", type=int, default=100)
     thickness.add_argument("--seed", type=int, default=0)
-    thickness.add_argument("--out", default=None)
+    thickness.add_argument("--out", type=_writable)
     return parser
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "Transcript",
     "assert_lie_budget",
     "count_lies",
-    "truth_compare",
 ]
 
 
@@ -83,19 +82,6 @@ class TotalOrder:
         return cls(tuple(range(n)))
 
     @classmethod
-    def from_ascending(cls, elements) -> "TotalOrder":
-        """Build the order in which ``elements[0]`` is smallest, ``elements[-1]`` largest.
-
-        Raises ``ValueError`` unless ``elements`` is a permutation of 0..n-1.
-        """
-        if sorted(elements) != list(range(len(elements))):
-            raise ValueError("elements must be a permutation of 0..n-1")
-        rank = [0] * len(elements)
-        for position, element in enumerate(elements):
-            rank[element] = position
-        return cls(tuple(rank))
-
-    @classmethod
     def shuffled(cls, n: int, rng: random.Random) -> "TotalOrder":
         ranks = list(range(n))
         rng.shuffle(ranks)
@@ -110,13 +96,6 @@ class TotalOrder:
     def ascending(self) -> list[int]:
         """Element ids from smallest to largest."""
         return sorted(range(self.n), key=self.rank.__getitem__)
-
-
-def truth_compare(order: TotalOrder, a: int, b: int) -> Answer:
-    """True verdict for the pair (a, b) under the hidden order."""
-    if a == b:
-        raise InvalidQuery(f"cannot compare element {a} with itself")
-    return SMALLER if order.rank[a] < order.rank[b] else LARGER
 
 
 class Transcript:

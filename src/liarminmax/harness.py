@@ -285,8 +285,6 @@ class Counterexample:
 
 @dataclass
 class VerifyReport:
-    n: int
-    k: int
     nodes: int = 0
     leaves: int = 0
     worst_comparisons: int = 0
@@ -333,7 +331,7 @@ def verify_exhaustive(
     run = _algorithm_runner(algorithm, n, k, s_override)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"exhaustive order enumeration needs n <= {EXHAUSTIVE_CAP}, got {n}")
-    report = VerifyReport(n, k)
+    report = VerifyReport()
     siblings: list[tuple[int, dict]] = []
     answers: list[Answer] = []
     candidates = dict.fromkeys(permutations(items), 0)

@@ -30,17 +30,16 @@ class LyingOracle:
     recording; ``record=False`` skips transcript records for large truthful
     benchmark runs.  A subclass decides its lies through two members:
     ``_next_lie``, an instance attribute holding the next query index at
-    which to consult the lie rule (-1: never), and :meth:`_wants_lie`, which
-    ``query`` calls only at that index while budget remains.  The hook says
-    whether this query lies and sets ``_next_lie`` to the next index to
-    consult.  Every other query skips the hook, so a truthful query costs
-    one comparison of its index.
+    which to consult the lie rule (-1: never), and ``_wants_lie(index)``,
+    which ``query`` calls only at that index while budget remains.  The hook
+    sees the index alone, not the pair: it says whether this query lies and
+    sets ``_next_lie`` to the next index to consult.  Every other query skips
+    the hook, so a truthful query costs one comparison of its index.
     """
 
     def __init__(self, order: TotalOrder, k: int = 0, record: bool = True) -> None:
         if k < 0:
             raise ValueError("lie budget must be non-negative")
-        self.order = order
         self.k = k
         self.lies_told = 0
         self.queries = 0
@@ -48,7 +47,7 @@ class LyingOracle:
         self._rank = order.rank
         self._next_lie = -1
 
-    def _wants_lie(self, index: int, a: int, b: int) -> bool:
+    def _wants_lie(self, index: int) -> bool:
         return False
 
     def query(self, a: int, b: int) -> Answer:
@@ -57,7 +56,7 @@ class LyingOracle:
         rank = self._rank
         answer = SMALLER if rank[a] < rank[b] else LARGER
         index = self.queries
-        if index == self._next_lie and self.lies_told < self.k and self._wants_lie(index, a, b):
+        if index == self._next_lie and self.lies_told < self.k and self._wants_lie(index):
             self.lies_told += 1
             answer = answer.flipped()
         self.queries = index + 1
@@ -86,11 +85,10 @@ class RandomLiarOracle(LyingOracle):
             raise ValueError("lie probability must lie in [0, 1]")
         super().__init__(order, k)
         self.p = p
-        self.seed = seed
         self._rng = random.Random(seed)
         self._next_lie = 0
 
-    def _wants_lie(self, index: int, a: int, b: int) -> bool:
+    def _wants_lie(self, index: int) -> bool:
         self._next_lie = index + 1
         return self._rng.random() < self.p
 
@@ -99,20 +97,21 @@ class TriggeredLiarOracle(LyingOracle):
     """Lies exactly on the given global query indices, budget permitting.
 
     Useful for forcing a restart at a chosen moment, e.g. on the last
-    verification query of a group.  The lie rule is consulted only at the
-    triggers, which it pops in ascending order.
+    verification query of a group.  ``triggers`` is read once, as a set: a
+    repeated index lies once.  ``_wants_lie(index)`` runs only at the
+    triggers, which it pops in ascending order, and says yes at each.
     """
 
     def __init__(self, order: TotalOrder, k: int, triggers: Iterable[int]) -> None:
         super().__init__(order, k)
-        self.triggers = frozenset(triggers)
-        if any(trigger < 0 for trigger in self.triggers):
+        triggers = frozenset(triggers)
+        if any(trigger < 0 for trigger in triggers):
             raise ValueError("trigger indices must be non-negative")
         # Descending, above the -1 that ends the schedule after the last trigger.
-        self._pending = [-1, *sorted(self.triggers, reverse=True)]
+        self._pending = [-1, *sorted(triggers, reverse=True)]
         self._next_lie = self._pending.pop()
 
-    def _wants_lie(self, index: int, a: int, b: int) -> bool:
+    def _wants_lie(self, index: int) -> bool:
         self._next_lie = self._pending.pop()
         return True
 
@@ -128,7 +127,6 @@ class ScriptedOracle:
         self.answers = list(answers)
         self.extend = extend
         self.position = 0
-        self.transcript = None
 
     def query(self, a: int, b: int) -> Answer:
         if a == b:

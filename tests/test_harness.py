@@ -9,10 +9,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liarminmax import harness
+from liarminmax import cli, harness
 from liarminmax.cli import main
-from liarminmax.core import Answer, RunStats, TotalOrder
+from liarminmax.core import Answer, RunStats, TotalOrder, Transcript, count_lies
 from liarminmax.harness import (
     CSV_HEADER,
     REGISTRY,
@@ -430,6 +432,29 @@ def test_split_matches_one_sided_reference():
                     ]
 
 
+class TestConsistentOrders:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_filter(self, data):
+        # The verifier's explanation set: every order at zero lies, narrowed
+        # by one split per answer, keeps exactly the orders that the answers
+        # contradict at most k times.
+        n = data.draw(st.integers(2, 5))
+        k = data.draw(st.integers(0, 2))
+        t = Transcript()
+        element = st.integers(0, n - 1)
+        for _ in range(data.draw(st.integers(0, 12))):
+            a = data.draw(element)
+            b = data.draw(element.filter(lambda x: x != a))
+            t.append(a, b, data.draw(st.sampled_from(Answer)))
+        candidates = dict.fromkeys(permutations(range(n)), 0)
+        for a, b, answer in t:
+            candidates = _split(candidates, a, b, k)[answer is Answer.FIRST_LARGER]
+        every_order = (TotalOrder(rank) for rank in permutations(range(n)))
+        expected = [order for order in every_order if count_lies(t, order) <= k]
+        assert [TotalOrder(rank) for rank in candidates] == expected
+
+
 def one_query_then_guess(items, k, oracle):
     oracle.query(0, 1)
     return 0, 1
@@ -586,6 +611,28 @@ class TestCli:
         )
         assert code == 0
         assert out_file.read_text().splitlines()[0] == CSV_HEADER
+
+    @pytest.mark.parametrize(
+        "argv, runner",
+        [
+            (["run", "--algorithm", "pohl", "--n", "4"], "run_experiments"),
+            (["thickness", "--sorter", "mergesort", "--s", "4"], "measure_thickness"),
+        ],
+        ids=["run", "thickness"],
+    )
+    def test_unwritable_out_is_a_usage_error(
+        self, argv, runner, tmp_path, monkeypatch, capsys
+    ):
+        out_file = tmp_path / "missing" / "x.csv"
+        ran = []
+        monkeypatch.setattr(cli, runner, lambda *args: ran.append(args))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out_file)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(f"error: argument --out: cannot write {out_file}")
+        assert ran == []
 
     def test_verify_pass(self, capsys):
         code = main(["verify", "--algorithm", "find-min", "--n", "3", "--k", "1"])

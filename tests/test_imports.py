@@ -8,9 +8,12 @@ path fail here.  Relative imports in ``__init__.py`` are re-exports, and
 unused-import check.  Instead, every name in a module's ``__all__`` must be
 defined in that module, and every name ``__init__.py`` re-exports must be in
 its source module's ``__all__``, so a deletion cannot leave a stale export.
-The names the benchmark's tracer patches must stay in their modules too,
-and every exception class the package defines must be raised somewhere in
-it, so an error type cannot outlive its last ``raise``.
+Every exported name must also be read by the code that runs (the package,
+its scripts or the benchmark), so a name that only its own tests call
+cannot stay in the runtime.  The names the benchmark's tracer patches must
+stay in their modules too, and every exception class the package defines
+must be raised somewhere in it, so an error type cannot outlive its last
+``raise``.
 """
 
 import ast
@@ -110,6 +113,43 @@ def test_lint_flags_a_stale_export():
     assert undefined_exports(source + "def kept(): pass\n") == ["gone"]
     init = "from .graphs import kept, gone\n"
     assert unexported_reexports(init, lambda module: ["kept"]) == ["graphs.gone"]
+
+
+# The code that runs: the package's modules, the scripts and the benchmark.
+# Re-exports in ``__init__.py`` and calls from the tests do not count.
+RUNTIME = [
+    *(path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"),
+    *sorted((ROOT / "scripts").glob("*.py")),
+    *sorted((ROOT / "perfbench").glob("*.py")),
+]
+
+
+def unread_exports(exported: list[str], sources: list[str]) -> list[str]:
+    """Names in ``exported`` that no source reads as a name or an attribute;
+    a definition or an assignment is not a read."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in exported if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in RUNTIME if path.parent == PACKAGE], ids=lambda p: p.name
+)
+def test_every_export_is_read_outside_the_tests(path):
+    exported = exports(ast.parse(path.read_text()))
+    assert unread_exports(exported, [p.read_text() for p in RUNTIME]) == []
+
+
+def test_lint_flags_an_unread_export():
+    module = '__all__ = ["LIMIT", "called", "typed", "SET", "gone"]\nLIMIT = 1\nSET = 2\n'
+    user = "from m import called\ncalled(m.typed, LIMIT)\nm.SET = 3\n"
+    assert unread_exports(exports(ast.parse(module)), [module, user]) == ["SET", "gone"]
+    assert unread_exports(["called"], ["def called(): pass\n"]) == ["called"]
 
 
 def private_imports(source: str) -> list[str]:
