@@ -78,10 +78,6 @@ class TotalOrder:
         return len(self.rank)
 
     @classmethod
-    def identity(cls, n: int) -> "TotalOrder":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def shuffled(cls, n: int, rng: random.Random) -> "TotalOrder":
         ranks = list(range(n))
         rng.shuffle(ranks)
@@ -93,10 +89,6 @@ class TotalOrder:
     def max_element(self) -> int:
         return self.rank.index(self.n - 1)
 
-    def ascending(self) -> list[int]:
-        """Element ids from smallest to largest."""
-        return sorted(range(self.n), key=self.rank.__getitem__)
-
 
 class Transcript:
     """Ordered log of every oracle query, including repeats of the same pair,
@@ -105,8 +97,7 @@ class Transcript:
     The triples live in one flat list ``a, b, answer, a, b, answer, ...``:
     ids are small ints and answers are the two enum members, so a record
     adds no object the garbage collector tracks, and a long transcript
-    triggers no collections.  Iteration rebuilds the triples on the fly;
-    ``records`` is a read-only list of them.
+    triggers no collections.  Iteration rebuilds the triples on the fly.
     """
 
     __slots__ = ("_flat",)
@@ -123,10 +114,6 @@ class Transcript:
     def __iter__(self):
         fields = iter(self._flat)
         return zip(fields, fields, fields)
-
-    @property
-    def records(self) -> list[tuple[int, int, Answer]]:
-        return list(self)
 
 
 def count_lies(transcript: Transcript, order: TotalOrder) -> int:

@@ -5,6 +5,11 @@ for the ordered pair and never gives more than ``k`` false answers relative
 to the hidden order.  A recording oracle also appends one transcript record
 per call; the scripted replay keeps none, as its answer list is the record,
 and asks its ``extend`` callback for every answer past its script.
+
+``query`` is the whole contract.  :meth:`TruthfulOracle.ask_checks` is an
+optional fast path for a group's verification checks, which the group driver
+finds on the oracle's type; an oracle without it, or a proxy around one, is
+asked one ``query`` per check.
 """
 
 from __future__ import annotations
@@ -70,6 +75,41 @@ class TruthfulOracle(LyingOracle):
 
     def __init__(self, order: TotalOrder, record: bool = True) -> None:
         super().__init__(order, 0, record)
+
+    def ask_checks(self, at: Sequence[int], checks) -> tuple[int, bool]:
+        """Ask ``query(at[i], at[j])`` for each position pair ``(i, j)`` of
+        ``checks`` in order, stopping after the first LARGER; return (asked,
+        contradicted).  The queries, their count and their records are those
+        of the one-call-per-check loop it replaces, but the answers come from
+        the ranks of ``at``, looked up once.  A self-comparison raises
+        :class:`InvalidQuery` with the checks before it counted."""
+        ranks = list(map(self._rank.__getitem__, at))
+        transcript = self.transcript
+        asked = 0
+        try:
+            if transcript is None:
+                for i, j in checks:
+                    if ranks[i] >= ranks[j]:
+                        if ranks[i] == ranks[j]:
+                            raise InvalidQuery(f"cannot compare element {at[i]} with itself")
+                        asked += 1
+                        return asked, True
+                    asked += 1
+                return asked, False
+            append = transcript.append
+            for i, j in checks:
+                a = at[i]
+                b = at[j]
+                if a == b:
+                    raise InvalidQuery(f"cannot compare element {a} with itself")
+                asked += 1
+                if ranks[i] >= ranks[j]:
+                    append(a, b, LARGER)
+                    return asked, True
+                append(a, b, SMALLER)
+            return asked, False
+        finally:
+            self.queries += asked
 
 
 class RandomLiarOracle(LyingOracle):

@@ -187,7 +187,7 @@ def test_criterion_8_lie_accounting():
 def test_criterion_9_simple_accounting_identity():
     for k in (4, 8):
         s, n = k, 100 * k
-        order = TotalOrder.identity(n)
+        order = TotalOrder(tuple(range(n)))
         oracle = TruthfulOracle(order, record=False)
         result = simple_minmax(list(range(n)), k, oracle)
         assert result.min == 0 and result.max == n - 1
@@ -196,7 +196,7 @@ def test_criterion_9_simple_accounting_identity():
         # every group is an identity-ordered block, so the per-group sort cost
         # is the mergesort cost of one sorted block
         sort_cost = mergesort(
-            list(range(s)), TruthfulOracle(TotalOrder.identity(s), record=False)
+            list(range(s)), TruthfulOracle(TotalOrder(tuple(range(s))), record=False)
         ).comparisons
         breakdown = result.stats.phase_breakdown
         assert breakdown["group-sort"] == groups * sort_cost

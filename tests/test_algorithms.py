@@ -1,6 +1,8 @@
 import random
+import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,10 @@ from liarminmax.oracles import (
     TruthfulOracle,
 )
 from liarminmax.sorters import mergesort
+
+# The benchmark's tracing proxy, imported read-only as tests/test_golden.py does.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from tracer import TappedOracle  # noqa: E402
 
 
 def pohl_count(n):
@@ -90,7 +96,7 @@ def build_liar(kind, order, k, rng):
 
 class TestFindMin:
     def test_single_item(self):
-        el, comparisons = find_min_k_lies([7], 3, TruthfulOracle(TotalOrder.identity(8)))
+        el, comparisons = find_min_k_lies([7], 3, TruthfulOracle(TotalOrder(tuple(range(8)))))
         assert (el, comparisons) == (7, 0)
 
     def test_three_items_one_lie_budget(self):
@@ -115,7 +121,7 @@ class TestFindMin:
 
 class TestFindMax:
     def test_single_item(self):
-        el, comparisons = find_max_k_lies([2], 1, TruthfulOracle(TotalOrder.identity(3)))
+        el, comparisons = find_max_k_lies([2], 1, TruthfulOracle(TotalOrder(tuple(range(3)))))
         assert (el, comparisons) == (2, 0)
 
     def test_three_items_one_lie_budget(self):
@@ -177,7 +183,7 @@ def test_selection_reads_any_iterable_once(select):
     seen = []
     for make in (list, tuple, as_generator):
         oracle = TriggeredLiarOracle(order, 2, triggers={2, 5})
-        seen.append((select(make(items), 2, oracle), oracle.transcript.records))
+        seen.append((select(make(items), 2, oracle), list(oracle.transcript)))
         with pytest.raises(ValueError, match="cannot select from an empty set"):
             select(make([]), 2, ScriptedOracle([], unexpected_query))
         with pytest.raises(ValueError, match="k must be non-negative"):
@@ -249,7 +255,7 @@ class TestPohl:
             assert (result.min, result.max) == (order.min_element(), order.max_element())
             assert result.stats.comparisons == oracle.queries == pohl_count(n)
             pairs = [tuple(sorted(items[i : i + 2])) for i in range(0, n - 1, 2)]
-            assert [(a, b) for a, b, _ in oracle.transcript.records[: n // 2]] == pairs
+            assert [(a, b) for a, b, _ in list(oracle.transcript)[: n // 2]] == pairs
 
     @pytest.mark.parametrize(
         "run",
@@ -262,7 +268,7 @@ class TestPohl:
     )
     def test_needs_two_elements(self, run):
         with pytest.raises(ValueError, match="need at least two elements"):
-            run([0], TruthfulOracle(TotalOrder.identity(1)))
+            run([0], TruthfulOracle(TotalOrder(tuple(range(1)))))
 
 
 def group_plan(n, k):
@@ -275,7 +281,7 @@ def group_plan(n, k):
         certified.append(group)
         return _certify_by_reasking(group, k, oracle)
 
-    oracle = TruthfulOracle(TotalOrder.identity(n), record=False)
+    oracle = TruthfulOracle(TotalOrder(tuple(range(n))), record=False)
     _extrema(recording, range(n), k, oracle, _group_size(k))
     seen = {e for group in certified for e in group}
     return certified + [[e] for e in range(n) if e not in seen]
@@ -311,7 +317,7 @@ class TestSimple:
     def test_triggered_lie_restarts_exactly_one_group(self):
         k = 2
         n = 8  # groups of two: four groups
-        order = TotalOrder.identity(n)
+        order = TotalOrder(tuple(range(n)))
         items = list(range(n))
         truthful = TruthfulOracle(order)
         baseline = simple_minmax(items, k, truthful)
@@ -333,7 +339,7 @@ class TestSimple:
         order = TotalOrder.shuffled(n, random.Random(3))
         oracle = TruthfulOracle(order)
         simple_minmax(list(range(n)), k, oracle)
-        records = oracle.transcript.records
+        records = list(oracle.transcript)
         start = 0
         for group in group_plan(n, k):
             sort = mergesort(group, TruthfulOracle(order))
@@ -351,7 +357,7 @@ class TestSimple:
         # each adjacent pair, in the same order.  A certifier that completes
         # mergesort's graph without crediting its edges would ask the same.
         for m in range(2, 40):
-            oracle = TruthfulOracle(TotalOrder.identity(m), record=False)
+            oracle = TruthfulOracle(TotalOrder(tuple(range(m))), record=False)
             for k in range(12):
                 empty = OrderedMultigraph(m)
                 _, checks = _certify_by_reasking(list(range(m)), k, oracle)
@@ -375,7 +381,7 @@ class TestSimple:
         oracle = TriggeredLiarOracle(order, k, triggers={trigger})
         result = simple_minmax(items, k, oracle)
         assert result.stats.restarts == oracle.lies_told == 1
-        assert oracle.transcript.records[trigger][2] is Answer.FIRST_LARGER
+        assert list(oracle.transcript)[trigger][2] is Answer.FIRST_LARGER
         # The failed attempt asks nothing after the lie; the group restarts
         # with the same sort and checks.
         asked = [(a, b) for a, b, _ in oracle.transcript]
@@ -386,11 +392,12 @@ class TestSimple:
 
     def test_accounting_identity_on_identity_order(self):
         k, n = 4, 40
-        order = TotalOrder.identity(n)
+        order = TotalOrder(tuple(range(n)))
         oracle = TruthfulOracle(order)
         result = simple_minmax(list(range(n)), k, oracle)
         groups = n // k
-        sort_cost = mergesort(list(range(k)), TruthfulOracle(TotalOrder.identity(k))).comparisons
+        block_oracle = TruthfulOracle(TotalOrder(tuple(range(k))))
+        sort_cost = mergesort(list(range(k)), block_oracle).comparisons
         breakdown = result.stats.phase_breakdown
         assert breakdown["group-sort"] == groups * sort_cost
         assert breakdown["group-verify"] == groups * (k + 1) * (k - 1)
@@ -415,7 +422,7 @@ class TestSimple:
 
     def test_contract_breaking_oracle_raises(self):
         # Restart k + 1 raises, each restart the proof of one lie.
-        order = TotalOrder.identity(6)
+        order = TotalOrder(tuple(range(6)))
         with pytest.raises(LieBudgetViolation) as exc:
             simple_minmax(list(range(6)), 1, FlipFlopOracle(order))
         assert (exc.value.lies, exc.value.budget) == (2, 1)
@@ -437,7 +444,7 @@ class TestSimple:
         result = simple_minmax(list(range(64)), 3, oracle)
         assert result.stats.restarts >= 1
         assert len(recorded) == oracle.queries == len(oracle.transcript)
-        assert recorded == oracle.transcript.records
+        assert recorded == list(oracle.transcript)
 
 
 class TestImproved:
@@ -525,7 +532,7 @@ class TestImproved:
         assert result.stats.restarts <= oracle.lies_told <= k
 
     def test_oversized_group_rejected(self):
-        order = TotalOrder.identity(12)
+        order = TotalOrder(tuple(range(12)))
         with pytest.raises(ValueError):
             improved_minmax(list(range(12)), 4, TruthfulOracle(order), s=7)
 
@@ -534,7 +541,7 @@ class TestImproved:
             improved_minmax(list(range(4)), 1, ScriptedOracle([], unexpected_query), s=1)
 
     def test_contract_breaking_oracle_raises(self):
-        order = TotalOrder.identity(8)
+        order = TotalOrder(tuple(range(8)))
         with pytest.raises(LieBudgetViolation) as exc:
             improved_minmax(list(range(8)), 2, FlipFlopOracle(order))
         assert (exc.value.lies, exc.value.budget) == (3, 2)
@@ -574,3 +581,103 @@ class TestImproved:
         )
         final_cap = 2 * ((k + 1) * len(group_plan(n, k)) - 1)
         assert result.stats.comparisons <= group_cap + final_cap
+
+
+class QueryOnly:
+    """Forwards ``query`` alone: the driver finds no ``ask_checks`` on this
+    type and asks one query per check."""
+
+    def __init__(self, oracle):
+        self.query = oracle.query
+
+
+class CountingTruthfulOracle(TruthfulOracle):
+    """A truthful oracle that counts its ``query`` calls; it inherits the
+    ``ask_checks`` fast path."""
+
+    def __init__(self, order, record=True):
+        super().__init__(order, record)
+        self.calls = 0
+
+    def query(self, a, b):
+        self.calls += 1
+        return super().query(a, b)
+
+
+def run_improved(items, k, oracle, s, log):
+    return improved_minmax(items, k, oracle, s=s, group_log=log)
+
+
+def run_simple(items, k, oracle, s, log):
+    return simple_minmax(items, k, oracle)
+
+
+def run_pohl(items, k, oracle, s, log):
+    return pohl_minmax(items, oracle)
+
+
+def equivalence_cases():
+    """(run, n, k, s, seed): seeded runs at n <= 300 and k <= 64, pohl at
+    k = 0, and the benchmark's certify-truthful configuration."""
+    cases = [(run_improved, 2048, 32, None, 0), (run_pohl, 301, 0, None, 1)]
+    for seed in range(16):
+        rng = random.Random(seed)
+        n, k = rng.randint(2, 300), rng.randint(0, 64)
+        s = rng.choice([None, rng.randint(2, k + 2)])
+        cases += [(run_improved, n, k, s, seed), (run_simple, n, k, None, seed)]
+        cases.append((run_pohl, rng.randint(2, 300), 0, None, seed))
+    return cases
+
+
+class TestCheckFastPath:
+    """``TruthfulOracle.ask_checks`` answers a group's checks in one call;
+    the driver finds it on the oracle's type, and every other oracle is
+    asked one query per check."""
+
+    @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+    @pytest.mark.parametrize(
+        "run, n, k, s, seed",
+        equivalence_cases(),
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_batch_path_matches_the_per_query_path(self, run, n, k, s, seed, record):
+        order = TotalOrder.shuffled(n, random.Random(seed))
+        items = random.Random(seed + 1).sample(range(n), n)
+        batch = TruthfulOracle(order, record)
+        single = TruthfulOracle(order, record)
+        batch_log, single_log = [], []
+        fast = run(list(items), k, batch, s, batch_log)
+        slow = run(list(items), k, QueryOnly(single), s, single_log)
+        assert (fast.min, fast.max) == (slow.min, slow.max)
+        assert (fast.min, fast.max) == (order.min_element(), order.max_element())
+        assert fast.stats == slow.stats
+        assert batch_log == single_log
+        assert batch.queries == single.queries == fast.stats.comparisons
+        if record:
+            assert list(batch.transcript) == list(single.transcript)
+        else:
+            assert batch.transcript is single.transcript is None
+
+    def test_a_tapped_oracle_sends_every_query_through_its_proxy(self):
+        # The benchmark's tracer hands out oracles behind ``TappedOracle``;
+        # its golden query digest needs every check to reach the tap.
+        n, k = 2048, 32
+        inner = TruthfulOracle(TotalOrder.shuffled(n, random.Random(5)), record=False)
+        tapped = []
+
+        def query(a, b):
+            tapped.append((a, b))
+            return inner.query(a, b)
+
+        result = improved_minmax(list(range(n)), k, TappedOracle(inner, query))
+        assert result.stats.phase_breakdown["group-verify"] > 0
+        assert len(tapped) == inner.queries == result.stats.comparisons
+
+    def test_an_untapped_run_asks_its_checks_in_batches(self):
+        n, k = 2048, 32
+        oracle = CountingTruthfulOracle(TotalOrder.shuffled(n, random.Random(5)), record=False)
+        result = improved_minmax(list(range(n)), k, oracle)
+        phases = result.stats.phase_breakdown
+        assert phases["group-verify"] > 0
+        assert oracle.calls == phases["group-sort"] + phases["final-min"] + phases["final-max"]
+        assert oracle.queries == result.stats.comparisons

@@ -50,7 +50,7 @@ class TestTotalOrder:
             TotalOrder((0, 0, 2))
 
     def test_identity_extrema(self):
-        order = TotalOrder.identity(4)
+        order = TotalOrder(tuple(range(4)))
         assert order.min_element() == 0
         assert order.max_element() == 3
 

@@ -8,9 +8,10 @@ path fail here.  Relative imports in ``__init__.py`` are re-exports, and
 unused-import check.  Instead, every name in a module's ``__all__`` must be
 defined in that module, and every name ``__init__.py`` re-exports must be in
 its source module's ``__all__``, so a deletion cannot leave a stale export.
-Every exported name must also be read by the code that runs (the package,
-its scripts or the benchmark), so a name that only its own tests call
-cannot stay in the runtime.  The names the benchmark's tracer patches must
+Every exported name, and every public method or property of a package
+class, must also be read by the code that runs (the package, its scripts or
+the benchmark), so a name that only its own tests call cannot stay in the
+runtime.  The names the benchmark's tracer patches must
 stay in their modules too, and every exception class the package defines
 must be raised somewhere in it, so an error type cannot outlive its last
 ``raise``.
@@ -124,9 +125,10 @@ RUNTIME = [
 ]
 
 
-def unread_exports(exported: list[str], sources: list[str]) -> list[str]:
-    """Names in ``exported`` that no source reads as a name or an attribute;
-    a definition or an assignment is not a read."""
+def read_names(sources: list[str]) -> set[str]:
+    """Every name the sources read: as a name, as an attribute, or as the
+    string constant of ``getattr(x, "name", ...)``; a definition or an
+    assignment is not a read."""
     read = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -134,6 +136,20 @@ def unread_exports(exported: list[str], sources: list[str]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                read.add(node.args[1].value)
+    return read
+
+
+def unread_exports(exported: list[str], sources: list[str]) -> list[str]:
+    """Names in ``exported`` that no source reads."""
+    read = read_names(sources)
     return [name for name in exported if name not in read]
 
 
@@ -150,6 +166,52 @@ def test_lint_flags_an_unread_export():
     user = "from m import called\ncalled(m.typed, LIMIT)\nm.SET = 3\n"
     assert unread_exports(exports(ast.parse(module)), [module, user]) == ["SET", "gone"]
     assert unread_exports(["called"], ["def called(): pass\n"]) == ["called"]
+
+
+def public_members(source: str) -> list[str]:
+    """``Class.member`` for each public method or property (any function a
+    class body defines whose name has no leading ``_``)."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+def unread_members(members: list[str], sources: list[str]) -> list[str]:
+    """The ``Class.member`` entries whose member no source reads."""
+    read = read_names(sources)
+    return [member for member in members if member.rpartition(".")[2] not in read]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in RUNTIME if path.parent == PACKAGE], ids=lambda p: p.name
+)
+def test_every_public_member_is_read_outside_the_tests(path):
+    members = public_members(path.read_text())
+    assert unread_members(members, [p.read_text() for p in RUNTIME]) == []
+
+
+def test_lint_flags_an_unread_method():
+    module = (
+        "class C:\n"
+        "    def called(self): pass\n"
+        "    def looked_up(self): pass\n"
+        "    @property\n"
+        "    def shown(self): return 1\n"
+        "    @classmethod\n"
+        "    def gone(cls): pass\n"
+        "    def _private(self): pass\n"
+        "    def __len__(self): return 0\n"
+    )
+    user = "c.called()\nf = getattr(type(c), 'looked_up', None)\nprint(c.shown)\nc.gone = 1\n"
+    members = public_members(module)
+    assert members == ["C.called", "C.looked_up", "C.shown", "C.gone"]
+    assert unread_members(members, [module, user]) == ["C.gone"]
+    assert unread_members(members, [module]) == members
 
 
 def private_imports(source: str) -> list[str]:
@@ -276,7 +338,8 @@ def test_lint_flags_an_answer_lookup_inside_a_function():
 # patched name guard that, e.g. test_harness's
 # test_walk_builds_every_oracle_through_the_patch_point for ScriptedOracle
 # and test_algorithms's test_records_every_query_through_the_patch_point for
-# Transcript.append.
+# Transcript.append.  The oracle tap guards itself the same way:
+# test_algorithms's test_a_tapped_oracle_sends_every_query_through_its_proxy.
 PATCH_POINTS = [
     (harness, "run_experiments"),
     (harness, "verify_exhaustive"),

@@ -46,7 +46,7 @@ def test_zero_probability_liar_is_truthful():
 
 
 def test_triggered_liar_lies_exactly_on_trigger():
-    order = TotalOrder.identity(5)
+    order = TotalOrder(tuple(range(5)))
     oracle = TriggeredLiarOracle(order, k=1, triggers={0})
     stream = random_query_stream(random.Random(3), 5, 30)
     for index, (a, b) in enumerate(stream):
@@ -60,7 +60,7 @@ def test_triggered_liar_lies_exactly_on_trigger():
 
 
 def test_triggered_liar_respects_budget():
-    order = TotalOrder.identity(4)
+    order = TotalOrder(tuple(range(4)))
     oracle = TriggeredLiarOracle(order, k=1, triggers={0, 1, 2})
     stream = random_query_stream(random.Random(4), 4, 10)
     lies = sum(
@@ -85,12 +85,12 @@ def test_triggered_liar_reads_its_triggers_once_as_a_set():
 
 def test_triggered_liar_rejects_negative_trigger():
     with pytest.raises(ValueError, match="trigger indices must be non-negative"):
-        TriggeredLiarOracle(TotalOrder.identity(3), 1, [-1, 0])
+        TriggeredLiarOracle(TotalOrder(tuple(range(3))), 1, [-1, 0])
 
 
 def test_random_liar_rejects_probability_above_one():
     with pytest.raises(ValueError, match=r"lie probability must lie in \[0, 1\]"):
-        RandomLiarOracle(TotalOrder.identity(3), 1, 1.5, seed=1)
+        RandomLiarOracle(TotalOrder(tuple(range(3))), 1, 1.5, seed=1)
 
 
 def test_random_liar_same_seed_identical_transcript():
@@ -106,7 +106,7 @@ def test_random_liar_same_seed_identical_transcript():
 
 
 def test_always_lying_oracle_stops_at_budget():
-    order = TotalOrder.identity(6)
+    order = TotalOrder(tuple(range(6)))
     oracle = RandomLiarOracle(order, k=2, p=1.0, seed=0)
     stream = random_query_stream(random.Random(1), 6, 40)
     for a, b in stream:
@@ -133,13 +133,13 @@ def test_lies_told_matches_transcript_accounting(k, p, seed, length):
 
 
 def test_query_rejects_self_comparison():
-    oracle = TruthfulOracle(TotalOrder.identity(3))
+    oracle = TruthfulOracle(TotalOrder(tuple(range(3))))
     with pytest.raises(InvalidQuery):
         oracle.query(2, 2)
 
 
 def test_recording_can_be_disabled():
-    oracle = TruthfulOracle(TotalOrder.identity(3), record=False)
+    oracle = TruthfulOracle(TotalOrder(tuple(range(3))), record=False)
     oracle.query(0, 1)
     assert oracle.transcript is None
     assert oracle.queries == 1
@@ -161,7 +161,7 @@ def per_query_run(order, k, wants_lie, stream):
 def oracle_run(oracle, stream):
     for a, b in stream:
         oracle.query(a, b)
-    return oracle.transcript.records, oracle.lies_told, oracle.queries
+    return list(oracle.transcript), oracle.lies_told, oracle.queries
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -204,7 +204,7 @@ def test_recording_keeps_no_tracked_object_per_query():
         gc.enable()
     assert grown < 100
     expected = [(a, b, answer) for (a, b), answer in zip(stream, answers)]
-    assert oracle.transcript.records == expected
+    assert list(oracle.transcript) == expected
     assert len(oracle.transcript) == oracle.queries == 10_000
     assert all(isinstance(answer, Answer) for _, _, answer in oracle.transcript)
     assert oracle.lies_told == 2
@@ -213,7 +213,7 @@ def test_recording_keeps_no_tracked_object_per_query():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: RandomLiarOracle(TotalOrder.identity(3), -1, 0.5, seed=1),
+        lambda: RandomLiarOracle(TotalOrder(tuple(range(3))), -1, 0.5, seed=1),
     ],
     ids=["lying-oracle"],
 )
@@ -243,3 +243,84 @@ def test_scripted_oracle_extends_past_its_script():
         oracle.query(2, 2)
     assert asked == [(1, 2)]
     assert len(oracle.answers) == oracle.position == 2
+
+
+def checks_per_query(oracle, at, checks):
+    """The group driver's one-query-per-check loop: the reference for
+    ``ask_checks``."""
+    asked = 0
+    for i, j in checks:
+        asked += 1
+        if oracle.query(at[i], at[j]) is Answer.FIRST_LARGER:
+            return asked, True
+    return asked, False
+
+
+def asked_both_ways(order, record, at, checks):
+    """(outcome, queries, records) of ``ask_checks`` and of the reference
+    loop, each on a fresh truthful oracle; an outcome is the returned pair or
+    the raised exception's type."""
+    sides = []
+    for ask in (TruthfulOracle.ask_checks, checks_per_query):
+        oracle = TruthfulOracle(order, record)
+        try:
+            outcome = ask(oracle, at, checks)
+        except InvalidQuery:
+            outcome = InvalidQuery
+        records = None if oracle.transcript is None else list(oracle.transcript)
+        sides.append((outcome, oracle.queries, records))
+    return sides
+
+
+# Position 0 repeats the first element and no check names it, as in the driver.
+ASCENDING_AT = [0, 0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+@pytest.mark.parametrize(
+    "checks, outcome",
+    [
+        ([], (0, False)),
+        ([(1, 2), (1, 3), (2, 4), (1, 2)], (4, False)),
+        ([(2, 1), (1, 2)], (1, True)),
+        ([(1, 2), (2, 3), (4, 3)], (3, True)),
+    ],
+    ids=["empty", "all-hold", "first-contradicts", "last-contradicts"],
+)
+def test_ask_checks_matches_the_per_query_loop(record, checks, outcome):
+    order = TotalOrder(tuple(range(4)))
+    batch, reference = asked_both_ways(order, record, ASCENDING_AT, checks)
+    assert batch == reference
+    assert batch[0] == outcome
+    assert batch[1] == outcome[0]
+    if record:
+        assert len(batch[2]) == outcome[0]
+    else:
+        assert batch[2] is None
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+@pytest.mark.parametrize(
+    "checks, asked_before",
+    [([(1, 2), (2, 2), (2, 3)], 1), ([(0, 1)], 0)],
+    ids=["same-position", "same-element"],
+)
+def test_ask_checks_refuses_a_self_comparison_where_query_does(record, checks, asked_before):
+    # The checks before the self-comparison stay asked, counted and recorded.
+    batch, reference = asked_both_ways(TotalOrder(tuple(range(4))), record, ASCENDING_AT, checks)
+    assert batch == reference
+    assert batch[:2] == (InvalidQuery, asked_before)
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+@pytest.mark.parametrize("seed", range(20))
+def test_ask_checks_matches_the_per_query_loop_on_random_checks(record, seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    order = TotalOrder.shuffled(n, rng)
+    block = rng.sample(range(n), rng.randint(2, n))
+    at = [block[0], *block]
+    length = rng.randint(0, 60)
+    checks = [tuple(sorted(rng.sample(range(1, len(block) + 1), 2))) for _ in range(length)]
+    batch, reference = asked_both_ways(order, record, at, checks)
+    assert batch == reference
