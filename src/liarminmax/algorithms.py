@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .core import LARGER, SMALLER, Answer, LieBudgetViolation, RunStats
 from .graphs import added_edge_pairs, complete_edges
+from .oracles import TruthfulOracle
 from .sorters import SortInconsistency, balanced_quicksort, mergesort
 
 __all__ = [
@@ -161,8 +162,8 @@ def _extrema(
     certify, items, k: int, oracle, size: int, group_log: list | None = None
 ) -> MinMaxResult:
     """Split ``items`` into blocks of ``size``; sort each block of two or
-    more with ``certify`` and ask its checks (through the oracle's
-    ``ask_checks`` fast path where its type has one), restarting the block
+    more with ``certify`` and ask its checks (in one ``ask_checks`` call
+    when the oracle is a plain ``TruthfulOracle``), restarting the block
     whenever a lie is proven; then select the minimum among the group minima
     and the maximum among the group maxima, each with budget k.  Every
     comparison is charged here, to its phase in ``RunStats``; a certifier
@@ -173,9 +174,9 @@ def _extrema(
     if len(items) < 2:
         raise ValueError("need at least two elements")
     query = oracle.query
-    # Found on the type, once per run: a proxy that forwards ``query`` alone
-    # (the benchmark's tracing tap, say) keeps the one-query-per-check loop.
-    ask_checks = getattr(type(oracle), "ask_checks", None)
+    # Any other oracle, a subclass or a proxy (the benchmark's tracing tap,
+    # say) is asked one query per check.
+    batch = type(oracle) is TruthfulOracle
     restarts = 0
     minima: list[int] = []
     maxima: list[int] = []
@@ -194,16 +195,16 @@ def _extrema(
                 order, sort_comparisons = outcome.output, outcome.comparisons
                 # 1-based: position 0 repeats the first element; no check names it.
                 at = [order[0], *order]
-                if ask_checks is None:
+                if batch:
+                    asked, contradicted = oracle.ask_checks(at, checks)
+                    if contradicted:
+                        reason = _CONTRADICTED
+                else:
                     for i, j in checks:
                         asked += 1
                         if query(at[i], at[j]) is LARGER:
                             reason = _CONTRADICTED
                             break
-                else:
-                    asked, contradicted = ask_checks(oracle, at, checks)
-                    if contradicted:
-                        reason = _CONTRADICTED
             sorted_total += sort_comparisons
             verified_total += asked
             if group_log is not None:

@@ -6,10 +6,8 @@ to the hidden order.  A recording oracle also appends one transcript record
 per call; the scripted replay keeps none, as its answer list is the record,
 and asks its ``extend`` callback for every answer past its script.
 
-``query`` is the whole contract.  :meth:`TruthfulOracle.ask_checks` is an
-optional fast path for a group's verification checks, which the group driver
-finds on the oracle's type; an oracle without it, or a proxy around one, is
-asked one ``query`` per check.
+The group driver asks a plain :class:`TruthfulOracle` a group's checks in
+one ``ask_checks`` call, and every other oracle one ``query`` per check.
 """
 
 from __future__ import annotations
@@ -79,34 +77,27 @@ class TruthfulOracle(LyingOracle):
     def ask_checks(self, at: Sequence[int], checks) -> tuple[int, bool]:
         """Ask ``query(at[i], at[j])`` for each position pair ``(i, j)`` of
         ``checks`` in order, stopping after the first LARGER; return (asked,
-        contradicted).  The queries, their count and their records are those
-        of the one-call-per-check loop it replaces, but the answers come from
-        the ranks of ``at``, looked up once.  A self-comparison raises
-        :class:`InvalidQuery` with the checks before it counted."""
-        ranks = list(map(self._rank.__getitem__, at))
-        transcript = self.transcript
+        contradicted).  An oracle that records asks through ``query``.  One
+        that does not answers from the ranks of ``at``, looked up once, with
+        the queries counted as ``query`` counts them: a self-comparison
+        raises :class:`InvalidQuery` with the checks before it counted."""
         asked = 0
-        try:
-            if transcript is None:
-                for i, j in checks:
-                    if ranks[i] >= ranks[j]:
-                        if ranks[i] == ranks[j]:
-                            raise InvalidQuery(f"cannot compare element {at[i]} with itself")
-                        asked += 1
-                        return asked, True
-                    asked += 1
-                return asked, False
-            append = transcript.append
+        if self.transcript is not None:
+            query = self.query
             for i, j in checks:
-                a = at[i]
-                b = at[j]
-                if a == b:
-                    raise InvalidQuery(f"cannot compare element {a} with itself")
                 asked += 1
-                if ranks[i] >= ranks[j]:
-                    append(a, b, LARGER)
+                if query(at[i], at[j]) is LARGER:
                     return asked, True
-                append(a, b, SMALLER)
+            return asked, False
+        ranks = list(map(self._rank.__getitem__, at))
+        try:
+            for i, j in checks:
+                if ranks[i] >= ranks[j]:
+                    if ranks[i] == ranks[j]:
+                        raise InvalidQuery(f"cannot compare element {at[i]} with itself")
+                    asked += 1
+                    return asked, True
+                asked += 1
             return asked, False
         finally:
             self.queries += asked

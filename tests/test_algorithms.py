@@ -584,16 +584,16 @@ class TestImproved:
 
 
 class QueryOnly:
-    """Forwards ``query`` alone: the driver finds no ``ask_checks`` on this
-    type and asks one query per check."""
+    """Forwards ``query`` alone: not a ``TruthfulOracle``, so the driver asks
+    it one query per check."""
 
     def __init__(self, oracle):
         self.query = oracle.query
 
 
 class CountingTruthfulOracle(TruthfulOracle):
-    """A truthful oracle that counts its ``query`` calls; it inherits the
-    ``ask_checks`` fast path."""
+    """A truthful oracle that counts its ``query`` calls.  Being a subclass,
+    it is asked one query per check, so every check reaches the override."""
 
     def __init__(self, order, record=True):
         super().__init__(order, record)
@@ -631,8 +631,8 @@ def equivalence_cases():
 
 class TestCheckFastPath:
     """``TruthfulOracle.ask_checks`` answers a group's checks in one call;
-    the driver finds it on the oracle's type, and every other oracle is
-    asked one query per check."""
+    the driver uses it for a plain ``TruthfulOracle`` only, and asks every
+    other oracle one query per check."""
 
     @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
     @pytest.mark.parametrize(
@@ -673,11 +673,26 @@ class TestCheckFastPath:
         assert result.stats.phase_breakdown["group-verify"] > 0
         assert len(tapped) == inner.queries == result.stats.comparisons
 
-    def test_an_untapped_run_asks_its_checks_in_batches(self):
+    def test_an_untapped_run_asks_its_checks_in_batches(self, monkeypatch):
         n, k = 2048, 32
-        oracle = CountingTruthfulOracle(TotalOrder.shuffled(n, random.Random(5)), record=False)
+        oracle = TruthfulOracle(TotalOrder.shuffled(n, random.Random(5)), record=False)
+        calls = []
+        query = TruthfulOracle.query
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return query(self, a, b)
+
+        monkeypatch.setattr(TruthfulOracle, "query", counted)
         result = improved_minmax(list(range(n)), k, oracle)
         phases = result.stats.phase_breakdown
         assert phases["group-verify"] > 0
-        assert oracle.calls == phases["group-sort"] + phases["final-min"] + phases["final-max"]
+        assert len(calls) == phases["group-sort"] + phases["final-min"] + phases["final-max"]
         assert oracle.queries == result.stats.comparisons
+
+    def test_a_subclass_that_overrides_query_is_asked_every_check(self):
+        n, k = 300, 4
+        oracle = CountingTruthfulOracle(TotalOrder.shuffled(n, random.Random(6)), record=False)
+        result = improved_minmax(list(range(n)), k, oracle)
+        assert result.stats.phase_breakdown["group-verify"] > 0
+        assert oracle.calls == oracle.queries == result.stats.comparisons

@@ -126,9 +126,8 @@ RUNTIME = [
 
 
 def read_names(sources: list[str]) -> set[str]:
-    """Every name the sources read: as a name, as an attribute, or as the
-    string constant of ``getattr(x, "name", ...)``; a definition or an
-    assignment is not a read."""
+    """Every name the sources read, as a name or an attribute; a definition
+    or an assignment is not a read."""
     read = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -136,14 +135,6 @@ def read_names(sources: list[str]) -> set[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "getattr"
-                and len(node.args) > 1
-                and isinstance(node.args[1], ast.Constant)
-            ):
-                read.add(node.args[1].value)
     return read
 
 
@@ -199,7 +190,6 @@ def test_lint_flags_an_unread_method():
     module = (
         "class C:\n"
         "    def called(self): pass\n"
-        "    def looked_up(self): pass\n"
         "    @property\n"
         "    def shown(self): return 1\n"
         "    @classmethod\n"
@@ -207,9 +197,9 @@ def test_lint_flags_an_unread_method():
         "    def _private(self): pass\n"
         "    def __len__(self): return 0\n"
     )
-    user = "c.called()\nf = getattr(type(c), 'looked_up', None)\nprint(c.shown)\nc.gone = 1\n"
+    user = "c.called()\nprint(c.shown)\nc.gone = 1\n"
     members = public_members(module)
-    assert members == ["C.called", "C.looked_up", "C.shown", "C.gone"]
+    assert members == ["C.called", "C.shown", "C.gone"]
     assert unread_members(members, [module, user]) == ["C.gone"]
     assert unread_members(members, [module]) == members
 
