@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .core import LARGER, SMALLER, Answer, LieBudgetViolation, RunStats
 from .graphs import added_edge_pairs, complete_edges
-from .oracles import TruthfulOracle
+from .oracles import RandomLiarOracle, TriggeredLiarOracle, TruthfulOracle
 from .sorters import SortInconsistency, balanced_quicksort, mergesort
 
 __all__ = [
@@ -157,13 +157,17 @@ def _certify_by_completion(group, k: int, oracle):
 
 _CONTRADICTED = "verification contradicted the claimed order"
 
+# The oracles whose ``ask_checks`` answers as their ``query`` would: each
+# inherits ``LyingOracle.query`` unchanged (tests/test_imports.py checks).
+_BATCHED = (TruthfulOracle, TriggeredLiarOracle, RandomLiarOracle)
+
 
 def _extrema(
     certify, items, k: int, oracle, size: int, group_log: list | None = None
 ) -> MinMaxResult:
     """Split ``items`` into blocks of ``size``; sort each block of two or
     more with ``certify`` and ask its checks (in one ``ask_checks`` call
-    when the oracle is a plain ``TruthfulOracle``), restarting the block
+    when the oracle's type is one of ``_BATCHED``), restarting the block
     whenever a lie is proven; then select the minimum among the group minima
     and the maximum among the group maxima, each with budget k.  Every
     comparison is charged here, to its phase in ``RunStats``; a certifier
@@ -174,9 +178,10 @@ def _extrema(
     if len(items) < 2:
         raise ValueError("need at least two elements")
     query = oracle.query
-    # Any other oracle, a subclass or a proxy (the benchmark's tracing tap,
-    # say) is asked one query per check.
-    batch = type(oracle) is TruthfulOracle
+    # Any other oracle, a subclass that may override ``query``, a
+    # ``ScriptedOracle`` or a proxy (the benchmark's tracing tap, say), is
+    # asked one query per check.
+    batch = type(oracle) in _BATCHED
     restarts = 0
     minima: list[int] = []
     maxima: list[int] = []

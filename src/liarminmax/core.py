@@ -108,6 +108,11 @@ class Transcript:
     def append(self, a: int, b: int, answer: Answer) -> None:
         self._flat += (a, b, answer)
 
+    def extend(self, fields: list) -> None:
+        """Append the records whose fields ``fields`` lists in query order,
+        ``a, b, answer`` for each: one call for a batch of records."""
+        self._flat += fields
+
     def __len__(self) -> int:
         return len(self._flat) // 3
 

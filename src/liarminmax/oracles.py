@@ -3,11 +3,15 @@
 All oracles share one contract: ``query(a, b)`` returns an :class:`Answer`
 for the ordered pair and never gives more than ``k`` false answers relative
 to the hidden order.  A recording oracle also appends one transcript record
-per call; the scripted replay keeps none, as its answer list is the record,
+per query; the scripted replay keeps none, as its answer list is the record,
 and asks its ``extend`` callback for every answer past its script.
 
-The group driver asks a plain :class:`TruthfulOracle` a group's checks in
-one ``ask_checks`` call, and every other oracle one ``query`` per check.
+The group driver asks a plain :class:`TruthfulOracle`,
+:class:`TriggeredLiarOracle` or :class:`RandomLiarOracle` a group's checks
+in one ``LyingOracle.ask_checks`` call, and every other oracle one ``query``
+per check.  A batch that may meet a scheduled lie asks through ``query``, so
+the lie rule lives in ``query`` alone; any other batch answers from the
+hidden order's ranks and records its answers in one ``Transcript.extend``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ class LyingOracle:
     which ``query`` calls only at that index while budget remains.  The hook
     sees the index alone, not the pair: it says whether this query lies and
     sets ``_next_lie`` to the next index to consult.  Every other query skips
-    the hook, so a truthful query costs one comparison of its index.
+    the hook, so a truthful query costs one comparison of its index, and
+    ``ask_checks`` reads ``_next_lie`` to tell whether a batch may meet a
+    consult.
     """
 
     def __init__(self, order: TotalOrder, k: int = 0, record: bool = True) -> None:
@@ -67,22 +73,19 @@ class LyingOracle:
             self.transcript.append(a, b, answer)
         return answer
 
-
-class TruthfulOracle(LyingOracle):
-    """Always answers according to the hidden order."""
-
-    def __init__(self, order: TotalOrder, record: bool = True) -> None:
-        super().__init__(order, 0, record)
-
     def ask_checks(self, at: Sequence[int], checks) -> tuple[int, bool]:
         """Ask ``query(at[i], at[j])`` for each position pair ``(i, j)`` of
         ``checks`` in order, stopping after the first LARGER; return (asked,
-        contradicted).  An oracle that records asks through ``query``.  One
-        that does not answers from the ranks of ``at``, looked up once, with
-        the queries counted as ``query`` counts them: a self-comparison
-        raises :class:`InvalidQuery` with the checks before it counted."""
+        contradicted).  A batch whose index range holds a scheduled lie
+        consult, budget permitting, asks through ``query``, so the lie rule
+        stays there alone.  Any other batch is truthful: it answers from the
+        ranks of ``at``, looked up once, and counts and records the queries
+        as ``query`` does, the records in one ``Transcript.extend`` call.  A
+        self-comparison raises :class:`InvalidQuery` with the checks before
+        it counted and recorded."""
         asked = 0
-        if self.transcript is not None:
+        queries = self.queries
+        if self.lies_told < self.k and queries <= self._next_lie < queries + len(checks):
             query = self.query
             for i, j in checks:
                 asked += 1
@@ -90,17 +93,41 @@ class TruthfulOracle(LyingOracle):
                     return asked, True
             return asked, False
         ranks = list(map(self._rank.__getitem__, at))
+        transcript = self.transcript
+        fields: list = []
         try:
+            # Two loops, so that a run without a transcript pays nothing per
+            # check for recording.
+            if transcript is None:
+                for i, j in checks:
+                    if ranks[i] >= ranks[j]:
+                        if ranks[i] == ranks[j]:
+                            raise InvalidQuery(f"cannot compare element {at[i]} with itself")
+                        asked += 1
+                        return asked, True
+                    asked += 1
+                return asked, False
             for i, j in checks:
                 if ranks[i] >= ranks[j]:
                     if ranks[i] == ranks[j]:
                         raise InvalidQuery(f"cannot compare element {at[i]} with itself")
                     asked += 1
+                    fields += (at[i], at[j], LARGER)
                     return asked, True
                 asked += 1
+                fields += (at[i], at[j], SMALLER)
             return asked, False
         finally:
-            self.queries += asked
+            self.queries = queries + asked
+            if transcript is not None:
+                transcript.extend(fields)
+
+
+class TruthfulOracle(LyingOracle):
+    """Always answers according to the hidden order."""
+
+    def __init__(self, order: TotalOrder, record: bool = True) -> None:
+        super().__init__(order, 0, record)
 
 
 class RandomLiarOracle(LyingOracle):

@@ -29,6 +29,7 @@ from liarminmax.core import (
 )
 from liarminmax.graphs import OrderedMultigraph, added_edge_pairs, complete_edges
 from liarminmax.oracles import (
+    LyingOracle,
     RandomLiarOracle,
     ScriptedOracle,
     TriggeredLiarOracle,
@@ -428,9 +429,10 @@ class TestSimple:
         assert (exc.value.lies, exc.value.budget) == (2, 1)
 
     def test_records_every_query_through_the_patch_point(self, monkeypatch):
-        # The benchmark's tracer wraps ``core.Transcript.append``; an oracle
-        # that recorded its answers some other way would leave the core
-        # layer dark.
+        # The benchmark's tracer wraps ``core.Transcript.append`` and hands
+        # out oracles behind a proxy, which the driver asks one query per
+        # check; an oracle that recorded those answers some other way would
+        # leave the core layer dark.
         recorded = []
         append = Transcript.append
 
@@ -441,10 +443,24 @@ class TestSimple:
         monkeypatch.setattr(Transcript, "append", counting)
         order = TotalOrder.shuffled(64, random.Random(11))
         oracle = TriggeredLiarOracle(order, 3, [0, 40, 41, 500])
-        result = simple_minmax(list(range(64)), 3, oracle)
+        result = simple_minmax(list(range(64)), 3, QueryOnly(oracle))
         assert result.stats.restarts >= 1
         assert len(recorded) == oracle.queries == len(oracle.transcript)
         assert recorded == list(oracle.transcript)
+
+    def test_a_batched_transcript_equals_the_proxied_one(self):
+        # Unproxied, the same liar answers most checks in batches and
+        # records them with ``Transcript.extend``: record for record, the
+        # transcript the per-query path keeps.
+        order = TotalOrder.shuffled(64, random.Random(11))
+        batched = TriggeredLiarOracle(order, 3, [0, 40, 41, 500])
+        proxied = TriggeredLiarOracle(order, 3, [0, 40, 41, 500])
+        result = simple_minmax(list(range(64)), 3, batched)
+        assert result == simple_minmax(list(range(64)), 3, QueryOnly(proxied))
+        assert result.stats.restarts >= 1
+        assert list(batched.transcript) == list(proxied.transcript)
+        assert batched.queries == proxied.queries == len(batched.transcript)
+        assert batched.lies_told == proxied.lies_told
 
 
 class TestImproved:
@@ -584,8 +600,8 @@ class TestImproved:
 
 
 class QueryOnly:
-    """Forwards ``query`` alone: not a ``TruthfulOracle``, so the driver asks
-    it one query per check."""
+    """Forwards ``query`` alone: not one of the oracle types the driver
+    batches, so it asks this one query per check."""
 
     def __init__(self, oracle):
         self.query = oracle.query
@@ -609,7 +625,8 @@ def run_improved(items, k, oracle, s, log):
 
 
 def run_simple(items, k, oracle, s, log):
-    return simple_minmax(items, k, oracle)
+    # ``simple_minmax`` is this call without the group log.
+    return _extrema(_certify_by_reasking, items, k, oracle, _group_size(k), log)
 
 
 def run_pohl(items, k, oracle, s, log):
@@ -629,10 +646,43 @@ def equivalence_cases():
     return cases
 
 
+def both_paths(run, n, k, s, seed, build):
+    """Run ``run`` on a fresh ``build(order)`` oracle as it is and behind
+    ``QueryOnly``; for each, (outcome, group log, queries, lies told,
+    transcript), where the outcome is the extrema and stats or the raised
+    budget violation."""
+    order = TotalOrder.shuffled(n, random.Random(seed))
+    items = random.Random(seed + 1).sample(range(n), n)
+    sides = []
+    for wrap in (lambda oracle: oracle, QueryOnly):
+        oracle, log = build(order), []
+        try:
+            result = run(list(items), k, wrap(oracle), s, log)
+            outcome = (result.min, result.max, result.stats)
+        except LieBudgetViolation as exc:
+            outcome = (LieBudgetViolation, exc.lies, exc.budget)
+        sides.append((outcome, log, oracle.queries, oracle.lies_told, list(oracle.transcript)))
+    return order, sides
+
+
+def check_spans(run, n, k, s, seed):
+    """(first index, count) of each group's checks in the truthful run that
+    ``both_paths`` makes with these arguments: a lie scheduled at one of
+    them, the first lie of a run, falls on that check."""
+    spans, index = [], 0
+    _, sides = both_paths(run, n, k, s, seed, TruthfulOracle)
+    for report in sides[0][1]:
+        index += report.sort_comparisons
+        spans.append((index, report.added_comparisons))
+        index += report.added_comparisons
+    return spans
+
+
 class TestCheckFastPath:
-    """``TruthfulOracle.ask_checks`` answers a group's checks in one call;
-    the driver uses it for a plain ``TruthfulOracle`` only, and asks every
-    other oracle one query per check."""
+    """``LyingOracle.ask_checks`` answers a group's checks in one call; the
+    driver uses it when the oracle's type is exactly ``TruthfulOracle``,
+    ``TriggeredLiarOracle`` or ``RandomLiarOracle``, and asks every other
+    oracle one query per check."""
 
     @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
     @pytest.mark.parametrize(
@@ -658,6 +708,57 @@ class TestCheckFastPath:
         else:
             assert batch.transcript is single.transcript is None
 
+    # A trigger on the first, middle or last of the second group's checks:
+    # 15 in a simple run of 60 at k = 4, (4 - 1) * 5 re-asks, and 11 in an
+    # improved one.
+    @pytest.mark.parametrize("run", [run_simple, run_improved], ids=["simple", "improved"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_lie_inside_a_batch_matches_the_per_query_path(self, run, where):
+        n, k, seed = 60, 4, 3
+        start, count = check_spans(run, n, k, None, seed)[1]
+        assert count >= 3
+        trigger = start + {"first": 0, "middle": count // 2, "last": count - 1}[where]
+        order, (batch, single) = both_paths(
+            run, n, k, None, seed, lambda order: TriggeredLiarOracle(order, k, [trigger])
+        )
+        assert batch == single
+        outcome, log, queries, lies, transcript = batch
+        assert (outcome[:2], lies) == ((order.min_element(), order.max_element()), 1)
+        assert outcome[2].restarts == 1
+        assert not log[1].completed and log[1].added_comparisons == trigger - start + 1
+        assert transcript[trigger][2] is Answer.FIRST_LARGER
+        assert queries == len(transcript) == outcome[2].comparisons
+
+    @pytest.mark.parametrize("run", [run_simple, run_improved], ids=["simple", "improved"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_triggers_past_a_spent_budget_match_the_per_query_path(self, run, k):
+        # Every query index is a trigger: the first k sort queries lie, and
+        # every later batch holds triggers that the spent budget ignores.
+        n = 50
+        order, (batch, single) = both_paths(
+            run, n, k, None, 4, lambda order: TriggeredLiarOracle(order, k, range(4000))
+        )
+        assert batch == single
+        outcome, _, queries, lies, transcript = batch
+        assert outcome[:2] == (order.min_element(), order.max_element())
+        assert lies == k and count_lies(transcript, order) == k
+        assert queries == len(transcript) == outcome[2].comparisons
+
+    @pytest.mark.parametrize("run", [run_simple, run_improved], ids=["simple", "improved"])
+    @pytest.mark.parametrize("p", [0.2, 1.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_random_liar_matches_the_per_query_path(self, run, p, seed):
+        rng = random.Random(seed)
+        n, k = rng.randint(2, 200), rng.randint(1, 10)
+        order, (batch, single) = both_paths(
+            run, n, k, None, seed, lambda order: RandomLiarOracle(order, k, p, seed + 50)
+        )
+        assert batch == single
+        outcome, _, queries, lies, transcript = batch
+        assert outcome[:2] == (order.min_element(), order.max_element())
+        assert outcome[2].restarts <= lies <= k
+        assert queries == len(transcript) == outcome[2].comparisons
+
     def test_a_tapped_oracle_sends_every_query_through_its_proxy(self):
         # The benchmark's tracer hands out oracles behind ``TappedOracle``;
         # its golden query digest needs every check to reach the tap.
@@ -673,17 +774,30 @@ class TestCheckFastPath:
         assert result.stats.phase_breakdown["group-verify"] > 0
         assert len(tapped) == inner.queries == result.stats.comparisons
 
-    def test_an_untapped_run_asks_its_checks_in_batches(self, monkeypatch):
+    # No batch meets a scheduled lie: the triggered liar's one trigger lies
+    # past the run, and the random liar spends its budget on the first
+    # group's first sort.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda order: TruthfulOracle(order, record=False),
+            lambda order: TruthfulOracle(order),
+            lambda order: TriggeredLiarOracle(order, 32, [10**9]),
+            lambda order: RandomLiarOracle(order, 32, 1.0, seed=5),
+        ],
+        ids=["truthful-unrecorded", "truthful-recorded", "triggered-liar", "random-liar"],
+    )
+    def test_an_untapped_run_asks_its_checks_in_batches(self, monkeypatch, build):
         n, k = 2048, 32
-        oracle = TruthfulOracle(TotalOrder.shuffled(n, random.Random(5)), record=False)
+        oracle = build(TotalOrder.shuffled(n, random.Random(5)))
         calls = []
-        query = TruthfulOracle.query
+        query = LyingOracle.query
 
         def counted(self, a, b):
             calls.append((a, b))
             return query(self, a, b)
 
-        monkeypatch.setattr(TruthfulOracle, "query", counted)
+        monkeypatch.setattr(LyingOracle, "query", counted)
         result = improved_minmax(list(range(n)), k, oracle)
         phases = result.stats.phase_breakdown
         assert phases["group-verify"] > 0

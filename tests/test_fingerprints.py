@@ -11,10 +11,11 @@ import random
 
 import pytest
 
+from liarminmax import harness
 from liarminmax.algorithms import improved_minmax
 from liarminmax.core import Answer, TotalOrder
 from liarminmax.harness import ExperimentConfig, rows_to_csv, run_experiments
-from liarminmax.oracles import LyingOracle, RandomLiarOracle
+from liarminmax.oracles import RandomLiarOracle
 
 CASES = {
     "pohl": ExperimentConfig("pohl", n=13, k=0, trials=3, seed=5),
@@ -78,15 +79,17 @@ def _hex(text: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_fingerprint(name, monkeypatch):
+    # Every case records, and the harness audits each trial's transcript:
+    # the logger reads the queries there, however the oracle answered them.
     queries = []
-    query = LyingOracle.query
+    audit = harness.assert_lie_budget
 
-    def logged(self, a, b):
-        answer = query(self, a, b)
-        queries.append(f"{a},{b},{int(answer is Answer.FIRST_SMALLER)}")
-        return answer
+    def logged(transcript, order, k):
+        for a, b, answer in transcript:
+            queries.append(f"{a},{b},{int(answer is Answer.FIRST_SMALLER)}")
+        return audit(transcript, order, k)
 
-    monkeypatch.setattr(LyingOracle, "query", logged)
+    monkeypatch.setattr(harness, "assert_lie_budget", logged)
     csv = rows_to_csv(run_experiments(CASES[name]))
     assert (_hex(csv), _hex("\n".join(queries))) == GOLDEN[name]
 

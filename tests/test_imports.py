@@ -14,7 +14,9 @@ the benchmark), so a name that only its own tests call cannot stay in the
 runtime.  The names the benchmark's tracer patches must
 stay in their modules too, and every exception class the package defines
 must be raised somewhere in it, so an error type cannot outlive its last
-``raise``.
+``raise``.  Every oracle type the group driver batches inherits
+``LyingOracle.query`` unchanged, so an oracle with its own answer rule
+cannot join the batch.
 """
 
 import ast
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from liarminmax import algorithms, core, harness
+from liarminmax.oracles import LyingOracle, RandomLiarOracle, ScriptedOracle, TruthfulOracle
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "liarminmax"
@@ -317,6 +320,31 @@ def test_lint_flags_an_answer_lookup_inside_a_function():
         "Answer.FIRST_LARGER (line 3)",
         "Answer.FIRST_SMALLER (line 6)",
     ]
+
+
+def query_overrides(classes) -> list[str]:
+    """The names of the classes whose ``query`` is not ``LyingOracle.query``
+    inherited unchanged.  The group driver batches a group's checks for the
+    oracle types it lists, through ``LyingOracle.ask_checks``, which answers
+    as that ``query`` would; a type with its own answer rule must not join."""
+    return [cls.__name__ for cls in classes if getattr(cls, "query", None) is not LyingOracle.query]
+
+
+def test_every_batched_oracle_inherits_query_unchanged():
+    assert query_overrides(algorithms._BATCHED) == []
+
+
+def test_lint_flags_an_oracle_with_its_own_query():
+    class Kept(RandomLiarOracle):
+        def _wants_lie(self, index):
+            return False
+
+    class Own(TruthfulOracle):
+        def query(self, a, b):
+            return super().query(a, b)
+
+    classes = [TruthfulOracle, Kept, Own, ScriptedOracle, object]
+    assert query_overrides(classes) == ["Own", "ScriptedOracle", "object"]
 
 
 # The names the benchmark's tracer (``perfbench/tracer.py``, ``instrument``)

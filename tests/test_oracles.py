@@ -195,14 +195,25 @@ def test_recording_keeps_no_tracked_object_per_query():
     order = TotalOrder.shuffled(50, random.Random(6))
     stream = random_query_stream(random.Random(7), 50, 10_000)
     oracle = TriggeredLiarOracle(order, 2, [3, 9_000])
+    # A batch of 10,000 checks that all hold, past its oracle's one trigger:
+    # ``ask_checks`` answers and records them in one call.
+    batched = TriggeredLiarOracle(order, 1, [10_000])
+    at = sorted(range(50), key=order.rank.__getitem__)
+    checks = [tuple(sorted(pair)) for pair in random_query_stream(random.Random(8), 50, 10_000)]
     gc.disable()
     try:
         before = gc.get_count()[0]
         answers = [oracle.query(a, b) for a, b in stream]
         grown = gc.get_count()[0] - before
+        before = gc.get_count()[0]
+        outcome = batched.ask_checks(at, checks)
+        grown_batched = gc.get_count()[0] - before
     finally:
         gc.enable()
     assert grown < 100
+    assert grown_batched < 100
+    assert outcome == (10_000, False)
+    assert list(batched.transcript) == [(at[i], at[j], Answer.FIRST_SMALLER) for i, j in checks]
     expected = [(a, b, answer) for (a, b), answer in zip(stream, answers)]
     assert list(oracle.transcript) == expected
     assert len(oracle.transcript) == oracle.queries == 10_000
@@ -256,19 +267,53 @@ def checks_per_query(oracle, at, checks):
     return asked, False
 
 
-def asked_both_ways(order, record, at, checks):
-    """(outcome, queries, records) of ``ask_checks`` and of the reference
-    loop, each on a fresh truthful oracle; an outcome is the returned pair or
-    the raised exception's type."""
+def spent(oracle):
+    """``oracle`` after one query, on which a liar at p = 1 spends a budget
+    of one."""
+    oracle.query(0, 1)
+    return oracle
+
+
+# Each builds a fresh oracle for a batch of ``checks`` asked first (after
+# ``spent``'s query, if any); the flag says whether the batch meets no lie.
+ORACLES = {
+    "truthful-unrecorded": (lambda order, checks: TruthfulOracle(order, record=False), True),
+    "truthful-recorded": (lambda order, checks: TruthfulOracle(order), True),
+    "trigger-inside": (
+        lambda order, checks: TriggeredLiarOracle(order, 1, [len(checks) // 2]),
+        False,
+    ),
+    "trigger-last": (
+        lambda order, checks: TriggeredLiarOracle(order, 1, [max(len(checks) - 1, 0)]),
+        False,
+    ),
+    "trigger-past-end": (lambda order, checks: TriggeredLiarOracle(order, 1, [len(checks)]), True),
+    "random-budget-left": (lambda order, checks: RandomLiarOracle(order, 2, 0.5, seed=3), False),
+    "random-budget-spent": (
+        lambda order, checks: spent(RandomLiarOracle(order, 1, 1.0, seed=3)),
+        True,
+    ),
+}
+
+
+def asked_both_ways(build, order, at, checks):
+    """(outcome, queries, records, lies told) of ``ask_checks`` and of the
+    reference loop, each on a fresh ``build(order, checks)`` oracle and
+    counting only the batch; an outcome is the returned pair or the raised
+    exception's type."""
     sides = []
-    for ask in (TruthfulOracle.ask_checks, checks_per_query):
-        oracle = TruthfulOracle(order, record)
+    for batched in (True, False):
+        oracle = build(order, checks)
+        before, lies = oracle.queries, oracle.lies_told
         try:
-            outcome = ask(oracle, at, checks)
+            if batched:
+                outcome = oracle.ask_checks(at, checks)
+            else:
+                outcome = checks_per_query(oracle, at, checks)
         except InvalidQuery:
             outcome = InvalidQuery
-        records = None if oracle.transcript is None else list(oracle.transcript)
-        sides.append((outcome, oracle.queries, records))
+        records = None if oracle.transcript is None else list(oracle.transcript)[before:]
+        sides.append((outcome, oracle.queries - before, records, oracle.lies_told - lies))
     return sides
 
 
@@ -276,7 +321,7 @@ def asked_both_ways(order, record, at, checks):
 ASCENDING_AT = [0, 0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+@pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize(
     "checks, outcome",
     [
@@ -287,34 +332,39 @@ ASCENDING_AT = [0, 0, 1, 2, 3]
     ],
     ids=["empty", "all-hold", "first-contradicts", "last-contradicts"],
 )
-def test_ask_checks_matches_the_per_query_loop(record, checks, outcome):
-    order = TotalOrder(tuple(range(4)))
-    batch, reference = asked_both_ways(order, record, ASCENDING_AT, checks)
+def test_ask_checks_matches_the_per_query_loop(kind, checks, outcome):
+    build, truthful = ORACLES[kind]
+    batch, reference = asked_both_ways(build, TotalOrder(tuple(range(4))), ASCENDING_AT, checks)
     assert batch == reference
-    assert batch[0] == outcome
-    assert batch[1] == outcome[0]
-    if record:
-        assert len(batch[2]) == outcome[0]
-    else:
+    assert batch[1] == batch[0][0]
+    if truthful:
+        assert batch[0] == outcome
+        assert batch[3] == 0
+    if kind == "truthful-unrecorded":
         assert batch[2] is None
+    else:
+        assert len(batch[2]) == batch[1]
 
 
-@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+@pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize(
     "checks, asked_before",
     [([(1, 2), (2, 2), (2, 3)], 1), ([(0, 1)], 0)],
     ids=["same-position", "same-element"],
 )
-def test_ask_checks_refuses_a_self_comparison_where_query_does(record, checks, asked_before):
-    # The checks before the self-comparison stay asked, counted and recorded.
-    batch, reference = asked_both_ways(TotalOrder(tuple(range(4))), record, ASCENDING_AT, checks)
+def test_ask_checks_refuses_a_self_comparison_where_query_does(kind, checks, asked_before):
+    # The checks before the self-comparison stay asked, counted and
+    # recorded; a lie on one of them ends the batch before it.
+    build = ORACLES[kind][0]
+    batch, reference = asked_both_ways(build, TotalOrder(tuple(range(4))), ASCENDING_AT, checks)
     assert batch == reference
-    assert batch[:2] == (InvalidQuery, asked_before)
+    if batch[3] == 0:
+        assert batch[:2] == (InvalidQuery, asked_before)
 
 
-@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+@pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize("seed", range(20))
-def test_ask_checks_matches_the_per_query_loop_on_random_checks(record, seed):
+def test_ask_checks_matches_the_per_query_loop_on_random_checks(kind, seed):
     rng = random.Random(seed)
     n = rng.randint(2, 40)
     order = TotalOrder.shuffled(n, rng)
@@ -322,5 +372,5 @@ def test_ask_checks_matches_the_per_query_loop_on_random_checks(record, seed):
     at = [block[0], *block]
     length = rng.randint(0, 60)
     checks = [tuple(sorted(rng.sample(range(1, len(block) + 1), 2))) for _ in range(length)]
-    batch, reference = asked_both_ways(order, record, at, checks)
+    batch, reference = asked_both_ways(ORACLES[kind][0], order, at, checks)
     assert batch == reference
