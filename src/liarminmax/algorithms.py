@@ -150,9 +150,9 @@ def _certify_by_reasking(group, k: int, oracle):
 
 def _certify_by_completion(group, k: int, oracle):
     """Balanced quicksort, then only the comparisons that complete the sort's
-    graph to k+1 certified neighbors per side."""
+    graph, read from its degree profile, to k+1 certified neighbors per side."""
     outcome = balanced_quicksort(group, oracle)
-    return outcome, added_edge_pairs(complete_edges(outcome.graph, k))
+    return outcome, added_edge_pairs(complete_edges(outcome, k))
 
 
 _CONTRADICTED = "verification contradicted the claimed order"
@@ -213,7 +213,7 @@ def _extrema(
             sorted_total += sort_comparisons
             verified_total += asked
             if group_log is not None:
-                thickness = None if outcome is None else outcome.graph.thickness()
+                thickness = None if outcome is None else outcome.thickness()
                 report = (sort_comparisons, asked, thickness, reason is None, reason)
                 group_log.append(GroupReport(group_index, len(group), *report))
             if reason is None:

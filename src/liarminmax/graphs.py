@@ -1,7 +1,9 @@
 """Ordered multigraphs over sorted positions and the greedy edge completion.
 
 A sort of ``s`` elements leaves behind a graph on positions ``1..s`` (one edge
-per compared pair, drawn in output order).  The verification step adds as
+per compared pair, drawn in output order), of which the completion and the
+thickness read only the degree profile: each position's count of neighbors
+to its left and to its right.  The verification step adds as
 few edges as possible so that, in the graph plus the added edges, every
 position other than the first has at least ``k+1`` neighbors to its left and
 every position other than the last at least ``k+1`` to its right; together
@@ -20,7 +22,16 @@ __all__ = [
     "OrderedMultigraph",
     "added_edge_pairs",
     "complete_edges",
+    "profile_thickness",
 ]
+
+
+def profile_thickness(left: list[int], right: list[int]) -> int:
+    """Maximum, over interior positions, of the number of edges spanning it,
+    read from the (left, right) degree lists of a graph on positions
+    1..len(left)-1."""
+    # Edges over j = edges over j-1 + edges leaving j-1 - edges ending at j.
+    return max(accumulate((right[j - 1] - left[j] for j in range(2, len(left) - 1)), initial=0))
 
 
 @dataclass
@@ -44,15 +55,17 @@ class OrderedMultigraph:
         return left, right
 
     def thickness(self) -> int:
-        """Maximum, over interior positions, of the number of edges spanning it."""
-        left, right = self.degree_profile()
-        # Edges over j = edges over j-1 + edges leaving j-1 - edges ending at j.
-        return max(accumulate((right[j - 1] - left[j] for j in range(2, self.s)), initial=0))
+        return profile_thickness(*self.degree_profile())
 
 
-def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
+def complete_edges(graph, k: int) -> OrderedMultigraph:
     """The edges that give every position of the graph at least k+1
     certified neighbors per side, as a graph of their own.
+
+    ``graph`` is anything with a position count ``s`` and a
+    ``degree_profile()``: a sort's
+    :class:`~liarminmax.sorters.SortOutcome`, or an
+    :class:`OrderedMultigraph`.
 
     Position i can take k+1 minus its right degree more right neighbors and
     position j k+1 minus its left degree more left neighbors; a degree of
@@ -67,28 +80,29 @@ def complete_edges(graph: OrderedMultigraph, k: int) -> OrderedMultigraph:
     position 1, right shortfalls to position s, each pass in ascending
     position order.
 
-    The graph is profiled once and never written.  The input plus the
-    result satisfies the degree floor on both sides, whatever the input
-    degrees.  When every input degree is at most k+1 (a sort of at most k+2
-    elements), the sweep leaves twice the thickness T of the input, and the
-    input and the result together have at most (k+1)(s-1) + T edges.
+    The graph is profiled once, and neither it nor its profile is written.
+    The input plus the result satisfies the degree floor on both sides,
+    whatever the input degrees.  When every input degree is at most k+1 (a
+    sort of at most k+2 elements), the sweep leaves twice the thickness T of
+    the input, and the input and the result together have at most
+    (k+1)(s-1) + T edges.
 
     At s = 2 the sweep adds k+1-m copies of the one pair (1, 2) when the
     input has m < k+1 of them, and nothing otherwise; that is computed
-    directly, without the profile.
+    directly from position 1's right degree, m, with no sweep.
     """
     s = graph.s
     if s < 2:
         raise ValueError("completion needs at least two positions")
     cap = k + 1
     if s == 2:
-        m = graph.edges.get((1, 2), 0)
+        m = graph.degree_profile()[1][1]
         return OrderedMultigraph(2, {(1, 2): cap - m} if m < cap else {})
-    # The profile is a fresh pair of lists, so its degrees are raised in
-    # place as edges are added; a position's slack is k+1 minus its current
-    # degree.  Plain comparisons stand in for min() and max(), whose calls
-    # cost more than a pair's sweep.
+    # The degrees are copied and raised in place as edges are added; a
+    # position's slack is k+1 minus its current degree.  Plain comparisons
+    # stand in for min() and max(), whose calls cost more than a pair's sweep.
     left, right = graph.degree_profile()
+    left, right = left.copy(), right.copy()
     edges: dict[tuple[int, int], int] = {}
     j = 2
     for i in range(1, s):

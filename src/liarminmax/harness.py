@@ -410,7 +410,7 @@ def measure_thickness(sorter: str, s_values, trials: int, seed: int) -> list[Thi
             order = TotalOrder.shuffled(s, rng)
             oracle = TruthfulOracle(order, record=False)
             outcome = SORTERS[sorter](list(range(s)), oracle)
-            observed.append(outcome.graph.thickness())
+            observed.append(outcome.thickness())
         rows.append(
             ThicknessRow(
                 sorter, s, trials, min(observed), statistics.fmean(observed), max(observed)

@@ -11,7 +11,8 @@ The group driver asks a plain :class:`TruthfulOracle`,
 in one ``LyingOracle.ask_checks`` call, and every other oracle one ``query``
 per check.  A batch that may meet a scheduled lie asks through ``query``, so
 the lie rule lives in ``query`` alone; any other batch answers from the
-hidden order's ranks and records its answers in one ``Transcript.extend``.
+hidden order's ranks, one comparison per run of copies of a pair, and
+records its answers in one ``Transcript.extend``.
 """
 
 from __future__ import annotations
@@ -73,19 +74,22 @@ class LyingOracle:
             self.transcript.append(a, b, answer)
         return answer
 
-    def ask_checks(self, at: Sequence[int], checks) -> tuple[int, bool]:
+    def ask_checks(self, at: Sequence[int], checks: list) -> tuple[int, bool]:
         """Ask ``query(at[i], at[j])`` for each position pair ``(i, j)`` of
         ``checks`` in order, stopping after the first LARGER; return (asked,
         contradicted).  A batch whose index range holds a scheduled lie
         consult, budget permitting, asks through ``query``, so the lie rule
         stays there alone.  Any other batch is truthful: it answers from the
         ranks of ``at``, looked up once, and counts and records the queries
-        as ``query`` does, the records in one ``Transcript.extend`` call.  A
-        self-comparison raises :class:`InvalidQuery` with the checks before
-        it counted and recorded."""
-        asked = 0
+        as ``query`` does, the records in one ``Transcript.extend`` call.
+        There a run of copies of one pair object (a completion's ``[pair] *
+        m``, say) is compared once: its copies all get the first one's
+        answer, and a recording oracle appends the first one's record for
+        each.  A self-comparison raises :class:`InvalidQuery` with the checks
+        before it counted and recorded."""
         queries = self.queries
         if self.lies_told < self.k and queries <= self._next_lie < queries + len(checks):
+            asked = 0
             query = self.query
             for i, j in checks:
                 asked += 1
@@ -94,33 +98,40 @@ class LyingOracle:
             return asked, False
         ranks = list(map(self._rank.__getitem__, at))
         transcript = self.transcript
+        previous = None
+        # Two loops, so that a run without a transcript pays nothing per
+        # check for recording, nor for counting: an earlier check equal to
+        # the one that ends the batch would have had the same answer and
+        # ended it there, so the first equal check is the one that ends it.
+        if transcript is None:
+            for pair in checks:
+                if pair is not previous:
+                    i, j = previous = pair
+                    if ranks[i] >= ranks[j]:
+                        asked = checks.index(pair)
+                        if ranks[i] == ranks[j]:
+                            self.queries = queries + asked
+                            raise InvalidQuery(f"cannot compare element {at[i]} with itself")
+                        self.queries = queries + asked + 1
+                        return asked + 1, True
+            self.queries = queries + len(checks)
+            return len(checks), False
         fields: list = []
         try:
-            # Two loops, so that a run without a transcript pays nothing per
-            # check for recording.
-            if transcript is None:
-                for i, j in checks:
+            for pair in checks:
+                if pair is not previous:
+                    i, j = previous = pair
                     if ranks[i] >= ranks[j]:
                         if ranks[i] == ranks[j]:
                             raise InvalidQuery(f"cannot compare element {at[i]} with itself")
-                        asked += 1
-                        return asked, True
-                    asked += 1
-                return asked, False
-            for i, j in checks:
-                if ranks[i] >= ranks[j]:
-                    if ranks[i] == ranks[j]:
-                        raise InvalidQuery(f"cannot compare element {at[i]} with itself")
-                    asked += 1
-                    fields += (at[i], at[j], LARGER)
-                    return asked, True
-                asked += 1
-                fields += (at[i], at[j], SMALLER)
-            return asked, False
+                        fields += (at[i], at[j], LARGER)
+                        return len(fields) // 3, True
+                    record = (at[i], at[j], SMALLER)
+                fields += record
+            return len(fields) // 3, False
         finally:
-            self.queries = queries + asked
-            if transcript is not None:
-                transcript.extend(fields)
+            self.queries = queries + len(fields) // 3
+            transcript.extend(fields)
 
 
 class TruthfulOracle(LyingOracle):

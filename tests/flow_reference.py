@@ -10,7 +10,9 @@ count: breadth-first augmentation always takes source -> smallest i with
 slack -> smallest j > i with slack -> sink, and that greedy is already
 maximum.  A degree above k+1 leaves no slack, so the network clamps each
 slack at zero; the slacks and the defect are computed here, apart from the
-runtime's completion.
+runtime's completion.  A sort keeps only its graph's degree profile, so the
+edge-level sort graph these references compare against is derived here too
+(:func:`sort_graph`).
 """
 
 from __future__ import annotations
@@ -260,6 +262,18 @@ def flow_completion(
             if flow:
                 edges[(i, j)] = edges.get((i, j), 0) + flow
     return OrderedMultigraph(graph.s, edges)
+
+
+def sort_graph(outcome) -> OrderedMultigraph:
+    """The comparison graph of a sort's ``outcome``: each pair its answers
+    compare, once, as an edge between the two output positions.  The
+    runtime keeps only this graph's degree profile."""
+    position = {element: index for index, element in enumerate(outcome.output, 1)}
+    edges = {}
+    for lo, hi in outcome.answers:
+        p, q = position[lo], position[hi]
+        edges[(min(p, q), max(p, q))] = 1
+    return OrderedMultigraph(len(outcome.output), edges)
 
 
 def union(graph: OrderedMultigraph, added: OrderedMultigraph) -> OrderedMultigraph:

@@ -16,6 +16,7 @@ from flow_reference import (
     max_flow_integral,
     min_split_cut,
     reference_complete_edges,
+    sort_graph,
     union,
 )
 from liarminmax.core import TotalOrder
@@ -250,8 +251,10 @@ def test_added_pairs_of_sort_graph_completions_match_the_reference(sort):
         for s in range(2, 17):
             for _ in range(3):
                 order = TotalOrder.shuffled(s, rng)
-                g = sort(list(range(s)), TruthfulOracle(order, record=False)).graph
+                out = sort(list(range(s)), TruthfulOracle(order, record=False))
+                g = sort_graph(out)
                 assert_lists_like_the_reference(g, k)
+                assert complete_edges(out, k) == complete_edges(g, k), (s, k)
 
 
 def test_added_pairs_of_over_degree_completions_match_the_reference():
@@ -315,8 +318,30 @@ def test_sort_graph_completion_past_k_plus_2(sort):
         for s in range(k + 3, 17):
             for _ in range(5):
                 order = TotalOrder.shuffled(s, rng)
-                g = sort(list(range(s)), TruthfulOracle(order, record=False)).graph
+                out = sort(list(range(s)), TruthfulOracle(order, record=False))
+                g = sort_graph(out)
                 assert_completes_like_the_reference(g, k)
+                assert complete_edges(out, k) == complete_edges(g, k), (s, k)
+
+
+@pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
+def test_completion_leaves_a_sort_outcome_as_it_was(sort):
+    # The benchmark's tracer keeps the first argument of every completion
+    # and reads its thickness() when the trial ends, so the completion must
+    # not write the outcome's profile, which is the outcome's own.  Pairs
+    # share one profile, and groups past k+2 have degrees above k+1.
+    rng = random.Random(17)
+    for s in (2, 3, 5, 8, 17, 33):
+        for k in (0, 1, 4, 32):
+            order = TotalOrder.shuffled(s, rng)
+            out = sort(list(range(s)), TruthfulOracle(order, record=False))
+            left, right = out.degree_profile()
+            before = (left.copy(), right.copy()), out.thickness()
+            assert before[1] == sort_graph(out).thickness()
+            added = complete_edges(out, k)
+            assert (out.degree_profile(), out.thickness()) == before, (s, k)
+            assert out.degree_profile()[0] is left
+            assert complete_edges(out, k) == added
 
 
 def test_flow_selftest_small_grid():

@@ -321,6 +321,12 @@ def asked_both_ways(build, order, at, checks):
 ASCENDING_AT = [0, 0, 1, 2, 3]
 
 
+def copies(*pairs):
+    """A new tuple object per pair: equal checks that are not one object,
+    so that no two of them make a run."""
+    return [tuple(list(pair)) for pair in pairs]
+
+
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize(
     "checks, outcome",
@@ -329,10 +335,29 @@ ASCENDING_AT = [0, 0, 1, 2, 3]
         ([(1, 2), (1, 3), (2, 4), (1, 2)], (4, False)),
         ([(2, 1), (1, 2)], (1, True)),
         ([(1, 2), (2, 3), (4, 3)], (3, True)),
+        ([(1, 2)] * 3 + [(2, 4)] * 2 + [(1, 2)] * 4, (9, False)),
+        ([(1, 2)] * 3 + [(3, 2)] * 4 + [(1, 2)] * 2, (4, True)),
+        ([(1, 3)] * 2 + [(4, 3)] * 3, (3, True)),
+        (copies((1, 2), (1, 2), (2, 3), (2, 3)), (4, False)),
+        (copies((1, 2), (1, 2), (4, 3), (4, 3)), (3, True)),
+        ([(1, 2)] * 2 + copies((1, 2)) * 2 + copies((4, 1)) * 3, (5, True)),
     ],
-    ids=["empty", "all-hold", "first-contradicts", "last-contradicts"],
+    ids=[
+        "empty",
+        "all-hold",
+        "first-contradicts",
+        "last-contradicts",
+        "runs-hold",
+        "later-run-contradicts",
+        "last-run-contradicts",
+        "equal-objects-hold",
+        "equal-objects-contradict",
+        "equal-runs-contradict",
+    ],
 )
 def test_ask_checks_matches_the_per_query_loop(kind, checks, outcome):
+    # A run is copies of one pair object, as ``[pair] * m`` makes them;
+    # equal pairs that are distinct objects are separate runs.
     build, truthful = ORACLES[kind]
     batch, reference = asked_both_ways(build, TotalOrder(tuple(range(4))), ASCENDING_AT, checks)
     assert batch == reference
@@ -349,8 +374,13 @@ def test_ask_checks_matches_the_per_query_loop(kind, checks, outcome):
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize(
     "checks, asked_before",
-    [([(1, 2), (2, 2), (2, 3)], 1), ([(0, 1)], 0)],
-    ids=["same-position", "same-element"],
+    [
+        ([(1, 2), (2, 2), (2, 3)], 1),
+        ([(0, 1)], 0),
+        ([(1, 2)] * 3 + [(2, 2)] * 2 + [(2, 3)], 3),
+        ([(2, 4)] * 2 + [(0, 1)] * 3, 2),
+    ],
+    ids=["same-position", "same-element", "same-position-run", "same-element-run"],
 )
 def test_ask_checks_refuses_a_self_comparison_where_query_does(kind, checks, asked_before):
     # The checks before the self-comparison stay asked, counted and
@@ -372,5 +402,34 @@ def test_ask_checks_matches_the_per_query_loop_on_random_checks(kind, seed):
     at = [block[0], *block]
     length = rng.randint(0, 60)
     checks = [tuple(sorted(rng.sample(range(1, len(block) + 1), 2))) for _ in range(length)]
+    batch, reference = asked_both_ways(ORACLES[kind][0], order, at, checks)
+    assert batch == reference
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+@pytest.mark.parametrize("seed", range(20))
+def test_ask_checks_matches_the_per_query_loop_on_random_runs(kind, seed):
+    # Runs of one to six copies of a pair object over a block in ascending
+    # order, as the driver asks them: a pair may repeat an earlier one as the
+    # same object or as an equal one, and one pair in ten is reversed, so
+    # that most batches hold for a few runs before one contradicts.
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    order = TotalOrder.shuffled(n, rng)
+    block = sorted(rng.sample(range(n), rng.randint(2, n)), key=order.rank.__getitem__)
+    at = [block[0], *block]
+    pairs = []
+    checks = []
+    for _ in range(rng.randint(0, 20)):
+        if pairs and rng.random() < 0.3:
+            pair = rng.choice(pairs)
+            if rng.random() < 0.5:
+                pair = tuple(list(pair))
+        else:
+            pair = tuple(sorted(rng.sample(range(1, len(block) + 1), 2)))
+            if rng.random() < 0.1:
+                pair = pair[::-1]
+            pairs.append(pair)
+        checks += [pair] * rng.randint(1, 6)
     batch, reference = asked_both_ways(ORACLES[kind][0], order, at, checks)
     assert batch == reference

@@ -20,6 +20,7 @@ from liarminmax.oracles import (
     TruthfulOracle,
 )
 from liarminmax.sorters import SortInconsistency, balanced_quicksort, mergesort
+from flow_reference import sort_graph
 from test_acceptance import THICKNESS_CT
 
 
@@ -35,7 +36,7 @@ def quicksort_result(items, oracle):
         out = balanced_quicksort(items, oracle)
     except SortInconsistency as exc:
         return exc.reason, exc.comparisons
-    return out.output, out.graph.edges, out.comparisons
+    return out.output, sort_graph(out).edges, out.comparisons
 
 
 def replaying(oracle):
@@ -94,7 +95,7 @@ class TestMergesort:
         out = mergesort(list(range(20)), oracle)
         pairs = [(min(a, b), max(a, b)) for a, b, _ in oracle.transcript]
         assert len(pairs) == len(set(pairs)) == out.comparisons
-        assert all(m == 1 for m in out.graph.edges.values())
+        assert all(m == 1 for m in sort_graph(out).edges.values())
 
     def test_lying_oracle_still_outputs_a_permutation(self):
         order = TotalOrder(tuple(range(9)))
@@ -109,7 +110,8 @@ class TestMergesort:
         b = mergesort(items, TruthfulOracle(order))
         assert a.output == b.output
         assert a.comparisons == b.comparisons
-        assert a.graph.edges == b.graph.edges
+        assert a.degree_profile() == b.degree_profile()
+        assert sort_graph(a).edges == sort_graph(b).edges
 
 
 class TestQuicksortMedianSplit:
@@ -150,7 +152,7 @@ class TestBalancedQuicksort:
         out = balanced_quicksort([5], TruthfulOracle(TotalOrder(tuple(range(6)))))
         assert out.output == [5]
         assert out.comparisons == 0
-        assert out.graph.thickness() == 0
+        assert out.thickness() == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 48), st.integers(0, 2**31))
@@ -168,7 +170,7 @@ class TestBalancedQuicksort:
         order = TotalOrder.shuffled(8, random.Random(3))
         out = balanced_quicksort(list(range(8)), TruthfulOracle(order))
         assert out.output == ascending(order)
-        assert out.graph.thickness() <= THICKNESS_CT * 8
+        assert out.thickness() <= THICKNESS_CT * 8
 
     def test_single_lie_can_force_inconsistency(self):
         order = TotalOrder(tuple(range(16)))
@@ -196,7 +198,7 @@ class TestBalancedQuicksort:
             return
         pairs = [(min(a, b), max(a, b)) for a, b, _ in oracle.transcript]
         assert len(pairs) == len(set(pairs)) == out.comparisons
-        assert all(m == 1 for m in out.graph.edges.values())
+        assert all(m == 1 for m in sort_graph(out).edges.values())
 
     def test_replay_reproduces_identical_outcome(self):
         # A replay of the answers returns the same outcome, or raises the
@@ -222,7 +224,8 @@ def test_mergesort_replay_reproduces_identical_outcome():
     replay = replaying(oracle)
     repeated = mergesort(items, replay)
     assert repeated.output == original.output
-    assert repeated.graph.edges == original.graph.edges
+    assert repeated.degree_profile() == original.degree_profile()
+    assert sort_graph(repeated).edges == sort_graph(original).edges
 
 
 def test_graph_covers_every_compared_pair_in_output_coordinates():
@@ -234,7 +237,7 @@ def test_graph_covers_every_compared_pair_in_output_coordinates():
     for a, b, _ in oracle.transcript:
         pa, pb = position[a], position[b]
         expected.add((min(pa, pb), max(pa, pb)))
-    assert set(out.graph.edges) == expected
+    assert set(sort_graph(out).edges) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -269,7 +272,7 @@ def test_outcome_matches_its_transcript(sort, s, k, p, seed):
         answers[min(a, b), max(a, b)] = (answer is Answer.FIRST_SMALLER) == (a < b)
     assert out.answers == answers
     assert consistent
-    assert out.graph.edges == dict.fromkeys(pairs, 1)
+    assert sort_graph(out).edges == dict.fromkeys(pairs, 1)
     assert len(set(pairs)) == out.comparisons == len(oracle.transcript)
 
 
@@ -499,7 +502,7 @@ def assert_mergesort_asks_like_the_reference(items, make_oracle):
     reference_oracle = make_oracle()
     expected = ReferenceMergesort(reference_oracle).outcome(items)
     assert list(oracle.transcript) == list(reference_oracle.transcript), items
-    assert (out.output, out.graph.edges, out.comparisons) == expected, items
+    assert (out.output, sort_graph(out).edges, out.comparisons) == expected, items
 
 
 def test_mergesort_asks_like_the_reference_on_every_small_order():
@@ -527,33 +530,35 @@ def test_mergesort_asks_like_the_reference_on_seeded_orders(s):
             )
 
 
-# --- quicksort builds its graph before it returns, mergesort on first read ---
+# --- quicksort counts its profile before it returns, mergesort on first read -
 
 
 @pytest.fixture
-def graph_builds(monkeypatch):
-    """Counts the comparison graphs that ``sorters`` constructs."""
-    built = []
+def profile_counts(monkeypatch):
+    """The sizes of the degree profiles that ``sorters`` counts from a sort's
+    answers, one entry per profile returned."""
+    counted = []
+    count = sorters._checked_profile
 
-    class CountingGraph(sorters.OrderedMultigraph):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counting(output, answers):
+        profile = count(output, answers)
+        counted.append(len(output))
+        return profile
 
-    monkeypatch.setattr(sorters, "OrderedMultigraph", CountingGraph)
-    return built
+    monkeypatch.setattr(sorters, "_checked_profile", counting)
+    return counted
 
 
-def test_simple_builds_no_sort_graph_through_restarts(graph_builds):
+def test_simple_counts_no_sort_profile_through_restarts(profile_counts):
     order = TotalOrder.shuffled(64, random.Random(3))
     oracle = TriggeredLiarOracle(order, 3, [5, 60, 140])
     result = simple_minmax(list(range(64)), 3, oracle)
     assert (result.min, result.max) == (order.min_element(), order.max_element())
     assert result.stats.restarts == 3
-    assert graph_builds == []
+    assert profile_counts == []
 
 
-def test_improved_derives_once_per_returned_sort(graph_builds, monkeypatch):
+def test_improved_counts_once_per_returned_sort(profile_counts, monkeypatch):
     returned, raised = [], []
 
     def counting_quicksort(items, oracle):
@@ -573,38 +578,42 @@ def test_improved_derives_once_per_returned_sort(graph_builds, monkeypatch):
     # 13 groups: some attempts restart after their sort returned, some
     # inside it.
     assert (result.stats.restarts, len(returned), len(raised)) == (7, 18, 2)
-    assert len(graph_builds) == len(returned)
+    assert len(profile_counts) == len(returned)
 
 
-def test_two_item_quicksort_builds_no_graph(graph_builds):
-    # Every pair outcome shares one prebuilt one-edge graph; a fresh graph
+def test_two_item_quicksort_counts_no_profile(profile_counts):
+    # Every pair outcome shares one prebuilt one-edge profile; a fresh graph
     # per pair made the exhaustive walk of improved at n = 4 about 6 % slower.
     oracle = TruthfulOracle(TotalOrder(tuple(range(6))))
     out = balanced_quicksort([5, 2], oracle)
     assert [(a, b) for a, b, _ in oracle.transcript] == [(2, 5)]
-    assert (out.output, out.graph.edges) == ([2, 5], {(1, 2): 1})
+    assert (out.output, sort_graph(out).edges) == ([2, 5], {(1, 2): 1})
+    assert out.degree_profile() == sort_graph(out).degree_profile() == ([0, 0, 1], [0, 1, 0])
     order = TotalOrder.shuffled(9, random.Random(4))
     result = pohl_minmax(list(range(9)), TruthfulOracle(order))
     assert (result.min, result.max) == (order.min_element(), order.max_element())
-    assert graph_builds == []
+    assert profile_counts == []
 
 
 @pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
-def test_quicksort_builds_graph_before_return_mergesort_on_first_read(graph_builds, sort):
-    # Quicksort builds its graph in the pass that checks its answers, before
-    # it returns; mergesort builds its graph when it is first read.
+def test_quicksort_counts_profile_before_return_mergesort_on_first_read(profile_counts, sort):
+    # Quicksort counts its profile in the pass that checks its answers,
+    # before it returns; mergesort counts its profile when it is first read.
     order = TotalOrder.shuffled(9, random.Random(6))
     out = sort(list(range(9)), TruthfulOracle(order))
-    assert len(graph_builds) == (sort is balanced_quicksort)
+    assert len(profile_counts) == (sort is balanced_quicksort)
     assert answers_agree(out)
-    graph = out.graph
-    assert out.graph is graph
-    assert graph_builds == [(9, graph.edges)]
+    profile = out.degree_profile()
+    assert out.degree_profile() is profile
+    assert out.thickness() == sort_graph(out).thickness()
+    assert profile_counts == [9]
 
 
-def every_mergesort_run(items):
-    """(outcome, answers) for every answer script mergesort can meet on
-    ``items``: a depth-first walk that tries both answers at each query."""
+def every_run(sort, items):
+    """(outcome, answers) for every answer script ``sort`` can meet on
+    ``items``: a depth-first walk that tries both answers at each query.  An
+    attempt that raises yields its :class:`SortInconsistency` as the
+    outcome."""
     scripts = [[]]
     while scripts:
 
@@ -613,7 +622,11 @@ def every_mergesort_run(items):
             return Answer.FIRST_SMALLER
 
         oracle = ScriptedOracle(scripts.pop(), extend)
-        yield mergesort(items, oracle), oracle.answers
+        try:
+            out = sort(items, oracle)
+        except SortInconsistency as exc:
+            out = exc
+        yield out, oracle.answers
 
 
 @pytest.mark.parametrize("s", range(1, 6))
@@ -622,9 +635,53 @@ def test_mergesort_is_consistent_under_any_answers(s):
     # answers: this is why.  Two runs part at an answer on one pair and order
     # it both ways, so the walk has exactly one leaf per permutation.
     outputs = set()
-    for out, answers in every_mergesort_run(list(range(s))):
+    for out, answers in every_run(mergesort, list(range(s))):
         assert answers_agree(out)
         assert sorted(out.output) == list(range(s))
         assert out.comparisons == len(answers) <= mergesort_comparison_cap(s)
         outputs.add(tuple(out.output))
     assert outputs == set(permutations(range(s)))
+
+
+def assert_profile_matches_the_edge_graph(out):
+    """The outcome's degree profile and thickness are those of its
+    comparison graph, derived edge by edge from its answers."""
+    graph = sort_graph(out)
+    assert out.degree_profile() == graph.degree_profile(), out.output
+    assert out.thickness() == graph.thickness(), out.output
+
+
+@pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
+@pytest.mark.parametrize("s", range(1, 6))
+def test_profile_matches_the_edge_graph_under_any_answers(sort, s):
+    # Every answer script, each replayed through the reference sort: the
+    # same inconsistency with the same comparisons, or the same output,
+    # edges and comparisons, with the profile and thickness of those edges.
+    reference = ReferenceQuicksort if sort is balanced_quicksort else ReferenceMergesort
+    items = list(range(s))
+    raised = 0
+    for out, answers in every_run(sort, items):
+        expected = reference(ScriptedOracle(answers, past_the_script)).outcome(items)
+        if isinstance(out, SortInconsistency):
+            assert (out.reason, out.comparisons) == expected, answers
+            raised += 1
+            continue
+        assert (out.output, sort_graph(out).edges, out.comparisons) == expected, answers
+        assert_profile_matches_the_edge_graph(out)
+    # Quicksort raises on 8 scripts at s = 4 (partition sizes) and on 104 at
+    # s = 5, 24 of them in the pass that counts the profile.
+    assert raised == {4: 8, 5: 104}.get(s, 0) * (sort is balanced_quicksort)
+
+
+def past_the_script(a, b):
+    pytest.fail(f"the reference asked ({a}, {b}) past the answer script")
+
+
+@pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
+def test_profile_matches_the_edge_graph_on_random_orders(sort):
+    rng = random.Random(64)
+    for _ in range(20):
+        order = TotalOrder.shuffled(64, rng)
+        items = list(range(64))
+        rng.shuffle(items)
+        assert_profile_matches_the_edge_graph(sort(items, TruthfulOracle(order, record=False)))
