@@ -22,7 +22,6 @@ from .core import (
     count_lies,
 )
 from .graphs import (
-    OrderedMultigraph,
     added_edge_pairs,
     complete_edges,
 )

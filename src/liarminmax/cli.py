@@ -25,10 +25,16 @@ from .harness import (
 
 def _writable(path: str) -> str:
     """An ``--out`` path, checked when the arguments are parsed, so an
-    unwritable one is a usage error before the first trial runs."""
+    unwritable one, or an empty one, which names no file, is a usage error
+    before the first trial runs."""
     directory = os.path.dirname(path) or "."
     existing = path if os.path.exists(path) else directory
-    if os.path.isdir(path) or not os.path.isdir(directory) or not os.access(existing, os.W_OK):
+    if (
+        not path
+        or os.path.isdir(path)
+        or not os.path.isdir(directory)
+        or not os.access(existing, os.W_OK)
+    ):
         raise argparse.ArgumentTypeError(f"cannot write {path}")
     return path
 

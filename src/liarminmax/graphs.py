@@ -1,8 +1,8 @@
-"""Ordered multigraphs over sorted positions and the greedy edge completion.
+"""The greedy edge completion over a sort's output positions.
 
-A sort of ``s`` elements leaves behind a graph on positions ``1..s`` (one edge
-per compared pair, drawn in output order), of which the completion and the
-thickness read only the degree profile: each position's count of neighbors
+A sort of ``s`` elements compares pairs of positions ``1..s`` of its output
+(one edge per compared pair), and the completion and the thickness read only
+that comparison graph's degree profile: each position's count of neighbors
 to its left and to its right.  The verification step adds as
 few edges as possible so that, in the graph plus the added edges, every
 position other than the first has at least ``k+1`` neighbors to its left and
@@ -10,16 +10,15 @@ every position other than the last at least ``k+1`` to its right; together
 they have at most ``(k+1)(s-1)`` edges plus the graph's thickness when no
 degree of the graph exceeds ``k+1``.  Picking those edges is a max-flow
 problem on a convex bipartite graph, which one greedy sweep solves; the
-completion returns only the added edges and leaves the graph as it is.
+completion returns only the added edges, as a plain ``{(i, j): copies}``
+dict, and leaves its input as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 __all__ = [
-    "OrderedMultigraph",
     "added_edge_pairs",
     "complete_edges",
     "profile_thickness",
@@ -34,38 +33,14 @@ def profile_thickness(left: list[int], right: list[int]) -> int:
     return max(accumulate((right[j - 1] - left[j] for j in range(2, len(left) - 1)), initial=0))
 
 
-@dataclass
-class OrderedMultigraph:
-    """Loopless multigraph on positions 1..s; edges stored as (lo, hi) -> multiplicity."""
-
-    s: int
-    edges: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def degree_profile(self) -> tuple[list[int], list[int]]:
-        """(left, right) degree lists, 1-indexed; index 0 is unused.
-
-        A position's left (right) degree is the multiplicity-weighted count of
-        its edges to smaller (larger) positions.
-        """
-        left = [0] * (self.s + 1)
-        right = [0] * (self.s + 1)
-        for (a, b), m in self.edges.items():
-            right[a] += m
-            left[b] += m
-        return left, right
-
-    def thickness(self) -> int:
-        return profile_thickness(*self.degree_profile())
-
-
-def complete_edges(graph, k: int) -> OrderedMultigraph:
+def complete_edges(graph, k: int) -> dict[tuple[int, int], int]:
     """The edges that give every position of the graph at least k+1
-    certified neighbors per side, as a graph of their own.
+    certified neighbors per side, as a dict from each added pair (i, j),
+    i < j, to its number of copies, every count positive.
 
     ``graph`` is anything with a position count ``s`` and a
-    ``degree_profile()``: a sort's
-    :class:`~liarminmax.sorters.SortOutcome`, or an
-    :class:`OrderedMultigraph`.
+    ``degree_profile()`` of (left, right) degree lists, 1-indexed: at run
+    time a sort's :class:`~liarminmax.sorters.SortOutcome`.
 
     Position i can take k+1 minus its right degree more right neighbors and
     position j k+1 minus its left degree more left neighbors; a degree of
@@ -97,7 +72,7 @@ def complete_edges(graph, k: int) -> OrderedMultigraph:
     cap = k + 1
     if s == 2:
         m = graph.degree_profile()[1][1]
-        return OrderedMultigraph(2, {(1, 2): cap - m} if m < cap else {})
+        return {(1, 2): cap - m} if m < cap else {}
     # The degrees are copied and raised in place as edges are added; a
     # position's slack is k+1 minus its current degree.  Plain comparisons
     # stand in for min() and max(), whose calls cost more than a pair's sweep.
@@ -129,16 +104,16 @@ def complete_edges(graph, k: int) -> OrderedMultigraph:
         need = cap - right[j]
         if need > 0:
             edges[(j, s)] = edges.get((j, s), 0) + need
-    return OrderedMultigraph(s, edges)
+    return edges
 
 
-def added_edge_pairs(added: OrderedMultigraph) -> list[tuple[int, int]]:
-    """The edges of ``added``, one entry per copy, in ascending order.
+def added_edge_pairs(edges: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+    """The pairs of ``edges``, a completion's result, one entry per copy, in
+    ascending order.
 
-    A graph of one pair (any completion on two positions that adds an edge)
-    needs no sort.
+    A single pair (any completion on two positions that adds an edge) needs
+    no sort.
     """
-    edges = added.edges
     if len(edges) == 1:
         ((pair, m),) = edges.items()
         return [pair] * m

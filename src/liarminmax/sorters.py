@@ -55,13 +55,14 @@ class SortOutcome:
     their number.  Every answer agrees with ``output``.
 
     ``degree_profile()`` gives the comparison graph's (left, right) degree
-    lists over output positions, 1-indexed, as
-    :meth:`~liarminmax.graphs.OrderedMultigraph.degree_profile` does, so
-    :func:`~liarminmax.graphs.complete_edges` takes an outcome as it takes a
-    graph.  A sort that counts the degrees while checking its answers hands
-    them in; otherwise they are counted the first time they are read, and
-    the re-asking certifier never reads them.  The lists are the outcome's
-    own, so readers never write them.
+    lists over output positions, 1-indexed: a position's left (right)
+    degree counts its answered pairs whose other item sits at a smaller
+    (larger) position.  With ``s``, that is all
+    :func:`~liarminmax.graphs.complete_edges` reads.  A sort that counts the
+    degrees while checking its answers hands them in; otherwise they are
+    counted the first time they are read, and the re-asking certifier never
+    reads them.  The lists are the outcome's own, so readers never write
+    them.
     """
 
     __slots__ = ("output", "answers", "comparisons", "s", "_profile")

@@ -11,8 +11,8 @@ slack -> smallest j > i with slack -> sink, and that greedy is already
 maximum.  A degree above k+1 leaves no slack, so the network clamps each
 slack at zero; the slacks and the defect are computed here, apart from the
 runtime's completion.  A sort keeps only its graph's degree profile, so the
-edge-level sort graph these references compare against is derived here too
-(:func:`sort_graph`).
+edge-level graphs these references take (:class:`OrderedMultigraph`) live
+here, and so does the sort graph they compare against (:func:`sort_graph`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,35 @@ from itertools import product
 
 import numpy as np
 
-from liarminmax.graphs import OrderedMultigraph, complete_edges
+from liarminmax.graphs import complete_edges, profile_thickness
+
+
+@dataclass
+class OrderedMultigraph:
+    """Loopless multigraph on positions 1..s; edges stored as (lo, hi) -> multiplicity.
+
+    The references and the graph tests build their inputs from it; the
+    runtime completes a sort's degree profile and keeps no edges.
+    """
+
+    s: int
+    edges: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    def degree_profile(self) -> tuple[list[int], list[int]]:
+        """(left, right) degree lists, 1-indexed; index 0 is unused.
+
+        A position's left (right) degree is the multiplicity-weighted count of
+        its edges to smaller (larger) positions.
+        """
+        left = [0] * (self.s + 1)
+        right = [0] * (self.s + 1)
+        for (a, b), m in self.edges.items():
+            right[a] += m
+            left[b] += m
+        return left, right
+
+    def thickness(self) -> int:
+        return profile_thickness(*self.degree_profile())
 
 
 def infinite_capacity(s: int, k: int) -> int:
@@ -276,11 +304,11 @@ def sort_graph(outcome) -> OrderedMultigraph:
     return OrderedMultigraph(len(outcome.output), edges)
 
 
-def union(graph: OrderedMultigraph, added: OrderedMultigraph) -> OrderedMultigraph:
-    """``graph`` with the edges of ``added`` on top: the completed graph, from
+def union(graph: OrderedMultigraph, added: dict[tuple[int, int], int]) -> OrderedMultigraph:
+    """``graph`` with the ``added`` edges on top: the completed graph, from
     the input and what :func:`liarminmax.graphs.complete_edges` returns."""
     edges = dict(graph.edges)
-    for pair, m in added.edges.items():
+    for pair, m in added.items():
         edges[pair] = edges.get(pair, 0) + m
     return OrderedMultigraph(graph.s, edges)
 
@@ -352,7 +380,7 @@ def _check_completion_instance(graph: OrderedMultigraph, k: int) -> str | None:
     added = complete_edges(graph, k)
     if graph.edges != before:
         return "complete_edges changed its input"
-    if any(m <= 0 for m in added.edges.values()):
+    if any(m <= 0 for m in added.values()):
         return "complete_edges returned an edge with no copies"
     full = union(graph, added)
     if full.edges != reference_complete_edges(graph, k, flows).edges:

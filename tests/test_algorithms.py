@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flow_reference import OrderedMultigraph
 from liarminmax import algorithms
 from liarminmax.algorithms import (
     _certify_by_reasking,
@@ -27,7 +28,7 @@ from liarminmax.core import (
     Transcript,
     count_lies,
 )
-from liarminmax.graphs import OrderedMultigraph, added_edge_pairs, complete_edges
+from liarminmax.graphs import added_edge_pairs, complete_edges
 from liarminmax.oracles import (
     LyingOracle,
     RandomLiarOracle,

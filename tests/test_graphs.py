@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flow_reference import (
+    OrderedMultigraph,
     _exhaustive_graphs,
     _max_degree,
     _random_feasible_graph,
@@ -20,7 +21,7 @@ from flow_reference import (
     union,
 )
 from liarminmax.core import TotalOrder
-from liarminmax.graphs import OrderedMultigraph, added_edge_pairs, complete_edges
+from liarminmax.graphs import added_edge_pairs, complete_edges
 from liarminmax.oracles import TruthfulOracle
 from liarminmax.sorters import balanced_quicksort, mergesort
 
@@ -193,12 +194,12 @@ def test_flow_value_identity(instance):
 class TestCompleteEdges:
     def test_empty_path_completion(self):
         added = complete_edges(OrderedMultigraph(3), 0)
-        assert added.edges == {(1, 2): 1, (2, 3): 1}
+        assert added == {(1, 2): 1, (2, 3): 1}
 
     def test_spanning_edge_needs_patches(self):
         base = OrderedMultigraph(3, {(1, 3): 1})
         added = complete_edges(base, 0)
-        assert added.edges == {(1, 2): 1, (2, 3): 1}
+        assert added == {(1, 2): 1, (2, 3): 1}
         assert sum(union(base, added).edges.values()) == 3  # exactly (k+1)(s-1) + t
 
     @pytest.mark.parametrize("k, m", [(k, m) for k in range(4) for m in range(k + 3)])
@@ -208,7 +209,7 @@ class TestCompleteEdges:
         edges = {(1, 2): m} if m else {}
         base = OrderedMultigraph(2, dict(edges))
         added = complete_edges(base, k)
-        assert added.edges == ({(1, 2): k + 1 - m} if m < k + 1 else {})
+        assert added == ({(1, 2): k + 1 - m} if m < k + 1 else {})
         assert base.edges == edges
         assert added_edge_pairs(added) == [(1, 2)] * max(0, k + 1 - m)
 
@@ -276,7 +277,7 @@ def test_completion_guarantees(instance):
     cap = k + 1
     t = g.thickness()
     added = complete_edges(g, k)
-    assert all(m > 0 for m in added.edges.values())
+    assert all(m > 0 for m in added.values())
     full = union(g, added)
     left, right = full.degree_profile()
     assert all(left[j] >= cap for j in range(2, g.s + 1))

@@ -613,17 +613,24 @@ class TestCli:
         assert out_file.read_text().splitlines()[0] == CSV_HEADER
 
     @pytest.mark.parametrize(
-        "argv, runner",
+        "argv, runner, out",
         [
-            (["run", "--algorithm", "pohl", "--n", "4"], "run_experiments"),
-            (["thickness", "--sorter", "mergesort", "--s", "4"], "measure_thickness"),
+            (["run", "--algorithm", "pohl", "--n", "4"], "run_experiments", "missing/x.csv"),
+            (
+                ["thickness", "--sorter", "mergesort", "--s", "4"],
+                "measure_thickness",
+                "missing/x.csv",
+            ),
+            (["run", "--algorithm", "pohl", "--n", "4"], "run_experiments", ""),
+            (["thickness", "--sorter", "mergesort", "--s", "4"], "measure_thickness", ""),
         ],
-        ids=["run", "thickness"],
+        ids=["run", "thickness", "run-empty", "thickness-empty"],
     )
     def test_unwritable_out_is_a_usage_error(
-        self, argv, runner, tmp_path, monkeypatch, capsys
+        self, argv, runner, out, tmp_path, monkeypatch, capsys
     ):
-        out_file = tmp_path / "missing" / "x.csv"
+        # An empty path names no file, though its directory reads as ".".
+        out_file = tmp_path / out if out else ""
         ran = []
         monkeypatch.setattr(cli, runner, lambda *args: ran.append(args))
         with pytest.raises(SystemExit) as exc:
