@@ -139,7 +139,9 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, choices=[workload["name"] for workload in spec["workloads"]]
+    )
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
     parser.add_argument("--held-out", type=seed_range, default=[])
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])

@@ -1,10 +1,12 @@
 """Min/max selection against a bounded-lie comparison oracle.
 
 Loss-counter minimum/maximum finding, and one group driver behind the three
-min+max algorithms with two certifiers: mergesort plus k+1 re-asks per
-adjacent pair (the simple algorithm), or balanced quicksort plus edge
-completion (the improved algorithm).  Pohl's pairing scheme for a reliable
-oracle is the completion certifier at k = 0: a pair takes one sort
+min+max algorithms.  A group step is a sort, then the checks that complete
+its output to k+1 certified neighbors per side, crediting the sort's own
+answers or not: mergesort without credit re-asks each adjacent pair k+1
+times (the simple algorithm); balanced quicksort with credit asks only the
+edges the completion adds (the improved algorithm).  Pohl's pairing scheme
+for a reliable oracle is the improved step at k = 0: a pair takes one sort
 comparison and its completion adds none.  Restarts stay local to one group,
 and every restart is evidence of at least one lie, so a contract-honoring
 oracle can force at most k of them in a whole run; restart k+1 raises
@@ -42,7 +44,8 @@ class MinMaxResult:
 
 @dataclass(frozen=True)
 class GroupReport:
-    """Instrumentation for one group attempt of the improved algorithm."""
+    """One group step's attempt: its sort's comparisons, the checks asked
+    after it (``added_comparisons``) and the sort graph's thickness."""
 
     group_index: int
     size: int
@@ -131,28 +134,13 @@ def find_max_k_lies(items, k: int, oracle) -> tuple[int, int]:
     return _select_k_lies(items, k, oracle, LARGER)
 
 
-# A certifier sorts a group: certify(group, k, oracle) returns (outcome,
-# checks) or raises SortInconsistency, and charges nothing; the group driver
-# does the accounting.  ``outcome`` is the sort's SortOutcome, whose answers
-# all agree with its output, and ``checks`` the position pairs (i, j), i < j
-# and 1-based in that output, whose answers certify it.
-
-
-def _certify_by_reasking(group, k: int, oracle):
-    """Mergesort, then re-ask every adjacent pair k+1 times."""
-    outcome = mergesort(group, oracle)
-    m = len(outcome.output)
+def _reask_checks(m: int, k: int) -> list[tuple[int, int]]:
+    """The completion of the empty graph on m positions in closed form: k+1
+    copies of each adjacent pair, ascending."""
     checks = []
     for pair in zip(range(1, m), range(2, m + 1)):
         checks += [pair] * (k + 1)
-    return outcome, checks
-
-
-def _certify_by_completion(group, k: int, oracle):
-    """Balanced quicksort, then only the comparisons that complete the sort's
-    graph, read from its degree profile, to k+1 certified neighbors per side."""
-    outcome = balanced_quicksort(group, oracle)
-    return outcome, added_edge_pairs(complete_edges(outcome, k))
+    return checks
 
 
 _CONTRADICTED = "verification contradicted the claimed order"
@@ -163,15 +151,16 @@ _BATCHED = (TruthfulOracle, TriggeredLiarOracle, RandomLiarOracle)
 
 
 def _extrema(
-    certify, items, k: int, oracle, size: int, group_log: list | None = None
+    sort, credit: bool, items, k: int, oracle, size: int, group_log: list | None = None
 ) -> MinMaxResult:
-    """Split ``items`` into blocks of ``size``; sort each block of two or
-    more with ``certify`` and ask its checks (in one ``ask_checks`` call
-    when the oracle's type is one of ``_BATCHED``), restarting the block
-    whenever a lie is proven; then select the minimum among the group minima
-    and the maximum among the group maxima, each with budget k.  Every
-    comparison is charged here, to its phase in ``RunStats``; a certifier
-    charges none."""
+    """Split ``items`` into blocks of ``size``; in each block of two or more,
+    ``sort``, then ask the checks that give every output position k+1
+    certified neighbors per side: with ``credit``, the completion of the
+    sort's degree profile; without, of the empty graph (``_reask_checks``).
+    The checks go in one ``ask_checks`` call when the oracle's type is one
+    of ``_BATCHED``; a proven lie restarts the block.  Then select the
+    minimum among the group minima and the maximum among the group maxima,
+    each with budget k.  Every comparison is charged here, to its phase."""
     if k < 0:
         raise ValueError("k must be non-negative")
     items = list(items)
@@ -193,11 +182,15 @@ def _extrema(
             outcome = reason = None
             asked = 0
             try:
-                outcome, checks = certify(group, k, oracle)
+                outcome = sort(group, oracle)
             except SortInconsistency as exc:
                 reason, sort_comparisons = exc.reason, exc.comparisons
             else:
                 order, sort_comparisons = outcome.output, outcome.comparisons
+                if credit:
+                    checks = added_edge_pairs(complete_edges(outcome, k))
+                else:
+                    checks = _reask_checks(len(order), k)
                 # 1-based: position 0 repeats the first element; no check names it.
                 at = [order[0], *order]
                 if batch:
@@ -250,15 +243,15 @@ def pohl_minmax(items, oracle) -> MinMaxResult:
 
 
 def simple_minmax(items, k: int, oracle) -> MinMaxResult:
-    """Per group: mergesort, then re-ask every adjacent pair k+1 times and
-    restart the group from scratch on any contrary answer.  Group extrema
-    then go through the loss-counter selections, each with the full budget.
+    """Per group: mergesort with no credit, so every adjacent pair is
+    re-asked k+1 times, and any contrary answer restarts the group.  Group
+    extrema then go through the loss-counter selections, each at budget k.
 
     Once a group passes verification, every non-extremal element has been
     found larger (and smaller) than a neighbor k+1 times, so it cannot be
     an extremum unless the oracle exceeded its budget.
     """
-    return _extrema(_certify_by_reasking, items, k, oracle, _group_size(k))
+    return _extrema(mergesort, False, items, k, oracle, _group_size(k))
 
 
 def improved_minmax(
@@ -271,9 +264,9 @@ def improved_minmax(
 ) -> MinMaxResult:
     """Group-based min+max where sort comparisons double as verification.
 
-    Per group: balanced quicksort (restart on inconsistency), then complete
-    the sort's comparison graph so every position has k+1 certified neighbors
-    per side, and perform only the added comparisons.  An added comparison
+    Per group: balanced quicksort with credit (restart on inconsistency):
+    complete the sort's comparison graph so every position has k+1 certified
+    neighbors per side, and perform only the added comparisons.  An added comparison
     contradicting the claimed order restarts the group.  The sort counts as
     inconsistent when its answers contradict its own output, too -- such an
     answer would leave some position short of its k+1 certificates, and it
@@ -292,4 +285,4 @@ def improved_minmax(
         # Sort degrees reach at most size-1, so up to k+2 they stay within
         # k+1: the domain of the per-group bound (k+1)(s-1) + thickness.
         raise ValueError(f"group size {size} exceeds k+2={k + 2}")
-    return _extrema(_certify_by_completion, items, k, oracle, size, group_log)
+    return _extrema(balanced_quicksort, True, items, k, oracle, size, group_log)

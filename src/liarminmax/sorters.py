@@ -60,9 +60,9 @@ class SortOutcome:
     (larger) position.  With ``s``, that is all
     :func:`~liarminmax.graphs.complete_edges` reads.  A sort that counts the
     degrees while checking its answers hands them in; otherwise they are
-    counted the first time they are read, and the re-asking certifier never
-    reads them.  The lists are the outcome's own, so readers never write
-    them.
+    counted the first time they are read, and a group step without credit
+    never reads them.  The lists are the outcome's own, so readers never
+    write them.
     """
 
     __slots__ = ("output", "answers", "comparisons", "s", "_profile")

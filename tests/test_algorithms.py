@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from flow_reference import OrderedMultigraph
 from liarminmax import algorithms
 from liarminmax.algorithms import (
-    _certify_by_reasking,
     _extrema,
     _group_size,
+    _reask_checks,
     find_max_k_lies,
     find_min_k_lies,
     improved_minmax,
@@ -275,16 +275,16 @@ class TestPohl:
 
 def group_plan(n, k):
     """The groups the group driver splits 0..n-1 into at lie budget k: the
-    blocks a truthful run hands its certifier, then the elements it passes
+    blocks a truthful run hands its sort, then the elements it passes
     through uncertified."""
     certified = []
 
-    def recording(group, k, oracle):
+    def recording(group, oracle):
         certified.append(group)
-        return _certify_by_reasking(group, k, oracle)
+        return mergesort(group, oracle)
 
     oracle = TruthfulOracle(TotalOrder(tuple(range(n))), record=False)
-    _extrema(recording, range(n), k, oracle, _group_size(k))
+    _extrema(recording, False, range(n), k, oracle, _group_size(k))
     seen = {e for group in certified for e in group}
     return certified + [[e] for e in range(n) if e not in seen]
 
@@ -356,14 +356,13 @@ class TestSimple:
 
     def test_checks_are_the_completion_of_the_empty_graph(self):
         # Re-asking is completing a graph with no edges: the k+1 copies of
-        # each adjacent pair, in the same order.  A certifier that completes
-        # mergesort's graph without crediting its edges would ask the same.
+        # each adjacent pair, in the same order.  A group step without credit
+        # asks the closed form, so the simple algorithm never calls the
+        # completion.
         for m in range(2, 40):
-            oracle = TruthfulOracle(TotalOrder(tuple(range(m))), record=False)
             for k in range(12):
-                empty = OrderedMultigraph(m)
-                _, checks = _certify_by_reasking(list(range(m)), k, oracle)
-                assert added_edge_pairs(complete_edges(empty, k)) == checks, (m, k)
+                completion = added_edge_pairs(complete_edges(OrderedMultigraph(m), k))
+                assert _reask_checks(m, k) == completion, (m, k)
 
     # Into the second group's 15 checks: the first re-ask, the last of the
     # first pair, one in the middle and the group's last.
@@ -474,7 +473,7 @@ class TestImproved:
             assert result.max == order.max_element()
 
     def test_k0_logs_one_completed_report_per_pair(self):
-        # At k = 0 the completion certifier runs on pairs: one sort comparison
+        # At k = 0 the credited group step runs on pairs: one sort comparison
         # each, and the sort graph already meets the one-neighbor demand.
         n = 7
         order = TotalOrder.shuffled(n, random.Random(3))
@@ -510,6 +509,29 @@ class TestImproved:
         result = improved_minmax(list(range(n)), 2, oracle, group_log=log)
         assert result.stats.restarts == 1
         assert set(calls.values()) == {len(log)} and len(calls) == 3
+
+    def test_every_simple_attempt_calls_the_patched_mergesort_alone(self, monkeypatch):
+        # The benchmark's restart-recorded workload runs the simple algorithm
+        # and pins that the graph layer never runs: a group step without
+        # credit reads its checks from the closed form, not the completion.
+        calls = Counter()
+        for name in ("mergesort", "balanced_quicksort", "complete_edges", "added_edge_pairs"):
+
+            def counting(*args, name=name, inner=getattr(algorithms, name)):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(algorithms, name, counting)
+        n, k = 14, 4
+        order = TotalOrder.shuffled(n, random.Random(5))
+        # Mergesort of a group of 4 asks at most 5 queries, so query 6 is a
+        # re-ask of group 0's first attempt; each lie restarts its group.
+        oracle = TriggeredLiarOracle(order, k, triggers={6, 30})
+        result = simple_minmax(list(range(n)), k, oracle)
+        assert (result.min, result.max) == (order.min_element(), order.max_element())
+        assert result.stats.restarts == 2
+        attempts = len([g for g in group_plan(n, k) if len(g) > 1]) + result.stats.restarts
+        assert calls == {"mergesort": attempts}
 
     def test_two_elements_spend_k_plus_one(self):
         k = 3
@@ -627,7 +649,7 @@ def run_improved(items, k, oracle, s, log):
 
 def run_simple(items, k, oracle, s, log):
     # ``simple_minmax`` is this call without the group log.
-    return _extrema(_certify_by_reasking, items, k, oracle, _group_size(k), log)
+    return _extrema(mergesort, False, items, k, oracle, _group_size(k), log)
 
 
 def run_pohl(items, k, oracle, s, log):

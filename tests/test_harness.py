@@ -29,8 +29,8 @@ from liarminmax.harness import (
 from liarminmax.oracles import ScriptedOracle, TruthfulOracle
 from liarminmax.algorithms import (
     MinMaxResult,
-    _certify_by_completion,
     _extrema,
+    balanced_quicksort,
     find_min_k_lies,
     improved_minmax,
     mergesort_comparison_cap,
@@ -256,7 +256,7 @@ def assert_worst_case(report, algorithm, n, k):
         assert report.worst_comparisons == (3 * n + 1) // 2 - 2
 
 
-# (nodes, leaves, worst_comparisons) of the completion certifier's walks at
+# (nodes, leaves, worst_comparisons) of the credited group step's walks at
 # group sizes s > k+2, where sort degrees may exceed k+1, keyed by (n, k, s).
 BEYOND_K_PLUS_2 = {
     (4, 0, 3): (41, 18, 5),
@@ -395,7 +395,7 @@ class TestVerifyExhaustive:
         # position k+1 answers per side, and that floor is all the
         # certificate needs.
         def completion_groups_of_s(items, k, oracle):
-            result = _extrema(_certify_by_completion, items, k, oracle, s)
+            result = _extrema(balanced_quicksort, True, items, k, oracle, s)
             return result.min, result.max
 
         report = verify_exhaustive(n, k, completion_groups_of_s)
@@ -982,6 +982,18 @@ def test_bench_pairs_lists_every_pair():
         "trial_ms_p50             seed 1: 24 -> 22.5  seed 2: 25 -> 25  seed 562: 23 -> 21",
         "elements_per_s           seed 1: 80 -> 90  seed 2: 81 -> 80  seed 562: 79 -> 85",
     ]
+
+
+def test_bench_pairs_rejects_an_unknown_workload_before_running(monkeypatch, capsys):
+    script = load_script("bench_pairs")
+    ran = []
+    monkeypatch.setattr(script.subprocess, "run", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr(script, "run_once", lambda *args: ran.append(args))
+    with pytest.raises(SystemExit) as raised:
+        script.main(["--parent", "HEAD~1", "--workload", "nope", "--seeds", "1-2"])
+    assert raised.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_bench_pairs_alternates_and_fails_on_a_mismatch(monkeypatch, capsys, tmp_path):

@@ -16,11 +16,17 @@ stay in their modules too, and every exception class the package defines
 must be raised somewhere in it, so an error type cannot outlive its last
 ``raise``.  Every oracle type the group driver batches inherits
 ``LyingOracle.query`` unchanged, so an oracle with its own answer rule
-cannot join the batch.
+cannot join the batch.  Importing the package and its CLI loads nothing
+beyond the standard library, so no dependency can creep into every run's
+start-up.
 """
 
 import ast
 import builtins
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -382,3 +388,46 @@ PATCH_POINTS = [
 def test_benchmark_patch_points_exist():
     missing = [f"{owner.__name__}.{attr}" for owner, attr in PATCH_POINTS if attr not in vars(owner)]
     assert missing == []
+
+
+def foreign_modules(before: list[str], after: list[str], stdlib) -> list[str]:
+    """The modules in ``after`` but not in ``before`` whose top-level package
+    is neither in ``stdlib`` nor ``liarminmax``."""
+    own = {*stdlib, "liarminmax"}
+    return sorted(m for m in set(after) - set(before) if m.partition(".")[0] not in own)
+
+
+def test_package_imports_only_the_standard_library():
+    # A fresh interpreter: site hooks may preload third-party modules (a
+    # ``.pth`` file's, say) before the package is imported, so only what the
+    # import adds counts.
+    code = (
+        "import sys\n"
+        "before = list(sys.modules)\n"
+        "import liarminmax, liarminmax.cli\n"
+        "import json\n"
+        "print(json.dumps([before, list(sys.modules)]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    before, after = json.loads(done.stdout)
+    assert "liarminmax.cli" in after
+    assert foreign_modules(before, after, sys.stdlib_module_names) == []
+
+
+def test_lint_flags_a_foreign_module():
+    before = ["sys", "_distutils_hack", "certifi", "certifi.core"]
+    after = [*before, "json", "json.decoder", "_json", "liarminmax", "liarminmax.cli"]
+    stdlib = {"sys", "json", "_json"}
+    assert foreign_modules(before, after, stdlib) == []
+    assert foreign_modules(before, [*after, "numpy", "numpy.linalg"], stdlib) == [
+        "numpy",
+        "numpy.linalg",
+    ]
+    assert foreign_modules([], after, stdlib) == ["_distutils_hack", "certifi", "certifi.core"]

@@ -631,7 +631,7 @@ def every_run(sort, items):
 
 @pytest.mark.parametrize("s", range(1, 6))
 def test_mergesort_is_consistent_under_any_answers(s):
-    # Mergesort never raises, and the re-asking certifier checks none of its
+    # Mergesort never raises, and the uncredited group step checks none of its
     # answers: this is why.  Two runs part at an answer on one pair and order
     # it both ways, so the walk has exactly one leaf per permutation.
     outputs = set()
