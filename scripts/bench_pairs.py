@@ -20,7 +20,8 @@ come every pair's values, parent -> change, one line per metric, and every
 problem: a change median worse than the parent's by more than its bound, and
 whatever a run reported.  The exit status is 1 when there is a problem: a
 median beyond its bound, a failed run or trial, or a fingerprint verdict
-other than ``match``.
+other than ``match``; a ``--parent`` that ``git archive`` cannot export is a
+usage error, with status 2 and git's message.
 """
 
 from __future__ import annotations
@@ -148,12 +149,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     archive = subprocess.run(
-        ["git", "archive", "--format=tar", args.parent], cwd=ROOT, capture_output=True, check=True
-    ).stdout
+        ["git", "archive", "--format=tar", args.parent], cwd=ROOT, capture_output=True
+    )
+    if archive.returncode:
+        message = archive.stderr.decode(errors="replace").strip()
+        parser.error(f"cannot archive --parent {args.parent!r}: {message}")
     runs = []
     problems = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(parent, filter="data")
         trees = {"parent": Path(parent), "change": ROOT}
         for index, seed in enumerate(args.seeds + args.held_out):

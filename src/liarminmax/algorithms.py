@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import LARGER, SMALLER, Answer, LieBudgetViolation, RunStats
 from .graphs import added_edge_pairs, complete_edges
-from .oracles import RandomLiarOracle, TriggeredLiarOracle, TruthfulOracle
+from .oracles import BATCHED
 from .sorters import SortInconsistency, balanced_quicksort, mergesort
 
 __all__ = [
@@ -143,11 +143,30 @@ def _reask_checks(m: int, k: int) -> list[tuple[int, int]]:
     return checks
 
 
-_CONTRADICTED = "verification contradicted the claimed order"
+def _select_from_ranks(items: list, k: int, oracle, eliminating: Answer):
+    """``_select_k_lies`` for a batched oracle whose next (k+1)(m-1) queries
+    are lie-free, or None when they may meet a lie or ``items`` repeat.
+    Against truthful answers every challenger costs exactly k+1 copies of
+    one query, ``(candidate, challenger)``, each charging the same element,
+    so one rank comparison settles it, and the oracle is charged for all
+    (k+1)(m-1) copies in one ``answered`` call.  Returns (winner,
+    comparisons), as ``_select_k_lies`` does."""
+    comparisons = (k + 1) * (len(items) - 1)
+    rank = oracle.lie_free_ranks(comparisons)
+    if rank is None or len(set(items)) != len(items):
+        return None
+    candidate_kept = eliminating is SMALLER
+    answers = {}
+    candidate = items[0]
+    for challenger in items[1:]:
+        smaller = answers[(candidate, challenger)] = rank[candidate] < rank[challenger]
+        if smaller is not candidate_kept:
+            candidate = challenger
+    oracle.answered(answers, k + 1)
+    return candidate, comparisons
 
-# The oracles whose ``ask_checks`` answers as their ``query`` would: each
-# inherits ``LyingOracle.query`` unchanged (tests/test_imports.py checks).
-_BATCHED = (TruthfulOracle, TriggeredLiarOracle, RandomLiarOracle)
+
+_CONTRADICTED = "verification contradicted the claimed order"
 
 
 def _extrema(
@@ -158,9 +177,11 @@ def _extrema(
     certified neighbors per side: with ``credit``, the completion of the
     sort's degree profile; without, of the empty graph (``_reask_checks``).
     The checks go in one ``ask_checks`` call when the oracle's type is one
-    of ``_BATCHED``; a proven lie restarts the block.  Then select the
-    minimum among the group minima and the maximum among the group maxima,
-    each with budget k.  Every comparison is charged here, to its phase."""
+    of :data:`~liarminmax.oracles.BATCHED`; a proven lie restarts the block.
+    Then select the minimum among the group minima and the maximum among
+    the group maxima, each with budget k, from a batched oracle's ranks
+    when no lie can fall within the selection.  Every comparison is charged
+    here, to its phase."""
     if k < 0:
         raise ValueError("k must be non-negative")
     items = list(items)
@@ -169,8 +190,8 @@ def _extrema(
     query = oracle.query
     # Any other oracle, a subclass that may override ``query``, a
     # ``ScriptedOracle`` or a proxy (the benchmark's tracing tap, say), is
-    # asked one query per check.
-    batch = type(oracle) in _BATCHED
+    # asked one query per check and per selection comparison.
+    batch = type(oracle) in BATCHED
     restarts = 0
     minima: list[int] = []
     maxima: list[int] = []
@@ -216,8 +237,10 @@ def _extrema(
                 raise LieBudgetViolation(restarts, k)
         minima.append(order[0])
         maxima.append(order[-1])
-    low, low_count = find_min_k_lies(minima, k, oracle)
-    high, high_count = find_max_k_lies(maxima, k, oracle)
+    low = _select_from_ranks(minima, k, oracle, SMALLER) if batch else None
+    low, low_count = low or find_min_k_lies(minima, k, oracle)
+    high = _select_from_ranks(maxima, k, oracle, LARGER) if batch else None
+    high, high_count = high or find_max_k_lies(maxima, k, oracle)
     # Only the phases that asked a query get a key, in ``PHASES`` order; the
     # first group always sorts.
     phases = {"group-sort": sorted_total}

@@ -408,6 +408,7 @@ def measure_thickness(sorter: str, s_values, trials: int, seed: int) -> list[Thi
         for trial in range(trials):
             rng = random.Random(_child_seed(seed, s * 100_000 + trial))
             order = TotalOrder.shuffled(s, rng)
+            # A plain truthful oracle, so the sort answers from its ranks.
             oracle = TruthfulOracle(order, record=False)
             outcome = SORTERS[sorter](list(range(s)), oracle)
             observed.append(outcome.thickness())

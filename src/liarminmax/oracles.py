@@ -6,13 +6,16 @@ to the hidden order.  A recording oracle also appends one transcript record
 per query; the scripted replay keeps none, as its answer list is the record,
 and asks its ``extend`` callback for every answer past its script.
 
-The group driver asks a plain :class:`TruthfulOracle`,
-:class:`TriggeredLiarOracle` or :class:`RandomLiarOracle` a group's checks
-in one ``LyingOracle.ask_checks`` call, and every other oracle one ``query``
-per check.  A batch that may meet a scheduled lie asks through ``query``, so
-the lie rule lives in ``query`` alone; any other batch answers from the
-hidden order's ranks, one comparison per run of copies of a pair, and
-records its answers in one ``Transcript.extend``.
+The oracle types of :data:`BATCHED`, a plain :class:`TruthfulOracle`,
+:class:`TriggeredLiarOracle` or :class:`RandomLiarOracle`, also answer a
+stretch of queries at once.  The group driver asks them a group's checks in
+one ``LyingOracle.ask_checks`` call, and the sorts and final selections
+answer a stretch that no lie consult can reach from the hidden order's
+ranks (``lie_free_ranks``), then count and record it in one ``answered``
+call.  Every other oracle is asked one ``query`` per comparison.  A stretch
+that may meet a scheduled lie always goes through ``query``, so the lie
+rule lives in ``query`` alone, and a lie-free stretch records its answers
+in one ``Transcript.extend``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Callable, Iterable, Sequence
 from .core import LARGER, SMALLER, Answer, InvalidQuery, TotalOrder, Transcript
 
 __all__ = [
+    "BATCHED",
     "LyingOracle",
     "RandomLiarOracle",
     "ScriptedOracle",
@@ -43,8 +47,8 @@ class LyingOracle:
     sees the index alone, not the pair: it says whether this query lies and
     sets ``_next_lie`` to the next index to consult.  Every other query skips
     the hook, so a truthful query costs one comparison of its index, and
-    ``ask_checks`` reads ``_next_lie`` to tell whether a batch may meet a
-    consult.
+    ``lie_free_ranks`` reads ``_next_lie`` to tell whether a stretch of
+    queries may meet a consult.
     """
 
     def __init__(self, order: TotalOrder, k: int = 0, record: bool = True) -> None:
@@ -74,6 +78,30 @@ class LyingOracle:
             self.transcript.append(a, b, answer)
         return answer
 
+    def lie_free_ranks(self, count: int) -> tuple[int, ...] | None:
+        """The hidden order's ranks when none of the next ``count`` queries
+        can meet a lie consult, else None.  They are lie-free when the budget
+        is spent or ``_next_lie`` falls outside them, and then each answers
+        SMALLER exactly when its first element ranks lower.  A caller that
+        answers such queries from the ranks charges them with ``answered``."""
+        queries = self.queries
+        if self.lies_told < self.k and queries <= self._next_lie < queries + count:
+            return None
+        return self._rank
+
+    def answered(self, answers: dict[tuple[int, int], bool], copies: int = 1) -> None:
+        """Count ``copies`` queries ``(a, b)`` for each pair of ``answers``,
+        in its order, answered SMALLER where its value is true, and record
+        them, as ``query`` would have, in one ``Transcript.extend``.  Only
+        for answers read from ``lie_free_ranks`` within its window."""
+        self.queries += len(answers) * copies
+        transcript = self.transcript
+        if transcript is not None:
+            fields: list = []
+            for (a, b), a_smaller in answers.items():
+                fields += (a, b, SMALLER if a_smaller else LARGER) * copies
+            transcript.extend(fields)
+
     def ask_checks(self, at: Sequence[int], checks: list) -> tuple[int, bool]:
         """Ask ``query(at[i], at[j])`` for each position pair ``(i, j)`` of
         ``checks`` in order, stopping after the first LARGER; return (asked,
@@ -87,8 +115,8 @@ class LyingOracle:
         answer, and a recording oracle appends the first one's record for
         each.  A self-comparison raises :class:`InvalidQuery` with the checks
         before it counted and recorded."""
-        queries = self.queries
-        if self.lies_told < self.k and queries <= self._next_lie < queries + len(checks):
+        rank = self.lie_free_ranks(len(checks))
+        if rank is None:
             asked = 0
             query = self.query
             for i, j in checks:
@@ -96,7 +124,8 @@ class LyingOracle:
                 if query(at[i], at[j]) is LARGER:
                     return asked, True
             return asked, False
-        ranks = list(map(self._rank.__getitem__, at))
+        queries = self.queries
+        ranks = list(map(rank.__getitem__, at))
         transcript = self.transcript
         previous = None
         # Two loops, so that a run without a transcript pays nothing per
@@ -183,6 +212,13 @@ class TriggeredLiarOracle(LyingOracle):
     def _wants_lie(self, index: int) -> bool:
         self._next_lie = self._pending.pop()
         return True
+
+
+# The oracle types whose ``ask_checks``, ``lie_free_ranks`` and ``answered``
+# answer as their ``query`` would: each inherits ``LyingOracle``'s members
+# unchanged (tests/test_imports.py checks).  A subclass may override
+# ``query``, so the callers test ``type(oracle) in BATCHED``.
+BATCHED = (TruthfulOracle, TriggeredLiarOracle, RandomLiarOracle)
 
 
 class ScriptedOracle:

@@ -10,20 +10,24 @@ A sorter never queries the same unordered pair twice within one attempt, so
 that graph is simple and every degree is at most s-1; at a group size of at
 most k+2 that keeps every degree within k+1, where the completed graph has
 at most (k+1)(s-1) + thickness edges.
-Quicksort gets this from its memo (``_less``): median selection and the
-partitions meet some pairs again, and then re-read the recorded answer.
-Mergesort needs no memo: top-down, two elements are compared only in the one
-merge where they sit in opposite runs, and from then on they share a run.
-Either way an attempt asks at most s(s-1)/2 queries whatever the answers, so
-no comparison cap is needed.  A sort either returns an outcome whose every
-answer agrees with its output, or raises :class:`SortInconsistency`, its
-proof of a lie; callers decide what a proven lie means.
+Both sorts compare through one closure, ``less(a, b)`` (``_sort_answers``),
+which asks a pair only when it has no answer yet.  Quicksort needs that
+memo: median selection and the partitions meet some pairs again, and then
+re-read the recorded answer.  Mergesort never does: top-down, two elements
+are compared only in the one merge where they sit in opposite runs, and
+from then on they share a run.  Either way an attempt asks at most s(s-1)/2
+queries whatever the answers, so no comparison cap is needed, and a
+batched oracle that can tell no lie within that many answers the whole sort
+from its ranks.  A sort either returns an outcome whose every answer agrees
+with its output, or raises :class:`SortInconsistency`, its proof of a lie;
+callers decide what a proven lie means.
 """
 
 from __future__ import annotations
 
 from .core import SMALLER
 from .graphs import profile_thickness
+from .oracles import BATCHED
 
 __all__ = [
     "SortInconsistency",
@@ -40,9 +44,11 @@ _PAIR_PROFILE = ([0, 0, 1], [0, 1, 0])
 
 
 class SortInconsistency(Exception):
-    """Evidence of at least one lie inside a sort attempt."""
+    """Evidence of at least one lie inside a sort attempt, after
+    ``comparisons`` queries; a sort body that raises it leaves the count to
+    the sort, which knows its answers."""
 
-    def __init__(self, reason: str, comparisons: int) -> None:
+    def __init__(self, reason: str, comparisons: int = 0) -> None:
         super().__init__(reason)
         self.reason = reason
         self.comparisons = comparisons
@@ -119,44 +125,87 @@ def _checked_profile(
     return left, right
 
 
+def _sort_answers(body, seq: list, oracle) -> tuple[list, dict[tuple[int, int], bool]]:
+    """(output, answers) of ``body(seq, less)``, where ``less(a, b)`` says
+    whether ``a`` comes before ``b`` and keeps the answer in ``answers``
+    under (lo, hi), lo < hi; a pair is asked as (lo, hi).
+
+    An oracle whose type is one of :data:`~liarminmax.oracles.BATCHED` and
+    whose next s(s-1)/2 queries are lie-free answers from its ranks:
+    ``less`` stores each answer again on every call, which keeps the key's
+    first position, so ``answers`` lists the pairs in the order the memo
+    would have asked them, and the oracle is charged for them in one
+    ``answered`` call.  Repeated items take the memo path, whose first
+    self-comparison raises :class:`~liarminmax.core.InvalidQuery`.  Any other
+    oracle is asked each pair once through ``query``.
+    """
+    answers: dict[tuple[int, int], bool] = {}
+    m = len(seq)
+    if type(oracle) in BATCHED and len(set(seq)) == m:
+        rank = oracle.lie_free_ranks(m * (m - 1) // 2)
+        if rank is not None:
+
+            def less(a: int, b: int) -> bool:
+                a_smaller = rank[a] < rank[b]
+                if a < b:
+                    answers[(a, b)] = a_smaller
+                else:
+                    answers[(b, a)] = not a_smaller
+                return a_smaller
+
+            output = body(seq, less)
+            oracle.answered(answers)
+            return output, answers
+    query = oracle.query
+
+    def less(a: int, b: int) -> bool:
+        # Two branches, not one key tuple chosen up front: the recorded-answer
+        # path, which most of quicksort's calls take, runs about a tenth faster.
+        if a < b:
+            lo_smaller = answers.get((a, b))
+            if lo_smaller is None:
+                lo_smaller = answers[(a, b)] = query(a, b) is SMALLER
+            return lo_smaller
+        lo_smaller = answers.get((b, a))
+        if lo_smaller is None:
+            lo_smaller = answers[(b, a)] = query(b, a) is SMALLER
+        return not lo_smaller
+
+    try:
+        return body(seq, less), answers
+    except SortInconsistency as exc:
+        exc.comparisons = len(answers)
+        raise
+
+
 def mergesort(items, oracle) -> SortOutcome:
     """Plain top-down mergesort: at most s * ceil(log2 s) comparisons, never
     repeats a pair, and survives arbitrary answers (the output is then just
     some permutation).
 
-    Each query is asked as (smaller id, larger id), like every memoized
-    query of quicksort, and its answer is recorded for the outcome.
+    Each query is asked as (smaller id, larger id), like every query of
+    quicksort, and its answer is recorded for the outcome.
     """
-    answers: dict[tuple[int, int], bool] = {}
-    return SortOutcome(_msort(list(items), oracle.query, answers), answers)
+    return SortOutcome(*_sort_answers(_msort, list(items), oracle))
 
 
-def _msort(seq: list, query, answers: dict) -> list:
+def _msort(seq: list, less) -> list:
     m = len(seq)
     if m == 2:
-        # A run of two is settled by its one query, right[0] against left[0].
+        # A run of two is settled by its one comparison, right[0] against left[0].
         a, b = seq
-        if a < b:
-            a_smaller = answers[(a, b)] = query(a, b) is SMALLER
-            return seq if a_smaller else [b, a]
-        b_smaller = answers[(b, a)] = query(b, a) is SMALLER
-        return [b, a] if b_smaller else seq
+        return [b, a] if less(b, a) else seq
     if m < 2:
         return seq
     mid = m // 2
-    left = _msort(seq[:mid], query, answers)
-    right = _msort(seq[mid:], query, answers)
+    left = _msort(seq[:mid], less)
+    right = _msort(seq[mid:], less)
     merged = []
     i = j = 0
     nl, nr = mid, m - mid
     while i < nl and j < nr:
         x, y = left[i], right[j]
-        if y < x:
-            y_first = answers[(y, x)] = query(y, x) is SMALLER
-        else:
-            x_smaller = answers[(x, y)] = query(x, y) is SMALLER
-            y_first = not x_smaller
-        if y_first:
+        if less(y, x):
             merged.append(y)
             j += 1
         else:
@@ -167,42 +216,26 @@ def _msort(seq: list, query, answers: dict) -> list:
     return merged
 
 
-def _less(a: int, b: int, query, answers: dict) -> bool:
-    """Whether the recorded answer puts ``a`` before ``b``; a pair with no
-    answer yet is asked once, as (smaller id, larger id), and recorded."""
-    # Two branches, not one key tuple chosen up front: the recorded-answer
-    # path, which most calls take, runs about a tenth faster.
-    if a < b:
-        lo_smaller = answers.get((a, b))
-        if lo_smaller is None:
-            lo_smaller = answers[(a, b)] = query(a, b) is SMALLER
-        return lo_smaller
-    lo_smaller = answers.get((b, a))
-    if lo_smaller is None:
-        lo_smaller = answers[(b, a)] = query(b, a) is SMALLER
-    return not lo_smaller
-
-
-def _insertion(seq, query, answers: dict) -> list:
+def _insertion(seq, less) -> list:
     out: list = []
     for x in seq:
         i = len(out)
-        while i > 0 and _less(x, out[i - 1], query, answers):
+        while i > 0 and less(x, out[i - 1]):
             i -= 1
         out.insert(i, x)
     return out
 
 
-def _partition(seq: list, pivot, query, answers: dict) -> tuple[list, list]:
+def _partition(seq: list, pivot, less) -> tuple[list, list]:
     """``seq`` without ``pivot``, split by each item's answer against it."""
     smaller, larger = [], []
     for x in seq:
         if x != pivot:
-            (smaller if _less(x, pivot, query, answers) else larger).append(x)
+            (smaller if less(x, pivot) else larger).append(x)
     return smaller, larger
 
 
-def _select_kth(seq: list, rank: int, query, answers: dict):
+def _select_kth(seq: list, rank: int, less):
     """Element of 1-based ``rank`` according to the answers seen so far.
 
     Median-of-medians with groups of five: deterministic, linear comparisons,
@@ -212,13 +245,13 @@ def _select_kth(seq: list, rank: int, query, answers: dict):
     while True:
         m = len(seq)
         if m <= 5:
-            return _insertion(seq, query, answers)[rank - 1]
+            return _insertion(seq, less)[rank - 1]
         medians = []
         for i in range(0, m, 5):
             chunk = seq[i : i + 5]
-            medians.append(_insertion(chunk, query, answers)[(len(chunk) - 1) // 2])
-        pivot = _select_kth(medians, (len(medians) + 1) // 2, query, answers)
-        smaller, larger = _partition(seq, pivot, query, answers)
+            medians.append(_insertion(chunk, less)[(len(chunk) - 1) // 2])
+        pivot = _select_kth(medians, (len(medians) + 1) // 2, less)
+        smaller, larger = _partition(seq, pivot, less)
         if rank <= len(smaller):
             seq = smaller
         elif rank == len(smaller) + 1:
@@ -240,7 +273,7 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
     any answers.
 
     Two items cost one query, asked as (smaller id, larger id) like every
-    query through ``_less``; the outcome then takes the shared one-edge
+    other query of a sort; the outcome then takes the shared one-edge
     profile, with no recursion and no check.
     """
     seq = list(items)
@@ -250,21 +283,19 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
         lo_smaller = oracle.query(lo, hi) is SMALLER
         output = [lo, hi] if lo_smaller else [hi, lo]
         return SortOutcome(output, {(lo, hi): lo_smaller}, _PAIR_PROFILE)
-    answers: dict[tuple[int, int], bool] = {}
-    output = _bqsort(seq, oracle.query, answers)
+    output, answers = _sort_answers(_bqsort, seq, oracle)
     return SortOutcome(output, answers, _checked_profile(output, answers))
 
 
-def _bqsort(seq: list, query, answers: dict) -> list:
+def _bqsort(seq: list, less) -> list:
     m = len(seq)
     if m <= 1:
         return seq
     target = (m + 1) // 2
-    median = _select_kth(seq, target, query, answers)
-    smaller, larger = _partition(seq, median, query, answers)
+    median = _select_kth(seq, target, less)
+    smaller, larger = _partition(seq, median, less)
     if len(smaller) != target - 1:
         raise SortInconsistency(
-            f"partition sizes off: {len(smaller)}/{len(larger)} around claimed median of {m}",
-            len(answers),
+            f"partition sizes off: {len(smaller)}/{len(larger)} around claimed median of {m}"
         )
-    return _bqsort(smaller, query, answers) + [median] + _bqsort(larger, query, answers)
+    return _bqsort(smaller, less) + [median] + _bqsort(larger, less)

@@ -23,6 +23,7 @@ from liarminmax.algorithms import (
 from liarminmax.core import (
     PHASES,
     Answer,
+    InvalidQuery,
     LieBudgetViolation,
     TotalOrder,
     Transcript,
@@ -669,13 +670,16 @@ def equivalence_cases():
     return cases
 
 
-def both_paths(run, n, k, s, seed, build):
+def both_paths(run, n, k, s, seed, build, edit=None):
     """Run ``run`` on a fresh ``build(order)`` oracle as it is and behind
     ``QueryOnly``; for each, (outcome, group log, queries, lies told,
-    transcript), where the outcome is the extrema and stats or the raised
-    budget violation."""
+    transcript), where the outcome is the extrema and stats, the raised
+    budget violation or the raised invalid query.  ``edit``, if given, maps
+    the shuffled item list to the one both runs get."""
     order = TotalOrder.shuffled(n, random.Random(seed))
     items = random.Random(seed + 1).sample(range(n), n)
+    if edit is not None:
+        items = edit(items)
     sides = []
     for wrap in (lambda oracle: oracle, QueryOnly):
         oracle, log = build(order), []
@@ -684,28 +688,40 @@ def both_paths(run, n, k, s, seed, build):
             outcome = (result.min, result.max, result.stats)
         except LieBudgetViolation as exc:
             outcome = (LieBudgetViolation, exc.lies, exc.budget)
+        except InvalidQuery as exc:
+            outcome = (InvalidQuery, str(exc))
         sides.append((outcome, log, oracle.queries, oracle.lies_told, list(oracle.transcript)))
     return order, sides
 
 
-def check_spans(run, n, k, s, seed):
-    """(first index, count) of each group's checks in the truthful run that
-    ``both_paths`` makes with these arguments: a lie scheduled at one of
-    them, the first lie of a run, falls on that check."""
-    spans, index = [], 0
+def query_spans(run, n, k, s, seed):
+    """The (first index, count) of each stretch of queries in the truthful
+    run that ``both_paths`` makes with these arguments: one list of spans
+    per group for ``"sort"`` and ``"checks"``, one span for ``"final-min"``
+    and ``"final-max"``.  A lie scheduled in one of them, the first lie of a
+    run, falls on that query."""
+    spans, index = {"sort": [], "checks": []}, 0
     _, sides = both_paths(run, n, k, s, seed, TruthfulOracle)
-    for report in sides[0][1]:
-        index += report.sort_comparisons
-        spans.append((index, report.added_comparisons))
-        index += report.added_comparisons
+    outcome, log = sides[0][:2]
+    for report in log:
+        counts = (("sort", report.sort_comparisons), ("checks", report.added_comparisons))
+        for name, count in counts:
+            spans[name].append((index, count))
+            index += count
+    for phase in ("final-min", "final-max"):
+        count = outcome[2].phase_breakdown[phase]
+        spans[phase] = (index, count)
+        index += count
     return spans
 
 
 class TestCheckFastPath:
-    """``LyingOracle.ask_checks`` answers a group's checks in one call; the
-    driver uses it when the oracle's type is exactly ``TruthfulOracle``,
-    ``TriggeredLiarOracle`` or ``RandomLiarOracle``, and asks every other
-    oracle one query per check."""
+    """An oracle whose type is exactly ``TruthfulOracle``,
+    ``TriggeredLiarOracle`` or ``RandomLiarOracle`` answers a group's checks
+    in one ``ask_checks`` call, and a sort or final selection that no lie
+    can reach from its ranks; every other oracle is asked one query per
+    comparison.  Each case here compares that path with the per-query one
+    behind ``QueryOnly``."""
 
     @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
     @pytest.mark.parametrize(
@@ -738,7 +754,7 @@ class TestCheckFastPath:
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_a_lie_inside_a_batch_matches_the_per_query_path(self, run, where):
         n, k, seed = 60, 4, 3
-        start, count = check_spans(run, n, k, None, seed)[1]
+        start, count = query_spans(run, n, k, None, seed)["checks"][1]
         assert count >= 3
         trigger = start + {"first": 0, "middle": count // 2, "last": count - 1}[where]
         order, (batch, single) = both_paths(
@@ -751,6 +767,63 @@ class TestCheckFastPath:
         assert not log[1].completed and log[1].added_comparisons == trigger - start + 1
         assert transcript[trigger][2] is Answer.FIRST_LARGER
         assert queries == len(transcript) == outcome[2].comparisons
+
+    # A trigger on the first, middle or last query of the second group's
+    # sort, or on the first or last query of a final selection, in the same
+    # runs: the stretch that holds it goes through ``query``, and the ones
+    # around it, which end right before it or start right after it, do not.
+    @pytest.mark.parametrize("run", [run_simple, run_improved], ids=["simple", "improved"])
+    @pytest.mark.parametrize(
+        "stretch, where",
+        [
+            ("sort", "first"),
+            ("sort", "middle"),
+            ("sort", "last"),
+            ("final-min", "first"),
+            ("final-min", "last"),
+            ("final-max", "first"),
+            ("final-max", "last"),
+        ],
+    )
+    def test_a_lie_inside_a_sort_or_selection_matches_the_per_query_path(
+        self, run, stretch, where
+    ):
+        n, k, seed = 60, 4, 3
+        spans = query_spans(run, n, k, None, seed)
+        start, count = spans[stretch] if stretch.startswith("final") else spans[stretch][1]
+        assert count >= 3
+        trigger = start + {"first": 0, "middle": count // 2, "last": count - 1}[where]
+        order, (batch, single) = both_paths(
+            run, n, k, None, seed, lambda order: TriggeredLiarOracle(order, k, [trigger])
+        )
+        assert batch == single
+        outcome, _, queries, lies, transcript = batch
+        assert (outcome[:2], lies) == ((order.min_element(), order.max_element()), 1)
+        assert count_lies(transcript, order) == 1
+        assert queries == len(transcript) == outcome[2].comparisons
+
+    # Items 5 and 6 are equal, so the first group holds a repeated item:
+    # its sort's first self-comparison raises on both paths.  Then the same
+    # element is made the minimum of two groups, so only the final minimum
+    # compares it with itself.
+    @pytest.mark.parametrize("run", [run_simple, run_improved], ids=["simple", "improved"])
+    @pytest.mark.parametrize("where", ["sort", "selection"])
+    def test_a_repeated_item_raises_alike_on_both_paths(self, run, where):
+        n, k, seed = 40, 8, 2
+        low = TotalOrder.shuffled(n, random.Random(seed)).min_element()
+
+        def edit(items):
+            if where == "sort":
+                return items[:6] + [items[5]] + items[7:]
+            # Another group's first item becomes the minimum as well.
+            other = (items.index(low) + _group_size(k)) % n
+            return [low if i == other else x for i, x in enumerate(items)]
+
+        _, (batch, single) = both_paths(run, n, k, None, seed, TruthfulOracle, edit)
+        assert batch == single
+        outcome, _, queries, _, transcript = batch
+        assert outcome[0] is InvalidQuery
+        assert queries == len(transcript) > 0
 
     @pytest.mark.parametrize("run", [run_simple, run_improved], ids=["simple", "improved"])
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -797,20 +870,25 @@ class TestCheckFastPath:
         assert result.stats.phase_breakdown["group-verify"] > 0
         assert len(tapped) == inner.queries == result.stats.comparisons
 
-    # No batch meets a scheduled lie: the triggered liar's one trigger lies
-    # past the run, and the random liar spends its budget on the first
-    # group's first sort.
+    # Only a stretch that may meet a lie goes through ``query``.  A truthful
+    # oracle and a triggered liar whose one trigger lies past the run have
+    # none; the random liar consults every index while budget remains, so its
+    # first group's first sort goes through ``query``, spends the budget on
+    # its first k queries, and leaves every later stretch lie-free.
+    @pytest.mark.parametrize("run", [run_simple, run_improved], ids=["simple", "improved"])
     @pytest.mark.parametrize(
-        "build",
+        "build, lies",
         [
-            lambda order: TruthfulOracle(order, record=False),
-            lambda order: TruthfulOracle(order),
-            lambda order: TriggeredLiarOracle(order, 32, [10**9]),
-            lambda order: RandomLiarOracle(order, 32, 1.0, seed=5),
+            (lambda order: TruthfulOracle(order, record=False), 0),
+            (lambda order: TruthfulOracle(order), 0),
+            (lambda order: TriggeredLiarOracle(order, 32, [10**9]), 0),
+            (lambda order: RandomLiarOracle(order, 32, 1.0, seed=5), 32),
         ],
         ids=["truthful-unrecorded", "truthful-recorded", "triggered-liar", "random-liar"],
     )
-    def test_an_untapped_run_asks_its_checks_in_batches(self, monkeypatch, build):
+    def test_an_untapped_run_calls_query_only_where_a_lie_may_fall(
+        self, monkeypatch, run, build, lies
+    ):
         n, k = 2048, 32
         oracle = build(TotalOrder.shuffled(n, random.Random(5)))
         calls = []
@@ -821,10 +899,12 @@ class TestCheckFastPath:
             return query(self, a, b)
 
         monkeypatch.setattr(LyingOracle, "query", counted)
-        result = improved_minmax(list(range(n)), k, oracle)
+        log = []
+        result = run(list(range(n)), k, oracle, None, log)
         phases = result.stats.phase_breakdown
-        assert phases["group-verify"] > 0
-        assert len(calls) == phases["group-sort"] + phases["final-min"] + phases["final-max"]
+        assert phases["group-verify"] > 0 and phases["final-min"] > 0
+        assert oracle.lies_told == lies
+        assert len(calls) == (log[0].sort_comparisons if lies else 0)
         assert oracle.queries == result.stats.comparisons
 
     def test_a_subclass_that_overrides_query_is_asked_every_check(self):

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import random
+import subprocess
 import sys
 import tarfile
 from dataclasses import replace
@@ -996,14 +997,29 @@ def test_bench_pairs_rejects_an_unknown_workload_before_running(monkeypatch, cap
     assert ran == []
 
 
+def test_bench_pairs_rejects_a_parent_git_cannot_archive(monkeypatch, capsys):
+    script = load_script("bench_pairs")
+    ran = []
+    failed = subprocess.CompletedProcess(
+        ["git"], 128, b"", b"fatal: not a valid object name: nope\n"
+    )
+    monkeypatch.setattr(script.subprocess, "run", lambda *args, **kwargs: failed)
+    monkeypatch.setattr(script, "run_once", lambda *args: ran.append(args))
+    with pytest.raises(SystemExit) as raised:
+        script.main(["--parent", "nope", "--workload", "restart-recorded", "--seeds", "1"])
+    assert raised.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot archive --parent 'nope': fatal: not a valid object name: nope" in err
+    assert ran == []
+
+
 def test_bench_pairs_alternates_and_fails_on_a_mismatch(monkeypatch, capsys, tmp_path):
     script = load_script("bench_pairs")
     empty = tmp_path / "empty.tar"
     with tarfile.open(empty, "w"):
         pass
-    monkeypatch.setattr(
-        script.subprocess, "run", lambda *args, **kwargs: SimpleNamespace(stdout=empty.read_bytes())
-    )
+    archived = SimpleNamespace(returncode=0, stdout=empty.read_bytes())
+    monkeypatch.setattr(script.subprocess, "run", lambda *args, **kwargs: archived)
     order = []
 
     def fake_run(tree, workload, seed, seconds):

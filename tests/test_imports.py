@@ -14,9 +14,9 @@ the benchmark), so a name that only its own tests call cannot stay in the
 runtime.  The names the benchmark's tracer patches must
 stay in their modules too, and every exception class the package defines
 must be raised somewhere in it, so an error type cannot outlive its last
-``raise``.  Every oracle type the group driver batches inherits
-``LyingOracle.query`` unchanged, so an oracle with its own answer rule
-cannot join the batch.  Importing the package and its CLI loads nothing
+``raise``.  Every oracle type the package batches inherits
+``LyingOracle.query`` and its batch methods unchanged, so an oracle with its
+own answer rule cannot join the batch.  Importing the package and its CLI loads nothing
 beyond the standard library, so no dependency can creep into every run's
 start-up.
 """
@@ -32,7 +32,13 @@ from pathlib import Path
 import pytest
 
 from liarminmax import algorithms, core, harness
-from liarminmax.oracles import LyingOracle, RandomLiarOracle, ScriptedOracle, TruthfulOracle
+from liarminmax.oracles import (
+    BATCHED,
+    LyingOracle,
+    RandomLiarOracle,
+    ScriptedOracle,
+    TruthfulOracle,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "liarminmax"
@@ -328,19 +334,31 @@ def test_lint_flags_an_answer_lookup_inside_a_function():
     ]
 
 
+# The members through which a batched oracle answers: ``query`` one at a
+# time, and the batch methods that answer stretches as it would.
+BATCH_MEMBERS = ("query", "ask_checks", "lie_free_ranks", "answered")
+
+
 def query_overrides(classes) -> list[str]:
-    """The names of the classes whose ``query`` is not ``LyingOracle.query``
-    inherited unchanged.  The group driver batches a group's checks for the
-    oracle types it lists, through ``LyingOracle.ask_checks``, which answers
-    as that ``query`` would; a type with its own answer rule must not join."""
-    return [cls.__name__ for cls in classes if getattr(cls, "query", None) is not LyingOracle.query]
+    """``Class.member`` for each of the classes' members of
+    ``BATCH_MEMBERS`` that is not ``LyingOracle``'s inherited unchanged.
+    The group driver, the sorts and the final selections batch the oracle
+    types of ``BATCHED`` through ``LyingOracle``'s batch methods, which
+    answer as its ``query`` would; a type with its own answer rule, or its
+    own batch method, must not join."""
+    return [
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name in BATCH_MEMBERS
+        if getattr(cls, name, None) is not getattr(LyingOracle, name)
+    ]
 
 
-def test_every_batched_oracle_inherits_query_unchanged():
-    assert query_overrides(algorithms._BATCHED) == []
+def test_every_batched_oracle_inherits_its_batch_members_unchanged():
+    assert query_overrides(BATCHED) == []
 
 
-def test_lint_flags_an_oracle_with_its_own_query():
+def test_lint_flags_an_oracle_with_its_own_query_or_batch_method():
     class Kept(RandomLiarOracle):
         def _wants_lie(self, index):
             return False
@@ -349,8 +367,16 @@ def test_lint_flags_an_oracle_with_its_own_query():
         def query(self, a, b):
             return super().query(a, b)
 
-    classes = [TruthfulOracle, Kept, Own, ScriptedOracle, object]
-    assert query_overrides(classes) == ["Own", "ScriptedOracle", "object"]
+    class OwnRanks(TruthfulOracle):
+        def lie_free_ranks(self, count):
+            return None
+
+    classes = [TruthfulOracle, Kept, Own, OwnRanks]
+    assert query_overrides(classes) == ["Own.query", "OwnRanks.lie_free_ranks"]
+    assert query_overrides([ScriptedOracle]) == [
+        f"ScriptedOracle.{name}" for name in BATCH_MEMBERS
+    ]
+    assert len(query_overrides([object])) == len(BATCH_MEMBERS)
 
 
 # The names the benchmark's tracer (``perfbench/tracer.py``, ``instrument``)
