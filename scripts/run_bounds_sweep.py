@@ -27,7 +27,12 @@ def sweep(seed: int):
         rows += run_experiments(ExperimentConfig("pohl", n=n, k=0, trials=5, seed=seed))
     for n in (50, 200):
         for k in (1, 2, 4):
-            for oracle, p in (("truthful", 0.0), ("random-liar", 0.2), ("random-liar", 0.5)):
+            for oracle, p in (
+                ("truthful", 0.0),
+                ("random-liar", 0.2),
+                ("random-liar", 0.5),
+                ("triggered-liar", 0.0),
+            ):
                 for algorithm in ("find-min", "find-max", "simple", "improved"):
                     rows += run_experiments(
                         ExperimentConfig(

@@ -134,13 +134,11 @@ def find_max_k_lies(items, k: int, oracle) -> tuple[int, int]:
     return _select_k_lies(items, k, oracle, LARGER)
 
 
-def _reask_checks(m: int, k: int) -> list[tuple[int, int]]:
-    """The completion of the empty graph on m positions in closed form: k+1
-    copies of each adjacent pair, ascending."""
-    checks = []
-    for pair in zip(range(1, m), range(2, m + 1)):
-        checks += [pair] * (k + 1)
-    return checks
+def _reask_checks(m: int, k: int) -> dict[tuple[int, int], int]:
+    """The completion of the empty graph on m positions in closed form, as
+    ``complete_edges`` returns it: k+1 copies of each adjacent pair, the
+    pairs ascending."""
+    return {(i, i + 1): k + 1 for i in range(1, m)}
 
 
 def _select_from_ranks(items: list, k: int, oracle, eliminating: Answer):
@@ -174,10 +172,14 @@ def _extrema(
 ) -> MinMaxResult:
     """Split ``items`` into blocks of ``size``; in each block of two or more,
     ``sort``, then ask the checks that give every output position k+1
-    certified neighbors per side: with ``credit``, the completion of the
-    sort's degree profile; without, of the empty graph (``_reask_checks``).
-    The checks go in one ``ask_checks`` call when the oracle's type is one
-    of :data:`~liarminmax.oracles.BATCHED`; a proven lie restarts the block.
+    certified neighbors per side, a ``{(i, j): copies}`` dict: with
+    ``credit``, the completion of the sort's degree profile; without, of
+    the empty graph (``_reask_checks``).  When the oracle's type is one of
+    :data:`~liarminmax.oracles.BATCHED`, the dict goes as it is to one
+    ``ask_checks`` call; any other oracle is asked one query per copy, the
+    completion's listed by ``added_edge_pairs``, the re-asks, ascending
+    already, without a call into ``graphs``.  A proven lie restarts the
+    block.
     Then select the minimum among the group minima and the maximum among
     the group maxima, each with budget k, from a batched oracle's ranks
     when no lie can fall within the selection.  Every comparison is charged
@@ -209,16 +211,20 @@ def _extrema(
             else:
                 order, sort_comparisons = outcome.output, outcome.comparisons
                 if credit:
-                    checks = added_edge_pairs(complete_edges(outcome, k))
+                    edges = complete_edges(outcome, k)
                 else:
-                    checks = _reask_checks(len(order), k)
+                    edges = _reask_checks(len(order), k)
                 # 1-based: position 0 repeats the first element; no check names it.
                 at = [order[0], *order]
                 if batch:
-                    asked, contradicted = oracle.ask_checks(at, checks)
+                    asked, contradicted = oracle.ask_checks(at, edges)
                     if contradicted:
                         reason = _CONTRADICTED
                 else:
+                    if credit:
+                        checks = added_edge_pairs(edges)
+                    else:
+                        checks = [pair for pair, m in edges.items() for _ in range(m)]
                     for i, j in checks:
                         asked += 1
                         if query(at[i], at[j]) is LARGER:

@@ -109,7 +109,10 @@ def complete_edges(graph, k: int) -> dict[tuple[int, int], int]:
 
 def added_edge_pairs(edges: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
     """The pairs of ``edges``, a completion's result, one entry per copy, in
-    ascending order.
+    ascending order: the check list of a group step that asks one query per
+    check, for an oracle outside :data:`~liarminmax.oracles.BATCHED` (a
+    proxy such as the benchmark's tracing tap, which counts the added edges
+    as the length of this list).  A batched oracle takes ``edges`` as it is.
 
     A single pair (any completion on two positions that adds an edge) needs
     no sort.

@@ -8,14 +8,16 @@ and asks its ``extend`` callback for every answer past its script.
 
 The oracle types of :data:`BATCHED`, a plain :class:`TruthfulOracle`,
 :class:`TriggeredLiarOracle` or :class:`RandomLiarOracle`, also answer a
-stretch of queries at once.  The group driver asks them a group's checks in
-one ``LyingOracle.ask_checks`` call, and the sorts and final selections
-answer a stretch that no lie consult can reach from the hidden order's
-ranks (``lie_free_ranks``), then count and record it in one ``answered``
-call.  Every other oracle is asked one ``query`` per comparison.  A stretch
-that may meet a scheduled lie always goes through ``query``, so the lie
-rule lives in ``query`` alone, and a lie-free stretch records its answers
-in one ``Transcript.extend``.
+stretch of queries at once.  The group driver hands them a group's checks
+as the completion's ``{(i, j): copies}`` dict in one
+``LyingOracle.ask_checks`` call, which compares each distinct pair once
+and charges its copies; the sorts and final selections answer a stretch
+that no lie consult can reach from the hidden order's ranks
+(``lie_free_ranks``), then count and record it in one ``answered`` call.
+Every other oracle is asked one ``query`` per comparison.  A stretch that
+may meet a scheduled lie always goes through ``query``, one call per copy,
+so the lie rule lives in ``query`` alone, and a lie-free stretch records
+its answers in one ``Transcript.extend``.
 """
 
 from __future__ import annotations
@@ -102,65 +104,65 @@ class LyingOracle:
                 fields += (a, b, SMALLER if a_smaller else LARGER) * copies
             transcript.extend(fields)
 
-    def ask_checks(self, at: Sequence[int], checks: list) -> tuple[int, bool]:
-        """Ask ``query(at[i], at[j])`` for each position pair ``(i, j)`` of
-        ``checks`` in order, stopping after the first LARGER; return (asked,
-        contradicted).  A batch whose index range holds a scheduled lie
-        consult, budget permitting, asks through ``query``, so the lie rule
-        stays there alone.  Any other batch is truthful: it answers from the
-        ranks of ``at``, looked up once, and counts and records the queries
-        as ``query`` does, the records in one ``Transcript.extend`` call.
-        There a run of copies of one pair object (a completion's ``[pair] *
-        m``, say) is compared once: its copies all get the first one's
-        answer, and a recording oracle appends the first one's record for
-        each.  A self-comparison raises :class:`InvalidQuery` with the checks
-        before it counted and recorded."""
-        rank = self.lie_free_ranks(len(checks))
+    def ask_checks(self, at: Sequence[int], edges: dict[tuple[int, int], int]) -> tuple[int, bool]:
+        """Ask ``query(at[i], at[j])`` ``copies`` times for each position
+        pair ``(i, j)`` of ``edges``, a ``{(i, j): copies}`` dict with every
+        count positive (a completion's result), the pairs in ascending
+        order whatever the dict's, stopping after the first LARGER; return
+        (asked, contradicted).  A batch whose index range holds a scheduled
+        lie consult, budget permitting, asks through ``query``, once per
+        copy, so the lie rule stays there alone.  Any other batch is
+        truthful: it answers from the ranks of ``at``, looked up once,
+        compares each pair once, and counts and records its copies as
+        ``query`` would, the records in one ``Transcript.extend`` call.
+        Without a transcript, a batch whose pairs all hold is counted in
+        one step, unsorted; only a batch that some pair ends is walked in
+        order.  A contradiction counts and records its pair's first copy
+        alone.  A self-comparison raises :class:`InvalidQuery` with the
+        checks before it counted and recorded."""
+        total = sum(edges.values())
+        rank = self.lie_free_ranks(total)
         if rank is None:
             asked = 0
             query = self.query
-            for i, j in checks:
-                asked += 1
-                if query(at[i], at[j]) is LARGER:
-                    return asked, True
+            for pair in sorted(edges):
+                i, j = pair
+                a, b = at[i], at[j]
+                for _ in range(edges[pair]):
+                    asked += 1
+                    if query(a, b) is LARGER:
+                        return asked, True
             return asked, False
-        queries = self.queries
         ranks = list(map(rank.__getitem__, at))
         transcript = self.transcript
-        previous = None
-        # Two loops, so that a run without a transcript pays nothing per
-        # check for recording, nor for counting: an earlier check equal to
-        # the one that ends the batch would have had the same answer and
-        # ended it there, so the first equal check is the one that ends it.
         if transcript is None:
-            for pair in checks:
-                if pair is not previous:
-                    i, j = previous = pair
-                    if ranks[i] >= ranks[j]:
-                        asked = checks.index(pair)
-                        if ranks[i] == ranks[j]:
-                            self.queries = queries + asked
-                            raise InvalidQuery(f"cannot compare element {at[i]} with itself")
-                        self.queries = queries + asked + 1
-                        return asked + 1, True
-            self.queries = queries + len(checks)
-            return len(checks), False
+            for i, j in edges:
+                if ranks[i] >= ranks[j]:
+                    break
+            else:
+                self.queries += total
+                return total, False
+        asked = 0
         fields: list = []
+        # Sorting the keys, not the items, makes no (pair, copies) tuple that
+        # the garbage collector would count.
         try:
-            for pair in checks:
-                if pair is not previous:
-                    i, j = previous = pair
-                    if ranks[i] >= ranks[j]:
-                        if ranks[i] == ranks[j]:
-                            raise InvalidQuery(f"cannot compare element {at[i]} with itself")
-                        fields += (at[i], at[j], LARGER)
-                        return len(fields) // 3, True
-                    record = (at[i], at[j], SMALLER)
-                fields += record
-            return len(fields) // 3, False
+            for pair in sorted(edges):
+                i, j = pair
+                if ranks[i] >= ranks[j]:
+                    if ranks[i] == ranks[j]:
+                        raise InvalidQuery(f"cannot compare element {at[i]} with itself")
+                    asked += 1
+                    fields += (at[i], at[j], LARGER)
+                    return asked, True
+                m = edges[pair]
+                asked += m
+                fields += (at[i], at[j], SMALLER) * m
+            return asked, False
         finally:
-            self.queries = queries + len(fields) // 3
-            transcript.extend(fields)
+            self.queries += asked
+            if transcript is not None:
+                transcript.extend(fields)
 
 
 class TruthfulOracle(LyingOracle):

@@ -29,7 +29,7 @@ from liarminmax.core import (
     Transcript,
     count_lies,
 )
-from liarminmax.graphs import added_edge_pairs, complete_edges
+from liarminmax.graphs import complete_edges
 from liarminmax.oracles import (
     LyingOracle,
     RandomLiarOracle,
@@ -362,8 +362,8 @@ class TestSimple:
         # completion.
         for m in range(2, 40):
             for k in range(12):
-                completion = added_edge_pairs(complete_edges(OrderedMultigraph(m), k))
-                assert _reask_checks(m, k) == completion, (m, k)
+                completion = list(complete_edges(OrderedMultigraph(m), k).items())
+                assert list(_reask_checks(m, k).items()) == completion, (m, k)
 
     # Into the second group's 15 checks: the first re-ask, the last of the
     # first pair, one in the middle and the group's last.
@@ -486,9 +486,9 @@ class TestImproved:
             assert report.completed and report.restart_reason is None
             assert (report.sort_comparisons, report.added_comparisons) == (1, 0)
 
-    def test_every_pair_attempt_calls_the_patched_layers(self, monkeypatch):
-        # The benchmark's tracer wraps these three names; a pair certified
-        # without them would leave the sort and graph layers dark.
+    @staticmethod
+    def patch_layers(monkeypatch) -> Counter:
+        """Count the calls of the three names the benchmark's tracer wraps."""
         calls = Counter()
         for name in ("balanced_quicksort", "complete_edges", "added_edge_pairs"):
 
@@ -497,9 +497,17 @@ class TestImproved:
                 return inner(*args)
 
             monkeypatch.setattr(algorithms, name, counting)
+        return calls
+
+    def test_every_pair_attempt_calls_the_patched_layers(self, monkeypatch):
+        # The tracer wraps these three names and taps the oracle through a
+        # proxy that forwards ``query`` alone, so the driver asks it one query
+        # per check; a pair certified without them would leave the sort and
+        # graph layers dark.
+        calls = self.patch_layers(monkeypatch)
         n = 9
         order = TotalOrder.shuffled(n, random.Random(5))
-        result = pohl_minmax(list(range(n)), TruthfulOracle(order))
+        result = pohl_minmax(list(range(n)), QueryOnly(TruthfulOracle(order)))
         assert result.stats.restarts == 0
         # One attempt per pair: a truthful run never restarts.
         assert set(calls.values()) == {n // 2} and len(calls) == 3
@@ -507,9 +515,25 @@ class TestImproved:
         log = []
         # Query 1 is the first added comparison of group 0: a lie there restarts it.
         oracle = TriggeredLiarOracle(order, 2, triggers={1})
-        result = improved_minmax(list(range(n)), 2, oracle, group_log=log)
+        result = improved_minmax(list(range(n)), 2, QueryOnly(oracle), group_log=log)
         assert result.stats.restarts == 1
         assert set(calls.values()) == {len(log)} and len(calls) == 3
+
+    def test_every_batched_pair_attempt_skips_the_check_expansion(self, monkeypatch):
+        # A batched oracle takes the completion's dict as it is: the sort
+        # and the completion run once per attempt, the expansion never.
+        calls = self.patch_layers(monkeypatch)
+        n = 9
+        order = TotalOrder.shuffled(n, random.Random(5))
+        result = pohl_minmax(list(range(n)), TruthfulOracle(order))
+        assert result.stats.restarts == 0
+        assert calls == {"balanced_quicksort": n // 2, "complete_edges": n // 2}
+        calls.clear()
+        log = []
+        oracle = TriggeredLiarOracle(order, 2, triggers={1})
+        result = improved_minmax(list(range(n)), 2, oracle, group_log=log)
+        assert result.stats.restarts == 1
+        assert calls == {"balanced_quicksort": len(log), "complete_edges": len(log)}
 
     def test_every_simple_attempt_calls_the_patched_mergesort_alone(self, monkeypatch):
         # The benchmark's restart-recorded workload runs the simple algorithm

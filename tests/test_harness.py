@@ -840,7 +840,7 @@ def load_script(name):
 
 def test_bounds_sweep_stays_within_every_bound():
     rows = load_script("run_bounds_sweep").sweep(0)
-    assert len(rows) == 741
+    assert len(rows) == 981
     assert {row.algorithm for row in rows} >= {"pohl", "simple", "improved"}
     assert [row for row in rows if not row.within_bound] == []
 

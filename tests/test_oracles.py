@@ -1,11 +1,13 @@
 import gc
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liarminmax.core import Answer, InvalidQuery, TotalOrder, count_lies
+from liarminmax.graphs import added_edge_pairs
 from liarminmax.oracles import (
     RandomLiarOracle,
     ScriptedOracle,
@@ -195,24 +197,27 @@ def test_recording_keeps_no_tracked_object_per_query():
     order = TotalOrder.shuffled(50, random.Random(6))
     stream = random_query_stream(random.Random(7), 50, 10_000)
     oracle = TriggeredLiarOracle(order, 2, [3, 9_000])
-    # A batch of 10,000 checks that all hold, past its oracle's one trigger:
-    # ``ask_checks`` answers and records them in one call.
+    # A batch of 10,000 checks that all hold, past its oracle's one trigger,
+    # as a dict of each distinct pair's copies: ``ask_checks`` answers and
+    # records them in one call.
     batched = TriggeredLiarOracle(order, 1, [10_000])
     at = sorted(range(50), key=order.rank.__getitem__)
-    checks = [tuple(sorted(pair)) for pair in random_query_stream(random.Random(8), 50, 10_000)]
+    stream_of_checks = random_query_stream(random.Random(8), 50, 10_000)
+    edges = Counter(tuple(sorted(pair)) for pair in stream_of_checks)
     gc.disable()
     try:
         before = gc.get_count()[0]
         answers = [oracle.query(a, b) for a, b in stream]
         grown = gc.get_count()[0] - before
         before = gc.get_count()[0]
-        outcome = batched.ask_checks(at, checks)
+        outcome = batched.ask_checks(at, edges)
         grown_batched = gc.get_count()[0] - before
     finally:
         gc.enable()
     assert grown < 100
     assert grown_batched < 100
     assert outcome == (10_000, False)
+    checks = added_edge_pairs(edges)
     assert list(batched.transcript) == [(at[i], at[j], Answer.FIRST_SMALLER) for i, j in checks]
     expected = [(a, b, answer) for (a, b), answer in zip(stream, answers)]
     assert list(oracle.transcript) == expected
@@ -256,11 +261,12 @@ def test_scripted_oracle_extends_past_its_script():
     assert len(oracle.answers) == oracle.position == 2
 
 
-def checks_per_query(oracle, at, checks):
-    """The group driver's one-query-per-check loop: the reference for
+def checks_per_query(oracle, at, edges):
+    """The group driver's one-query-per-check loop over the completion's
+    copies, listed by ``added_edge_pairs``: the reference for
     ``ask_checks``."""
     asked = 0
-    for i, j in checks:
+    for i, j in added_edge_pairs(edges):
         asked += 1
         if oracle.query(at[i], at[j]) is Answer.FIRST_LARGER:
             return asked, True
@@ -274,42 +280,63 @@ def spent(oracle):
     return oracle
 
 
-# Each builds a fresh oracle for a batch of ``checks`` asked first (after
+def middle_of_a_run(edges):
+    """The query index, counted from the batch's first, of a middle copy
+    (neither the first nor the last) of the first pair, in ascending order,
+    with three copies or more; the batch's length when there is none."""
+    index = 0
+    for pair in sorted(edges):
+        m = edges[pair]
+        if m >= 3:
+            return index + m // 2
+        index += m
+    return index
+
+
+# Each builds a fresh oracle for a batch of ``edges`` asked first (after
 # ``spent``'s query, if any); the flag says whether the batch meets no lie.
 ORACLES = {
-    "truthful-unrecorded": (lambda order, checks: TruthfulOracle(order, record=False), True),
-    "truthful-recorded": (lambda order, checks: TruthfulOracle(order), True),
+    "truthful-unrecorded": (lambda order, edges: TruthfulOracle(order, record=False), True),
+    "truthful-recorded": (lambda order, edges: TruthfulOracle(order), True),
+    "trigger-first": (lambda order, edges: TriggeredLiarOracle(order, 1, [0]), False),
     "trigger-inside": (
-        lambda order, checks: TriggeredLiarOracle(order, 1, [len(checks) // 2]),
+        lambda order, edges: TriggeredLiarOracle(order, 1, [sum(edges.values()) // 2]),
+        False,
+    ),
+    "trigger-mid-run": (
+        lambda order, edges: TriggeredLiarOracle(order, 1, [middle_of_a_run(edges)]),
         False,
     ),
     "trigger-last": (
-        lambda order, checks: TriggeredLiarOracle(order, 1, [max(len(checks) - 1, 0)]),
+        lambda order, edges: TriggeredLiarOracle(order, 1, [max(sum(edges.values()) - 1, 0)]),
         False,
     ),
-    "trigger-past-end": (lambda order, checks: TriggeredLiarOracle(order, 1, [len(checks)]), True),
-    "random-budget-left": (lambda order, checks: RandomLiarOracle(order, 2, 0.5, seed=3), False),
+    "trigger-past-end": (
+        lambda order, edges: TriggeredLiarOracle(order, 1, [sum(edges.values())]),
+        True,
+    ),
+    "random-budget-left": (lambda order, edges: RandomLiarOracle(order, 2, 0.5, seed=3), False),
     "random-budget-spent": (
-        lambda order, checks: spent(RandomLiarOracle(order, 1, 1.0, seed=3)),
+        lambda order, edges: spent(RandomLiarOracle(order, 1, 1.0, seed=3)),
         True,
     ),
 }
 
 
-def asked_both_ways(build, order, at, checks):
+def asked_both_ways(build, order, at, edges):
     """(outcome, queries, records, lies told) of ``ask_checks`` and of the
-    reference loop, each on a fresh ``build(order, checks)`` oracle and
+    reference loop, each on a fresh ``build(order, edges)`` oracle and
     counting only the batch; an outcome is the returned pair or the raised
     exception's type."""
     sides = []
     for batched in (True, False):
-        oracle = build(order, checks)
+        oracle = build(order, edges)
         before, lies = oracle.queries, oracle.lies_told
         try:
             if batched:
-                outcome = oracle.ask_checks(at, checks)
+                outcome = oracle.ask_checks(at, edges)
             else:
-                outcome = checks_per_query(oracle, at, checks)
+                outcome = checks_per_query(oracle, at, edges)
         except InvalidQuery:
             outcome = InvalidQuery
         records = None if oracle.transcript is None else list(oracle.transcript)[before:]
@@ -321,26 +348,20 @@ def asked_both_ways(build, order, at, checks):
 ASCENDING_AT = [0, 0, 1, 2, 3]
 
 
-def copies(*pairs):
-    """A new tuple object per pair: equal checks that are not one object,
-    so that no two of them make a run."""
-    return [tuple(list(pair)) for pair in pairs]
-
-
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize(
-    "checks, outcome",
+    "edges, outcome",
     [
-        ([], (0, False)),
-        ([(1, 2), (1, 3), (2, 4), (1, 2)], (4, False)),
-        ([(2, 1), (1, 2)], (1, True)),
-        ([(1, 2), (2, 3), (4, 3)], (3, True)),
-        ([(1, 2)] * 3 + [(2, 4)] * 2 + [(1, 2)] * 4, (9, False)),
-        ([(1, 2)] * 3 + [(3, 2)] * 4 + [(1, 2)] * 2, (4, True)),
-        ([(1, 3)] * 2 + [(4, 3)] * 3, (3, True)),
-        (copies((1, 2), (1, 2), (2, 3), (2, 3)), (4, False)),
-        (copies((1, 2), (1, 2), (4, 3), (4, 3)), (3, True)),
-        ([(1, 2)] * 2 + copies((1, 2)) * 2 + copies((4, 1)) * 3, (5, True)),
+        ({}, (0, False)),
+        ({(1, 2): 1, (1, 3): 1, (2, 4): 1}, (3, False)),
+        ({(3, 4): 1, (2, 1): 1}, (1, True)),
+        ({(1, 2): 1, (2, 3): 1, (4, 3): 1}, (3, True)),
+        ({(1, 2): 7, (2, 4): 2}, (9, False)),
+        ({(1, 2): 3, (3, 2): 4, (1, 4): 2}, (6, True)),
+        ({(1, 3): 2, (4, 3): 3}, (3, True)),
+        ({(2, 3): 2, (1, 2): 2}, (4, False)),
+        ({(4, 3): 2, (1, 2): 2}, (3, True)),
+        ({(4, 2): 1, (3, 1): 3, (1, 3): 2, (1, 2): 2}, (5, True)),
     ],
     ids=[
         "empty",
@@ -350,16 +371,16 @@ def copies(*pairs):
         "runs-hold",
         "later-run-contradicts",
         "last-run-contradicts",
-        "equal-objects-hold",
-        "equal-objects-contradict",
-        "equal-runs-contradict",
+        "descending-dict-holds",
+        "descending-dict-contradicts",
+        "reversed-pair-ends-the-runs",
     ],
 )
-def test_ask_checks_matches_the_per_query_loop(kind, checks, outcome):
-    # A run is copies of one pair object, as ``[pair] * m`` makes them;
-    # equal pairs that are distinct objects are separate runs.
+def test_ask_checks_matches_the_per_query_loop(kind, edges, outcome):
+    # The pairs are asked in ascending order, whatever the dict's order,
+    # and a contradiction counts the first copy of its pair alone.
     build, truthful = ORACLES[kind]
-    batch, reference = asked_both_ways(build, TotalOrder(tuple(range(4))), ASCENDING_AT, checks)
+    batch, reference = asked_both_ways(build, TotalOrder(tuple(range(4))), ASCENDING_AT, edges)
     assert batch == reference
     assert batch[1] == batch[0][0]
     if truthful:
@@ -373,20 +394,20 @@ def test_ask_checks_matches_the_per_query_loop(kind, checks, outcome):
 
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize(
-    "checks, asked_before",
+    "edges, asked_before",
     [
-        ([(1, 2), (2, 2), (2, 3)], 1),
-        ([(0, 1)], 0),
-        ([(1, 2)] * 3 + [(2, 2)] * 2 + [(2, 3)], 3),
-        ([(2, 4)] * 2 + [(0, 1)] * 3, 2),
+        ({(1, 2): 1, (2, 2): 1, (2, 3): 1}, 1),
+        ({(0, 1): 1}, 0),
+        ({(2, 3): 1, (2, 2): 2, (1, 2): 3}, 3),
+        ({(2, 4): 2, (0, 1): 3}, 0),
     ],
     ids=["same-position", "same-element", "same-position-run", "same-element-run"],
 )
-def test_ask_checks_refuses_a_self_comparison_where_query_does(kind, checks, asked_before):
+def test_ask_checks_refuses_a_self_comparison_where_query_does(kind, edges, asked_before):
     # The checks before the self-comparison stay asked, counted and
     # recorded; a lie on one of them ends the batch before it.
     build = ORACLES[kind][0]
-    batch, reference = asked_both_ways(build, TotalOrder(tuple(range(4))), ASCENDING_AT, checks)
+    batch, reference = asked_both_ways(build, TotalOrder(tuple(range(4))), ASCENDING_AT, edges)
     assert batch == reference
     if batch[3] == 0:
         assert batch[:2] == (InvalidQuery, asked_before)
@@ -401,35 +422,33 @@ def test_ask_checks_matches_the_per_query_loop_on_random_checks(kind, seed):
     block = rng.sample(range(n), rng.randint(2, n))
     at = [block[0], *block]
     length = rng.randint(0, 60)
-    checks = [tuple(sorted(rng.sample(range(1, len(block) + 1), 2))) for _ in range(length)]
-    batch, reference = asked_both_ways(ORACLES[kind][0], order, at, checks)
+    edges = Counter(
+        tuple(sorted(rng.sample(range(1, len(block) + 1), 2))) for _ in range(length)
+    )
+    batch, reference = asked_both_ways(ORACLES[kind][0], order, at, edges)
     assert batch == reference
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLES))
 @pytest.mark.parametrize("seed", range(20))
 def test_ask_checks_matches_the_per_query_loop_on_random_runs(kind, seed):
-    # Runs of one to six copies of a pair object over a block in ascending
-    # order, as the driver asks them: a pair may repeat an earlier one as the
-    # same object or as an equal one, and one pair in ten is reversed, so
-    # that most batches hold for a few runs before one contradicts.
+    # Runs of one to six copies of a pair over a block in ascending order,
+    # in random dict order: a pair may come again, adding its copies to the
+    # earlier ones, and one pair in ten is reversed, so that most batches
+    # hold for a few runs before one contradicts.
     rng = random.Random(seed)
     n = rng.randint(2, 40)
     order = TotalOrder.shuffled(n, rng)
     block = sorted(rng.sample(range(n), rng.randint(2, n)), key=order.rank.__getitem__)
     at = [block[0], *block]
-    pairs = []
-    checks = []
+    edges = {}
     for _ in range(rng.randint(0, 20)):
-        if pairs and rng.random() < 0.3:
-            pair = rng.choice(pairs)
-            if rng.random() < 0.5:
-                pair = tuple(list(pair))
+        if edges and rng.random() < 0.3:
+            pair = rng.choice(list(edges))
         else:
             pair = tuple(sorted(rng.sample(range(1, len(block) + 1), 2)))
             if rng.random() < 0.1:
                 pair = pair[::-1]
-            pairs.append(pair)
-        checks += [pair] * rng.randint(1, 6)
-    batch, reference = asked_both_ways(ORACLES[kind][0], order, at, checks)
+        edges[pair] = edges.get(pair, 0) + rng.randint(1, 6)
+    batch, reference = asked_both_ways(ORACLES[kind][0], order, at, edges)
     assert batch == reference
