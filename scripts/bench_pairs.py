@@ -4,10 +4,12 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload restart-recorded \\
         --seeds 1-10 --held-out 562 --seconds 30
 
-The parent is extracted with ``git archive`` into a temporary directory;
-nothing is written into the checkout beyond what ``perfbench/run.py`` itself
-appends under ``perfbench/out/``.  Each seed runs ``perfbench/run.py --trace
-0`` once in each tree, the parent first on the first pair and the checkout
+``--workload`` may be given more than once: each workload's pairs run in
+turn, and each ends with its own summary.  The parent is extracted with
+``git archive`` into a temporary directory; nothing is written into the
+checkout beyond what ``perfbench/run.py`` itself appends under
+``perfbench/out/``.  Each seed runs ``perfbench/run.py --trace 0`` once
+in each tree, the parent first on the first pair and the checkout
 first on the next, alternating.  For every end-to-end metric that
 ``BENCHMARK.json`` lists, the summary gives each side's median and quartiles
 over the seeds (as ``perfbench/sweep.py`` computes them), the pairs the
@@ -18,10 +20,10 @@ distance over its median exceeds the bound and not every change run reads
 better than every parent run.  A metric with no bound gets no verdict.  Then
 come every pair's values, parent -> change, one line per metric, and every
 problem: a change median worse than the parent's by more than its bound, and
-whatever a run reported.  The exit status is 1 when there is a problem: a
-median beyond its bound, a failed run or trial, or a fingerprint verdict
-other than ``match``; a ``--parent`` that ``git archive`` cannot export is a
-usage error, with status 2 and git's message.
+whatever a run reported.  The exit status is 1 when any workload has a
+problem: a median beyond its bound, a failed run or trial, or a fingerprint
+verdict other than ``match``; a ``--parent`` that ``git archive`` cannot
+export is a usage error, with status 2 and git's message.
 """
 
 from __future__ import annotations
@@ -136,12 +138,40 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float):
     return read_run(done.stdout, done.returncode)
 
 
+def compare(trees: dict[str, Path], workload: str, args, metrics: list[dict]) -> bool:
+    """Run ``workload``'s alternating pairs and print its summary, every
+    pair's values and its problems; return whether there was a problem."""
+    runs = []
+    problems = []
+    for index, seed in enumerate(args.seeds + args.held_out):
+        pair = {}
+        for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+            pair[side], found = run_once(trees[side], workload, seed, args.seconds)
+            problems += [f"{side} seed {seed}: {problem}" for problem in found]
+            print(f"{workload}: {side} seed {seed} done", file=sys.stderr)
+        runs.append((seed, pair))
+    pairs = [pair for _, pair in runs[: len(args.seeds)]]
+    print(f"{workload}: parent {args.parent} against the checkout, {args.seconds:g} s runs")
+    lines, regressions = summary(pairs, runs[len(args.seeds) :], metrics)
+    print("\n".join(lines))
+    problems = regressions + problems
+    print("every pair, parent -> change:")
+    print("\n".join(pair_lines(runs, metrics)))
+    for problem in problems:
+        print(f"PROBLEM {problem}")
+    return bool(problems)
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument(
-        "--workload", required=True, choices=[workload["name"] for workload in spec["workloads"]]
+        "--workload",
+        required=True,
+        action="append",
+        choices=[workload["name"] for workload in spec["workloads"]],
+        help="a workload to compare; repeat for more",
     )
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
     parser.add_argument("--held-out", type=seed_range, default=[])
@@ -154,29 +184,14 @@ def main(argv=None) -> int:
     if archive.returncode:
         message = archive.stderr.decode(errors="replace").strip()
         parser.error(f"cannot archive --parent {args.parent!r}: {message}")
-    runs = []
-    problems = []
+    failed = False
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(parent, filter="data")
         trees = {"parent": Path(parent), "change": ROOT}
-        for index, seed in enumerate(args.seeds + args.held_out):
-            pair = {}
-            for side in SIDES if index % 2 == 0 else SIDES[::-1]:
-                pair[side], found = run_once(trees[side], args.workload, seed, args.seconds)
-                problems += [f"{side} seed {seed}: {problem}" for problem in found]
-                print(f"{side} seed {seed} done", file=sys.stderr)
-            runs.append((seed, pair))
-    pairs = [pair for _, pair in runs[: len(args.seeds)]]
-    print(f"{args.workload}: parent {args.parent} against the checkout, {args.seconds:g} s runs")
-    lines, regressions = summary(pairs, runs[len(args.seeds) :], spec["end_to_end"])
-    print("\n".join(lines))
-    problems = regressions + problems
-    print("every pair, parent -> change:")
-    print("\n".join(pair_lines(runs, spec["end_to_end"])))
-    for problem in problems:
-        print(f"PROBLEM {problem}")
-    return 1 if problems else 0
+        for workload in dict.fromkeys(args.workload):
+            failed |= compare(trees, workload, args, spec["end_to_end"])
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

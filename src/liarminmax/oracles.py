@@ -94,8 +94,9 @@ class LyingOracle:
     def answered(self, answers: dict[tuple[int, int], bool], copies: int = 1) -> None:
         """Count ``copies`` queries ``(a, b)`` for each pair of ``answers``,
         in its order, answered SMALLER where its value is true, and record
-        them, as ``query`` would have, in one ``Transcript.extend``.  Only
-        for answers read from ``lie_free_ranks`` within its window."""
+        them, as ``query`` would have, in one ``Transcript.extend``; an
+        oracle without a transcript reads only how many pairs there are.
+        Only for answers read from ``lie_free_ranks`` within its window."""
         self.queries += len(answers) * copies
         transcript = self.transcript
         if transcript is not None:
@@ -175,9 +176,11 @@ class TruthfulOracle(LyingOracle):
 class RandomLiarOracle(LyingOracle):
     """Lies independently with probability ``p`` until the budget is spent.
 
-    It consults every query index, one RNG draw each while budget remains.
-    Deterministic for a fixed seed: two oracles with the same seed produce
-    bit-identical transcripts over the same query sequence.
+    It consults every query index, one RNG draw each while budget remains;
+    at ``p = 0`` it consults none, as it can never lie, so every stretch of
+    its queries is lie-free.  Deterministic for a fixed seed: two oracles
+    with the same seed produce bit-identical transcripts over the same query
+    sequence.
     """
 
     def __init__(self, order: TotalOrder, k: int, p: float, seed: int) -> None:
@@ -186,7 +189,7 @@ class RandomLiarOracle(LyingOracle):
         super().__init__(order, k)
         self.p = p
         self._rng = random.Random(seed)
-        self._next_lie = 0
+        self._next_lie = 0 if p else -1
 
     def _wants_lie(self, index: int) -> bool:
         self._next_lie = index + 1

@@ -4,21 +4,23 @@ A sort returns its output, the answers it read and the degree profile of
 their comparison graph over output positions: for each position, how many
 compared elements sit to its left and how many to its right.  Completion
 and thickness read nothing else, so no edge list is kept.  Quicksort counts
-the degrees while it checks its answers against its output; mergesort's are
-counted the first time they are read.
+the degrees before it returns; mergesort's are counted the first time they
+are read.
 A sorter never queries the same unordered pair twice within one attempt, so
 that graph is simple and every degree is at most s-1; at a group size of at
 most k+2 that keeps every degree within k+1, where the completed graph has
 at most (k+1)(s-1) + thickness edges.
-Both sorts compare through one closure, ``less(a, b)`` (``_sort_answers``),
-which asks a pair only when it has no answer yet.  Quicksort needs that
-memo: median selection and the partitions meet some pairs again, and then
-re-read the recorded answer.  Mergesort never does: top-down, two elements
-are compared only in the one merge where they sit in opposite runs, and
-from then on they share a run.  Either way an attempt asks at most s(s-1)/2
-queries whatever the answers, so no comparison cap is needed, and a
-batched oracle that can tell no lie within that many answers the whole sort
-from its ranks.  A sort either returns an outcome whose every answer agrees
+A sort compares through one closure, ``less(a, b)``, which asks a pair only
+when it has no answer yet.  Quicksort needs that memo: median selection and
+the partitions meet some pairs again, and then re-read the recorded answer.
+Mergesort never does: top-down, two elements are compared only in the one
+merge where they sit in opposite runs, and from then on they share a run.
+Either way an attempt asks at most s(s-1)/2 queries whatever the answers,
+so no comparison cap is needed, and a batched oracle that can tell no lie
+within that many answers the whole sort from its ranks.  Then quicksort
+sorts the items' output positions, whose order the ranks already give, and
+keeps each compared pair of positions once; mergesort keeps its answers
+keyed by ids.  A sort either returns an outcome whose every answer agrees
 with its output, or raises :class:`SortInconsistency`, its proof of a lie;
 callers decide what a proven lie means.
 """
@@ -57,33 +59,44 @@ class SortInconsistency(Exception):
 class SortOutcome:
     """Result of one sort attempt: the claimed ascending ``output`` of ``s``
     items and the ``answers`` the sort read, mapping each asked pair (lo,
-    hi), lo < hi, to whether ``lo`` was answered smaller; ``comparisons`` is
-    their number.  Every answer agrees with ``output``.
+    hi), lo < hi, to whether ``lo`` was answered smaller, in the order they
+    were asked; ``comparisons`` is their number.  Every answer agrees with
+    ``output``.  A sort answered from ranks by position hands in its
+    ``pairs`` of output positions (p, q), p < q, instead, and ``answers``
+    is built from them the first time it is read.
 
     ``degree_profile()`` gives the comparison graph's (left, right) degree
     lists over output positions, 1-indexed: a position's left (right)
     degree counts its answered pairs whose other item sits at a smaller
     (larger) position.  With ``s``, that is all
     :func:`~liarminmax.graphs.complete_edges` reads.  A sort that counts the
-    degrees while checking its answers hands them in; otherwise they are
-    counted the first time they are read, and a group step without credit
-    never reads them.  The lists are the outcome's own, so readers never
-    write them.
+    degrees before it returns hands them in; otherwise they are counted the
+    first time they are read, and a group step without credit never reads
+    them.  The lists are the outcome's own, so readers never write them.
     """
 
-    __slots__ = ("output", "answers", "comparisons", "s", "_profile")
+    __slots__ = ("output", "comparisons", "s", "_answers", "_pairs", "_profile")
 
     def __init__(
         self,
         output: list[int],
-        answers: dict[tuple[int, int], bool],
+        answers: dict[tuple[int, int], bool] | None,
         profile: tuple[list[int], list[int]] | None = None,
+        pairs: dict[tuple[int, int], None] | None = None,
     ) -> None:
         self.output = output
-        self.answers = answers
-        self.comparisons = len(answers)
+        self._answers = answers
+        self._pairs = pairs
+        self.comparisons = len(pairs if answers is None else answers)
         self.s = len(output)
         self._profile = profile
+
+    @property
+    def answers(self) -> dict[tuple[int, int], bool]:
+        answers = self._answers
+        if answers is None:
+            answers = self._answers = _id_answers(self.output, self._pairs)
+        return answers
 
     def degree_profile(self) -> tuple[list[int], list[int]]:
         profile = self._profile
@@ -125,37 +138,50 @@ def _checked_profile(
     return left, right
 
 
-def _sort_answers(body, seq: list, oracle) -> tuple[list, dict[tuple[int, int], bool]]:
-    """(output, answers) of ``body(seq, less)``, where ``less(a, b)`` says
-    whether ``a`` comes before ``b`` and keeps the answer in ``answers``
-    under (lo, hi), lo < hi; a pair is asked as (lo, hi).
+def _position_profile(pairs: dict[tuple[int, int], None], s: int) -> tuple[list[int], list[int]]:
+    """The (left, right) degree lists of ``s`` output positions compared in
+    ``pairs``, each (p, q) with p < q."""
+    left = [0] * (s + 1)
+    right = left.copy()
+    for p, q in pairs:
+        right[p] += 1
+        left[q] += 1
+    return left, right
 
-    An oracle whose type is one of :data:`~liarminmax.oracles.BATCHED` and
-    whose next s(s-1)/2 queries are lie-free answers from its ranks:
-    ``less`` stores each answer again on every call, which keeps the key's
-    first position, so ``answers`` lists the pairs in the order the memo
-    would have asked them, and the oracle is charged for them in one
-    ``answered`` call.  Repeated items take the memo path, whose first
-    self-comparison raises :class:`~liarminmax.core.InvalidQuery`.  Any other
-    oracle is asked each pair once through ``query``.
-    """
-    answers: dict[tuple[int, int], bool] = {}
+
+def _id_answers(
+    output: list[int], pairs: dict[tuple[int, int], None]
+) -> dict[tuple[int, int], bool]:
+    """The answers of ``pairs`` of positions over ``output``, in their
+    order, keyed by ids: (p, q), p < q, puts ``output[p-1]`` first."""
+    answers = {}
+    for p, q in pairs:
+        x, y = output[p - 1], output[q - 1]
+        if x < y:
+            answers[x, y] = True
+        else:
+            answers[y, x] = False
+    return answers
+
+
+def _lie_free_ranks(seq: list, oracle) -> tuple[int, ...] | None:
+    """The hidden order's ranks when ``oracle``'s type is one of
+    :data:`~liarminmax.oracles.BATCHED`, the items of ``seq`` are distinct
+    and its next s(s-1)/2 queries are lie-free, else None.  Repeated items
+    take the per-query path, whose first self-comparison raises
+    :class:`~liarminmax.core.InvalidQuery`."""
     m = len(seq)
     if type(oracle) in BATCHED and len(set(seq)) == m:
-        rank = oracle.lie_free_ranks(m * (m - 1) // 2)
-        if rank is not None:
+        return oracle.lie_free_ranks(m * (m - 1) // 2)
+    return None
 
-            def less(a: int, b: int) -> bool:
-                a_smaller = rank[a] < rank[b]
-                if a < b:
-                    answers[(a, b)] = a_smaller
-                else:
-                    answers[(b, a)] = not a_smaller
-                return a_smaller
 
-            output = body(seq, less)
-            oracle.answered(answers)
-            return output, answers
+def _asked_answers(body, seq: list, oracle) -> tuple[list, dict[tuple[int, int], bool]]:
+    """(output, answers) of ``body(seq, less)``, where ``less(a, b)`` says
+    whether ``a`` comes before ``b``, asking the pair as (lo, hi), lo < hi,
+    through ``oracle.query`` the first time it meets it, and keeping the
+    answer in ``answers`` under (lo, hi)."""
+    answers: dict[tuple[int, int], bool] = {}
     query = oracle.query
 
     def less(a: int, b: int) -> bool:
@@ -184,9 +210,27 @@ def mergesort(items, oracle) -> SortOutcome:
     some permutation).
 
     Each query is asked as (smaller id, larger id), like every query of
-    quicksort, and its answer is recorded for the outcome.
+    quicksort, and its answer is recorded for the outcome.  From lie-free
+    ranks, ``less`` compares the items' ranks and keeps each answer under
+    its ids, and the oracle is charged for them in one ``answered`` call.
     """
-    return SortOutcome(*_sort_answers(_msort, list(items), oracle))
+    seq = list(items)
+    rank = _lie_free_ranks(seq, oracle)
+    if rank is None:
+        return SortOutcome(*_asked_answers(_msort, seq, oracle))
+    answers: dict[tuple[int, int], bool] = {}
+
+    def less(a: int, b: int) -> bool:
+        a_smaller = rank[a] < rank[b]
+        if a < b:
+            answers[(a, b)] = a_smaller
+        else:
+            answers[(b, a)] = not a_smaller
+        return a_smaller
+
+    output = _msort(seq, less)
+    oracle.answered(answers)
+    return SortOutcome(output, answers)
 
 
 def _msort(seq: list, less) -> list:
@@ -270,7 +314,9 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
     after the last query, on an answer against the output order; a truthful
     oracle causes neither.  The degree profile is counted in that same last
     pass.  Never asks a pair twice, so it spends at most s(s-1)/2 queries on
-    any answers.
+    any answers.  From lie-free ranks it sorts output positions instead, and
+    counts the profile from the pairs of positions compared
+    (:func:`_position_quicksort`).
 
     Two items cost one query, asked as (smaller id, larger id) like every
     other query of a sort; the outcome then takes the shared one-edge
@@ -283,8 +329,43 @@ def balanced_quicksort(items, oracle) -> SortOutcome:
         lo_smaller = oracle.query(lo, hi) is SMALLER
         output = [lo, hi] if lo_smaller else [hi, lo]
         return SortOutcome(output, {(lo, hi): lo_smaller}, _PAIR_PROFILE)
-    output, answers = _sort_answers(_bqsort, seq, oracle)
+    rank = _lie_free_ranks(seq, oracle)
+    if rank is not None:
+        return _position_quicksort(seq, rank, oracle)
+    output, answers = _asked_answers(_bqsort, seq, oracle)
     return SortOutcome(output, answers, _checked_profile(output, answers))
+
+
+def _position_quicksort(seq: list, rank, oracle) -> SortOutcome:
+    """:func:`balanced_quicksort` of distinct ``seq`` answered from
+    ``rank``, lie-free.  The output is ``seq`` sorted by rank, and the body
+    sorts the output positions of ``seq``'s items, in ``seq``'s order, so it
+    compares the pairs the per-query path would, in the same order.  Its
+    ``less`` compares two positions and keeps their pair (p, q), p < q, in
+    ``pairs``, whose first insertion of a pair is where that path would ask
+    it: ``pairs`` lists the queries in their order.  Raises
+    :class:`SortInconsistency` unless the body returns the positions in
+    order.  The oracle is charged for the pairs in one ``answered`` call,
+    with their id-keyed answers when it keeps a transcript."""
+    output = sorted(seq, key=rank.__getitem__)
+    m = len(output)
+    position = dict(zip(output, range(1, m + 1)))
+    pairs: dict[tuple[int, int], None] = {}
+
+    def less(p: int, q: int) -> bool:
+        if p < q:
+            pairs[p, q] = None
+            return True
+        pairs[q, p] = None
+        return False
+
+    returned = _bqsort([position[x] for x in seq], less)
+    answers = None if oracle.transcript is None else _id_answers(output, pairs)
+    # Without a transcript, ``answered`` reads only how many pairs it gets.
+    oracle.answered(pairs if answers is None else answers)
+    if returned != list(range(1, m + 1)):
+        raise SortInconsistency("sorted positions out of order", len(pairs))
+    return SortOutcome(output, answers, _position_profile(pairs, m), pairs)
 
 
 def _bqsort(seq: list, less) -> list:

@@ -683,8 +683,14 @@ def run_pohl(items, k, oracle, s, log):
 
 def equivalence_cases():
     """(run, n, k, s, seed): seeded runs at n <= 300 and k <= 64, pohl at
-    k = 0, and the benchmark's certify-truthful configuration."""
+    k = 0, the benchmark's certify-truthful configuration, and improved at
+    group sizes from 3 to 70, each with a smaller last group, and from 256
+    to 600."""
     cases = [(run_improved, 2048, 32, None, 0), (run_pohl, 301, 0, None, 1)]
+    for s in (3, 17, 33, 64, 70):
+        cases.append((run_improved, 3 * s + s // 3, s, s, s))
+    for s, k in ((256, 256), (411, 409), (600, 598)):
+        cases.append((run_improved, s + 37, k, s, s))
     for seed in range(16):
         rng = random.Random(seed)
         n, k = rng.randint(2, 300), rng.randint(0, 64)

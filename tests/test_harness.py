@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import random
 import subprocess
@@ -995,6 +996,46 @@ def test_bench_pairs_rejects_an_unknown_workload_before_running(monkeypatch, cap
     assert raised.value.code == 2
     assert "invalid choice: 'nope'" in capsys.readouterr().err
     assert ran == []
+
+
+def test_bench_pairs_runs_each_workload_in_turn(monkeypatch, capsys):
+    script = load_script("bench_pairs")
+    empty = io.BytesIO()
+    with tarfile.open(fileobj=empty, mode="w"):
+        pass
+    archived = subprocess.CompletedProcess(["git"], 0, empty.getvalue(), b"")
+    monkeypatch.setattr(script.subprocess, "run", lambda *args, **kwargs: archived)
+    mismatch = "MISMATCH (golden 1f, got 2e)"
+    ran = []
+
+    def run_once(tree, workload, seed, seconds):
+        side = "change" if tree == script.ROOT else "parent"
+        ran.append((workload, seed, side))
+        # Only the second workload's change runs miss a fingerprint.
+        wrong = (workload, side) == ("gametree-verify", "change")
+        return script.read_run(canned_run(24.0, 80.0, mismatch if wrong else "match"), 0)
+
+    monkeypatch.setattr(script, "run_once", run_once)
+    workloads = ["certify-truthful", "gametree-verify"]
+    argv = ["--parent", "HEAD~1", "--seeds", "1-2", "--held-out", "562", "--seconds", "1"]
+    assert script.main([*argv, "--workload", workloads[0], "--workload", workloads[1]]) == 1
+    # Each workload's pairs in turn, alternating which side runs first.
+    sides = [(1, "parent"), (1, "change"), (2, "change"), (2, "parent")]
+    sides += [(562, "parent"), (562, "change")]
+    assert ran == [(workload, seed, side) for workload in workloads for seed, side in sides]
+    out = capsys.readouterr().out.splitlines()
+    headers = [line for line in out if "against the checkout" in line]
+    assert headers == [
+        f"{workload}: parent HEAD~1 against the checkout, 1 s runs" for workload in workloads
+    ]
+    problems = [line for line in out if line.startswith("PROBLEM")]
+    assert problems == [
+        f"PROBLEM change seed {seed}: fingerprint csv_sha256 {mismatch}" for seed in (1, 2, 562)
+    ]
+    assert out.index(problems[0]) > out.index(headers[1])
+    ran.clear()
+    assert script.main([*argv, "--workload", workloads[0]]) == 0
+    assert ran == [(workloads[0], seed, side) for seed, side in sides]
 
 
 def test_bench_pairs_rejects_a_parent_git_cannot_archive(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liarminmax.algorithms import _extrema, _group_size
 from liarminmax.core import Answer, InvalidQuery, TotalOrder, count_lies
 from liarminmax.graphs import added_edge_pairs
 from liarminmax.oracles import (
@@ -14,6 +15,7 @@ from liarminmax.oracles import (
     TriggeredLiarOracle,
     TruthfulOracle,
 )
+from liarminmax.sorters import balanced_quicksort, mergesort
 
 
 def true_answer(order, a, b):
@@ -44,6 +46,26 @@ def test_zero_probability_liar_is_truthful():
     honest = TruthfulOracle(order)
     for a, b in random_query_stream(rng, 8, 60):
         assert liar.query(a, b) is honest.query(a, b)
+    assert liar.lies_told == 0
+
+
+@pytest.mark.parametrize("sort, credit", [(balanced_quicksort, True), (mergesort, False)])
+@pytest.mark.parametrize("k", [1, 8, 32])
+def test_zero_probability_liar_runs_as_a_truthful_oracle(sort, credit, k):
+    # At p = 0 the liar schedules no lie consult, so its sorts, checks and
+    # selections are answered from its ranks, as a truthful oracle's are:
+    # improved's group step is (quicksort, credit), simple's (mergesort, none).
+    n = 300
+    order = TotalOrder.shuffled(n, random.Random(k))
+    liar = RandomLiarOracle(order, k, 0.0, seed=5)
+    assert liar.lie_free_ranks(n * n) == order.rank
+    runs = []
+    for oracle in (liar, TruthfulOracle(order)):
+        log = []
+        result = _extrema(sort, credit, list(range(n)), k, oracle, _group_size(k), log)
+        runs.append((result, log, list(oracle.transcript), oracle.queries))
+    assert runs[0] == runs[1]
+    assert liar.lie_free_ranks(n * n) == order.rank
     assert liar.lies_told == 0
 
 

@@ -22,6 +22,7 @@ from liarminmax.oracles import (
 from liarminmax.sorters import SortInconsistency, balanced_quicksort, mergesort
 from flow_reference import sort_graph
 from test_acceptance import THICKNESS_CT
+from test_algorithms import QueryOnly
 
 
 def ascending(order):
@@ -535,17 +536,25 @@ def test_mergesort_asks_like_the_reference_on_seeded_orders(s):
 
 @pytest.fixture
 def profile_counts(monkeypatch):
-    """The sizes of the degree profiles that ``sorters`` counts from a sort's
-    answers, one entry per profile returned."""
+    """The sizes of the degree profiles that ``sorters`` counts, one entry
+    per profile returned: from a sort's id-keyed answers, or from the
+    position pairs of a quicksort answered from ranks."""
     counted = []
-    count = sorters._checked_profile
+    check = sorters._checked_profile
+    count = sorters._position_profile
 
-    def counting(output, answers):
-        profile = count(output, answers)
+    def checking(output, answers):
+        profile = check(output, answers)
         counted.append(len(output))
         return profile
 
-    monkeypatch.setattr(sorters, "_checked_profile", counting)
+    def counting(pairs, s):
+        profile = count(pairs, s)
+        counted.append(s)
+        return profile
+
+    monkeypatch.setattr(sorters, "_checked_profile", checking)
+    monkeypatch.setattr(sorters, "_position_profile", counting)
     return counted
 
 
@@ -677,11 +686,29 @@ def past_the_script(a, b):
     pytest.fail(f"the reference asked ({a}, {b}) past the answer script")
 
 
+@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+@pytest.mark.parametrize(
+    "sizes", [[64] * 20, range(1, 71), [256, 411, 600]], ids=["64x20", "1-70", "256-600"]
+)
 @pytest.mark.parametrize("sort", [mergesort, balanced_quicksort])
-def test_profile_matches_the_edge_graph_on_random_orders(sort):
+def test_profile_matches_the_edge_graph_on_random_orders(sort, sizes, record):
+    # A truthful oracle answers the sort from its ranks: quicksort by output
+    # positions, mergesort by ids.  Each outcome matches the per-query path
+    # behind ``QueryOnly`` answer for answer, in the order asked, and its
+    # profile and thickness are those of its edge graph.
     rng = random.Random(64)
-    for _ in range(20):
-        order = TotalOrder.shuffled(64, rng)
-        items = list(range(64))
+    for s in sizes:
+        order = TotalOrder.shuffled(s, rng)
+        items = list(range(s))
         rng.shuffle(items)
-        assert_profile_matches_the_edge_graph(sort(items, TruthfulOracle(order, record=False)))
+        ranked, asked = TruthfulOracle(order, record), TruthfulOracle(order, record)
+        out = sort(items, ranked)
+        expected = sort(items, QueryOnly(asked))
+        assert (out.output, out.comparisons) == (expected.output, expected.comparisons), s
+        assert list(out.answers.items()) == list(expected.answers.items()), s
+        assert out.degree_profile() == expected.degree_profile(), s
+        assert out.thickness() == expected.thickness(), s
+        assert ranked.queries == asked.queries == out.comparisons, s
+        if record:
+            assert list(ranked.transcript) == list(asked.transcript), s
+        assert_profile_matches_the_edge_graph(out)
